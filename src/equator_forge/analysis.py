@@ -24,7 +24,7 @@ import numpy as np
 import scipy.linalg
 
 from .correspondence import CurvatureMetric, MetricField, curv_from_killing, metric_derivatives
-from .harmonics import basis_degrees, basis_size, real_harmonic_basis
+from .harmonics import basis_degrees, real_harmonic_basis
 from .parallel import tmap
 from .sphere_geom import (
     Equator,
@@ -34,7 +34,6 @@ from .sphere_geom import (
     tangent_frame,
 )
 from .tensor_core import (
-    CurvatureTensor,
     DegenerateInputError,
     DimensionError,
     KillingField,
@@ -42,7 +41,7 @@ from .tensor_core import (
     sym_product,
     wedge,
 )
-from .verification import curvature_of_metric
+from .verification import _height_hessian, christoffels, curvature_of_metric
 
 __all__ = [
     "equator_area",
@@ -55,7 +54,6 @@ __all__ = [
     "build_jacobi_galerkin",
     "SpectrumProbe",
     "jacobi_spectrum_probe",
-    "jacobi_apply",
     "jacobi_apply_field",
     "so4_jacobi_functions",
     "so4_jacobi_data",
@@ -88,20 +86,8 @@ def _area_elements(g: MetricField, v: Equator, order: int, *, seed: int = 0):
     rule = equator_quadrature(v, order, seed=seed)
     nodes, weights = rule.nodes, rule.weights
     gm = g.ambient_matrices(nodes)
-    rho = np.empty(nodes.shape[0])
-    u = v.basis()
-    for i, p in enumerate(nodes):
-        frame = []
-        drop = int(np.argmax(np.abs(u @ p)))
-        for j in range(u.shape[0]):
-            if j == drop:
-                continue
-            w = u[j] - (u[j] @ p) * p
-            for f in frame:
-                w -= (w @ f) * f
-            frame.append(w / np.linalg.norm(w))
-        E = np.array(frame)
-        rho[i] = np.sqrt(np.linalg.det(E @ gm[i] @ E.T))
+    E = np.array([_equator_tangent_frame(v.normal, p) for p in nodes])
+    rho = np.sqrt(np.linalg.det(E @ gm @ np.swapaxes(E, 1, 2)))
     return nodes, weights, rho
 
 
@@ -163,6 +149,19 @@ def _equator_tangent_frame(v: np.ndarray, p: np.ndarray) -> np.ndarray:
     return np.array(frame)
 
 
+def _shape_operator(cd, hess: np.ndarray, norm: float):
+    """A = hess / |grad h|, the induced metric G, its inverse and |A|^2.
+
+    The chart's last frame vector is the equator normal, so its first n - 1
+    axes span the tangent space of the equator at the chart centre.
+    """
+    k = cd.chart.n - 1
+    A = hess[:k, :k] / norm
+    G = cd.gmat[:k, :k]
+    Ginv = np.linalg.inv(G)
+    return A, G, Ginv, float(np.einsum("ac,bd,ab,cd", Ginv, Ginv, A, A))
+
+
 def second_fundamental_form(g: MetricField, v, p) -> SecondFundamentalForm:
     """Second fundamental form at p of the equator with normal v, under g."""
     eq = _as_equator(v)
@@ -170,21 +169,11 @@ def second_fundamental_form(g: MetricField, v, p) -> SecondFundamentalForm:
     p = np.asarray(p, dtype=float)
     if abs(p @ v) > 1e-10:
         raise DegenerateInputError("p does not lie on the equator of v")
-    n = g.n
     sigma_frame = _equator_tangent_frame(v, p)
     chart = GnomonicChart(p, np.vstack([sigma_frame, v[None, :]]))
-    from .verification import christoffels  # local import to avoid a cycle
-
-    cd = christoffels(g, chart, np.zeros(n))
-    c = chart.frame @ v  # (0, ..., 0, 1) up to roundoff
-    c0 = float(p @ v)
-    hess = -c0 * np.eye(n) - np.einsum("kij,k->ij", cd.gamma, c)
-    grad_vec = cd.ginv @ c
-    norm = float(np.sqrt(c @ grad_vec))
-    A = hess[: n - 1, : n - 1] / norm
-    G = cd.gmat[: n - 1, : n - 1]
-    Ginv = np.linalg.inv(G)
-    norm2 = float(np.einsum("ac,bd,ab,cd", Ginv, Ginv, A, A))
+    cd = christoffels(g, chart, np.zeros(g.n))
+    _, _, hess, norm, _ = _height_hessian(cd, v)
+    A, G, Ginv, norm2 = _shape_operator(cd, hess, norm)
     H = float(np.einsum("ab,ab", Ginv, A))
     return SecondFundamentalForm(A, sigma_frame, H, norm2, G)
 
@@ -237,17 +226,10 @@ def equator_mesh(g: MetricField, v, order: int = 32) -> EquatorMesh:
             p = nodes[i]
             chart = GnomonicChart(p, np.vstack([et[i], ep[i], vn]))
             cv = curvature_of_metric(g, chart, np.zeros(3))
-            c = chart.frame @ vn
-            hess = -float(p @ vn) * np.eye(3) - np.einsum("kij,k->ij", cv.gamma, c)
-            grad_vec = cv.ginv @ c
-            norm = float(np.sqrt(c @ grad_vec))
-            normal = grad_vec / norm
+            _, _, hess, norm, normal = _height_hessian(cv, vn)
             lap = float(np.einsum("ij,ij", cv.ginv, hess))
             hnn = float(normal @ hess @ normal)
-            Amat = hess[:2, :2] / norm
-            G = cv.gmat[:2, :2]
-            Ginv = np.linalg.inv(G)
-            a2 = float(np.einsum("ac,bd,ab,cd", Ginv, Ginv, Amat, Amat))
+            _, G, _, a2 = _shape_operator(cv, hess, norm)
             ric_nn = float(normal @ cv.ricci @ normal)
             out[r, 0:4] = normal @ chart.frame
             out[r, 4] = (lap - hnn) / norm
@@ -383,13 +365,6 @@ def jacobi_spectrum_probe(
     return SpectrumProbe(vals, n_neg, n_null, gal.L, gal.mesh.order, null_tol)
 
 
-def jacobi_apply(g: MetricField, v, coeffs, L: int = 12, *, order: int | None = None,
-                 galerkin: JacobiGalerkin | None = None) -> np.ndarray:
-    """Apply the Jacobi operator to a function given by harmonic coefficients."""
-    gal = galerkin if galerkin is not None else build_jacobi_galerkin(g, v, L, order=order)
-    return gal.apply(coeffs)
-
-
 def jacobi_apply_field(
     g: MetricField,
     v,
@@ -406,7 +381,7 @@ def jacobi_apply_field(
     surface gradient components in the unit (e_theta, e_phi) directions.  The
     weak pairings with the degree-L harmonics use this exact data, so the
     result is limited by quadrature only, not by how well the function itself
-    truncates at degree L (compare :func:`jacobi_apply`).
+    truncates at degree L (compare :meth:`JacobiGalerkin.apply`).
     """
     gal = galerkin if galerkin is not None else build_jacobi_galerkin(g, v, L, order=order)
     mesh = gal.mesh

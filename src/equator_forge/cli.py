@@ -29,7 +29,6 @@ from .correspondence import metric_from_curv
 from .sphere_geom import Equator, random_equator, sphere_quadrature, tangent_frame
 from .tableio import write_csv, write_json
 from .tensor_core import (
-    GroupElement,
     act,
     constant_curvature,
     fubini_study,
@@ -247,9 +246,10 @@ def cmd_spectrum(args) -> int:
         v = Equator(np.asarray([float(t) for t in args.v.split(",")], dtype=float))
     else:
         v = Equator(np.eye(g.n + 1)[0])
+    levels = args.L or [12]
     rows = []
     summary = []
-    for L in args.L:
+    for L in levels:
         gal = build_jacobi_galerkin(g, v, L, order=args.order)
         probe = jacobi_spectrum_probe(g, v, L, null_tol=args.null_tol, galerkin=gal)
         for idx, lam in enumerate(probe.eigenvalues):
@@ -266,7 +266,7 @@ def cmd_spectrum(args) -> int:
     config = RunConfig(
         "spectrum",
         seed=0,
-        params={"input": args.input, "L": args.L, "null_tol": args.null_tol},
+        params={"input": args.input, "L": levels, "null_tol": args.null_tol},
     )
     _emit({"config": config.as_dict(), "written": args.out, "levels": summary})
     return 0
@@ -417,10 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "L", None) is not None and not args.L:
-        args.L = [12]
-    if hasattr(args, "L") and args.L is None:
-        args.L = [12]
     try:
         return args.func(args)
     except (ValueError, OSError, KeyError) as exc:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .jets import MatrixJet, ScalarJet, quadratic_matrix_jet
-from .sphere_geom import GnomonicChart, great_circle, random_unit, tangent_frame
+from .sphere_geom import GnomonicChart, great_circle, random_unit
 from .tensor_core import (
     CurvatureTensor,
     DegenerateInputError,
@@ -40,13 +40,10 @@ __all__ = [
     "SamplingError",
     "MetricField",
     "CurvatureMetric",
-    "ScalarField",
     "killing_from_curv",
     "killing_constancy_residual",
-    "volume_ratio_D",
     "metric_from_curv",
     "round_metric",
-    "F_from_metric",
     "killing_from_metric",
     "curv_from_killing",
     "metric_derivatives",
@@ -55,29 +52,6 @@ __all__ = [
 
 class SamplingError(RuntimeError):
     """Least-squares sampling stayed rank deficient after retries."""
-
-
-class ScalarField:
-    """Scalar function on the sphere with a role tag (D, F, psi, delta, custom)."""
-
-    ROLES = ("D", "F", "psi", "delta", "custom")
-
-    def __init__(self, n: int, batch_fn, role: str = "custom"):
-        if role not in self.ROLES:
-            raise ValueError(f"unknown role {role!r}")
-        self.n = n
-        self.role = role
-        self._batch_fn = batch_fn
-
-    def values(self, points) -> np.ndarray:
-        P = np.atleast_2d(np.asarray(points, dtype=float))
-        out = self._batch_fn(P)
-        if self.role != "custom" and np.any(out <= 0.0):
-            raise PositivityError(f"scalar field with role {self.role} must stay positive")
-        return out
-
-    def __call__(self, p) -> float:
-        return float(self.values(np.asarray(p, float)[None, :])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -124,9 +98,6 @@ class MetricField:
             raise PositivityError("metric determinant must be positive")
         return dets ** (2.0 / (self.n + 1))
 
-    def F_field(self) -> ScalarField:
-        return ScalarField(self.n, self.F_values, role="F")
-
 
 def _quadratic_ambient(R: np.ndarray, p0: np.ndarray, E: np.ndarray):
     """Quadratic coefficients of A(x) = Khat(q) + q q^T along q = p0 + x @ E."""
@@ -164,9 +135,6 @@ class CurvatureMetric(MetricField):
         self.generator = R
         self.n = R.n
 
-    def killing_field(self) -> KillingField:
-        return KillingField(self.n, lambda P: killing_matrices(self.generator, P), source=self.generator)
-
     def D_values(self, points) -> np.ndarray:
         """Volume ratio of the Killing tensor, det^(2/(n-1)) in a tangent frame."""
         P = np.atleast_2d(np.asarray(points, dtype=float))
@@ -175,9 +143,6 @@ class CurvatureMetric(MetricField):
         if np.any(dets <= 0.0):
             raise PositivityError("Killing tensor is not positive definite at a queried point")
         return dets ** (2.0 / (self.n - 1))
-
-    def D_field(self) -> ScalarField:
-        return ScalarField(self.n, self.D_values, role="D")
 
     def ambient_matrices(self, points) -> np.ndarray:
         P = np.atleast_2d(np.asarray(points, dtype=float))
@@ -206,15 +171,26 @@ def round_metric(n: int) -> CurvatureMetric:
 # ---------------------------------------------------------------------------
 # curvature tensor -> Killing tensor -> metric
 
+# depth and seed of the positivity probe that gates the generators
+PROBE_RESTARTS = 6
+PROBE_ITERS = 200
+PROBE_SEED = 0
+
+
+def _require_positive(R: CurvatureTensor, margin: float) -> None:
+    """Refuse R when the positivity probe finds a sectional curvature <= margin."""
+    cert = is_positive(R, margin=margin, restarts=PROBE_RESTARTS, iters=PROBE_ITERS, seed=PROBE_SEED)
+    if not cert.positive:
+        raise PositivityError(
+            f"positivity probe reports min sectional {cert.min_estimate:.3g} <= {margin:g}"
+        )
+
 
 def killing_from_curv(
     R: CurvatureTensor,
     *,
     margin: float = 1e-6,
     override: bool = False,
-    probe_restarts: int = 6,
-    probe_iters: int = 200,
-    probe_seed: int = 0,
 ) -> KillingField:
     """Killing tensor field k_p(v, w) = R(p, v, p, w) of a positive tensor.
 
@@ -223,11 +199,7 @@ def killing_from_curv(
     skip the gate, e.g. for negative controls).
     """
     if not override:
-        cert = is_positive(R, margin=margin, restarts=probe_restarts, iters=probe_iters, seed=probe_seed)
-        if not cert.positive:
-            raise PositivityError(
-                f"positivity probe reports min sectional {cert.min_estimate:.3g} <= {margin:g}"
-            )
+        _require_positive(R, margin)
     return KillingField(R.n, lambda P: killing_matrices(R, P), source=R)
 
 
@@ -255,47 +227,20 @@ def killing_constancy_residual(
     return worst
 
 
-def volume_ratio_D(k: KillingField, p) -> float:
-    """det of k_p in an orthonormal tangent frame, to the power 2/(n-1)."""
-    E = tangent_frame(p)
-    M = k.matrix_in_frame(p, E)
-    det = float(np.linalg.det(M))
-    if det <= 0.0:
-        raise PositivityError("Killing tensor is not positive definite at p")
-    return det ** (2.0 / (k.n - 1))
-
-
 def metric_from_curv(
     R: CurvatureTensor,
     *,
     margin: float = 1e-6,
     override: bool = False,
-    probe_restarts: int = 6,
-    probe_iters: int = 200,
-    probe_seed: int = 0,
 ) -> CurvatureMetric:
     """Metric with all equators minimal, generated by a positive curvature tensor."""
     if not override:
-        cert = is_positive(R, margin=margin, restarts=probe_restarts, iters=probe_iters, seed=probe_seed)
-        if not cert.positive:
-            raise PositivityError(
-                f"positivity probe reports min sectional {cert.min_estimate:.3g} <= {margin:g}"
-            )
+        _require_positive(R, margin)
     return CurvatureMetric(R)
 
 
 # ---------------------------------------------------------------------------
 # metric -> Killing tensor -> curvature tensor
-
-
-def F_from_metric(g: MetricField, p) -> float:
-    """det of g_p in an orthonormal tangent frame, to the power 2/(n+1)."""
-    E = tangent_frame(p)
-    M = g.matrix_in_frame(p, E)
-    det = float(np.linalg.det(M))
-    if det <= 0.0:
-        raise PositivityError("metric is not positive definite at p")
-    return det ** (2.0 / (g.n + 1))
 
 
 def killing_from_metric(

@@ -129,25 +129,23 @@ class MatrixJet:
         )
         return MatrixJet(value, grad, hess)
 
-    def det(self) -> ScalarJet:
-        """Jet of ``det M`` via Jacobi's formula; requires ``M`` invertible."""
+    def _logdet_parts(self):
+        """``(det M, grad log det M, hess log det M)``; requires ``M`` invertible."""
         d = float(np.linalg.det(self.value))
         B = np.linalg.inv(self.value)
-        q = self.nvars
         # d log det = tr(B dM);  dd log det = tr(B ddM) - tr(B dM B dM)
         glog = np.einsum("ij,aji->a", B, self.grad)
         BdM = np.einsum("ij,ajk->aik", B, self.grad)
         hlog = np.einsum("ij,abji->ab", B, self.hess) - np.einsum("aij,bji->ab", BdM, BdM)
-        grad = d * glog
-        hess = d * (hlog + np.outer(glog, glog))
-        return ScalarJet(d, grad, hess)
+        return d, glog, hlog
+
+    def det(self) -> ScalarJet:
+        """Jet of ``det M`` via Jacobi's formula; requires ``M`` invertible."""
+        d, glog, hlog = self._logdet_parts()
+        return ScalarJet(d, d * glog, d * (hlog + np.outer(glog, glog)))
 
     def logdet(self) -> ScalarJet:
-        d = float(np.linalg.det(self.value))
-        B = np.linalg.inv(self.value)
-        glog = np.einsum("ij,aji->a", B, self.grad)
-        BdM = np.einsum("ij,ajk->aik", B, self.grad)
-        hlog = np.einsum("ij,abji->ab", B, self.hess) - np.einsum("aij,bji->ab", BdM, BdM)
+        d, glog, hlog = self._logdet_parts()
         return ScalarJet(np.log(d), glog, hlog)
 
 

@@ -16,12 +16,12 @@ sectional curvature of the plane spanned by orthonormal ``x, y`` is
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+
+from .tableio import _atomic_write
 
 __all__ = [
     "DimensionError",
@@ -33,8 +33,8 @@ __all__ = [
     "GroupElement",
     "SkewMatrix",
     "KillingField",
+    "wedge",
     "symmetry_residuals",
-    "validate",
     "curvature_projection",
     "curv_dim",
     "curv_basis",
@@ -46,6 +46,7 @@ __all__ = [
     "sec_brute_force",
     "is_positive",
     "constant_curvature",
+    "complex_structure",
     "fubini_study",
     "act",
     "sym_product",
@@ -121,11 +122,6 @@ def symmetry_residuals(coeffs) -> SymmetryReport:
     bianchi = T + np.einsum("acdb->abcd", T) + np.einsum("adbc->abcd", T)
     r4 = np.max(np.abs(bianchi))
     return SymmetryReport(float(r1), float(r2), float(r3), float(r4))
-
-
-def validate(coeffs) -> SymmetryReport:
-    """Shape-check an array and report its symmetry residuals."""
-    return symmetry_residuals(coeffs)
 
 
 def curvature_projection(coeffs) -> np.ndarray:
@@ -227,9 +223,6 @@ def wedge(a, b) -> SkewMatrix:
     a = np.asarray(a, float)
     b = np.asarray(b, float)
     return SkewMatrix(np.outer(b, a) - np.outer(a, b))
-
-
-__all__.append("wedge")
 
 
 # ---------------------------------------------------------------------------
@@ -472,9 +465,6 @@ def complex_structure(m: int) -> np.ndarray:
     return J
 
 
-__all__.append("complex_structure")
-
-
 def fubini_study(m: int) -> CurvatureTensor:
     """Curvature tensor of the complex projective model on S^(2m+1).
 
@@ -657,19 +647,6 @@ def random_positive(
 # JSON interchange
 
 
-def _atomic_write_text(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def save_tensor(R: CurvatureTensor, path: str) -> None:
     """Write a tensor as dense row-major JSON (format ``curv-dense-v1``)."""
     payload = {
@@ -677,7 +654,7 @@ def save_tensor(R: CurvatureTensor, path: str) -> None:
         "n": R.n,
         "coeffs": [float(v) for v in R.coeffs.reshape(-1)],
     }
-    _atomic_write_text(path, json.dumps(payload) + "\n")
+    _atomic_write(path, json.dumps(payload) + "\n")
 
 
 def load_tensor(path: str, *, tol: float = 1e-9) -> CurvatureTensor:
@@ -712,7 +689,7 @@ def save_matrix(T: GroupElement, path: str) -> None:
         "n": T.n,
         "matrix": [[float(v) for v in row] for row in T.matrix],
     }
-    _atomic_write_text(path, json.dumps(payload) + "\n")
+    _atomic_write(path, json.dumps(payload) + "\n")
 
 
 def load_matrix(path: str) -> GroupElement:

@@ -160,12 +160,14 @@ class HeightData:
     normal_ambient: np.ndarray
 
 
-def height_derivatives(g: MetricField, v, p, chart: GnomonicChart | None = None) -> HeightData:
-    """Covariant derivatives of the height function at p (chart-center evaluation)."""
-    v = np.asarray(v, dtype=float)
-    if chart is None:
-        chart = chart_at(p)
-    cd = christoffels(g, chart, np.zeros(chart.n))
+def _height_hessian(cd: ChristoffelData | CurvatureData, v: np.ndarray):
+    """Height function <., v> at the centre of the chart of ``cd``.
+
+    Returns ``(c0, c, hess, grad_norm, normal)``: the value, the coordinate
+    gradient, the covariant Hessian, |grad h|_g and the unit g-gradient in
+    chart components.
+    """
+    chart = cd.chart
     c0 = float(chart.center @ v)
     c = chart.frame @ v
     # the pulled-back height is (c0 + c.x) / sqrt(1 + |x|^2); at x = 0 its
@@ -176,7 +178,16 @@ def height_derivatives(g: MetricField, v, p, chart: GnomonicChart | None = None)
     if norm2 <= 0.0:
         raise DegenerateInputError("height gradient vanishes at p")
     norm = float(np.sqrt(norm2))
-    normal = grad_vec / norm
+    return c0, c, hess, norm, grad_vec / norm
+
+
+def height_derivatives(g: MetricField, v, p, chart: GnomonicChart | None = None) -> HeightData:
+    """Covariant derivatives of the height function at p (chart-center evaluation)."""
+    v = np.asarray(v, dtype=float)
+    if chart is None:
+        chart = chart_at(p)
+    cd = christoffels(g, chart, np.zeros(chart.n))
+    c0, c, hess, norm, normal = _height_hessian(cd, v)
     laplacian = float(np.einsum("ij,ij", cd.ginv, hess))
     normal_ambient = normal @ chart.frame
     return HeightData(chart, c0, c, hess, laplacian, norm, normal, normal_ambient)

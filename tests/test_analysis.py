@@ -17,7 +17,6 @@ from equator_forge.analysis import (
     equator_area,
     equator_mesh,
     funk_radon,
-    jacobi_apply,
     jacobi_apply_field,
     jacobi_spectrum_probe,
     left_invariant_killing,
@@ -33,7 +32,7 @@ from equator_forge.correspondence import (
     metric_from_curv,
     round_metric,
 )
-from equator_forge.sphere_geom import random_unit
+from equator_forge.sphere_geom import Equator, equator_quadrature, random_unit, sphere_volume
 from equator_forge.tensor_core import (
     DegenerateInputError,
     DimensionError,
@@ -41,7 +40,7 @@ from equator_forge.tensor_core import (
     fubini_study,
     random_positive,
 )
-from equator_forge.verification import BumpMetric, mean_curvature_equator
+from equator_forge.verification import BumpMetric, height_derivatives, mean_curvature_equator
 
 
 E0 = np.eye(4)[0]
@@ -94,6 +93,23 @@ def test_area_equality_for_random_member():
     # order-32 quadrature resolves the common value to ~1e-8 for generic members
     assert np.ptp(areas) < 1e-7
     assert np.ptp([equator_area(g, v, order=48) for v in np.eye(4)]) < 1e-9
+
+
+def test_equator_area_off_s3():
+    rng = np.random.default_rng(5)
+    v = random_unit(rng, 5)
+    assert_allclose(equator_area(round_metric(4), v), sphere_volume(3), atol=1e-10)
+    R, _, _ = random_positive(4, seed=7)
+    g = CurvatureMetric(R)
+    # reference: area densities in tangent frames from an independent QR
+    rule = equator_quadrature(Equator(v), 8, seed=0)
+    rho = []
+    for p in rule.nodes:
+        M = rng.standard_normal((5, 3))
+        M -= np.outer(v, v @ M) + np.outer(p, p @ M)
+        E = np.linalg.qr(M)[0].T
+        rho.append(np.sqrt(np.linalg.det(E @ g.ambient_matrix(p) @ E.T)))
+    assert_allclose(equator_area(g, v, order=8), rule.weights @ np.array(rho), rtol=1e-12)
 
 
 def test_mesh_area_matches_quadrature(berger):
@@ -164,6 +180,17 @@ def test_round_mesh_fields():
     assert_allclose(mesh.area, 4.0 * np.pi, atol=1e-10)
 
 
+def test_bump_mesh_matches_pointwise_height_data():
+    g = BumpMetric()
+    v = (np.eye(4)[1] + np.eye(4)[2]) / np.sqrt(2.0)
+    mesh = equator_mesh(g, v, order=12)
+    for i in np.argsort(-np.abs(mesh.mean_curv))[:4]:
+        p = mesh.nodes[i]
+        assert abs(mesh.mean_curv[i]) > 1e-2
+        assert_allclose(mesh.mean_curv[i], mean_curvature_equator(g, v, p), atol=1e-11)
+        assert_allclose(mesh.normal_ambient[i], height_derivatives(g, v, p).normal_ambient, atol=1e-11)
+
+
 def test_mesh_rejects_other_dimensions():
     with pytest.raises(DimensionError):
         equator_mesh(CurvatureMetric(fubini_study(2)), np.eye(6)[0])
@@ -187,7 +214,7 @@ def test_jacobi_apply_scales_harmonics(round_galerkin):
         assert gal.degrees[k] == l
         c = np.zeros(nb)
         c[k] = 1.0
-        out = jacobi_apply(round_metric(3), E0, c, galerkin=gal)
+        out = gal.apply(c)
         assert_allclose(out, (2.0 - l * (l + 1)) * gal.values[:, k], atol=1e-9)
 
 

@@ -141,6 +141,19 @@ def test_spectrum_csv(tmp_path, capsys):
     assert abs(float(rows[1][2]) + 2.0) < 1e-9
 
 
+def test_spectrum_defaults_to_L12(tmp_path, capsys):
+    tensor = tmp_path / "round.json"
+    run(capsys, "gen", "round", "--n", "3", "--out", str(tensor))
+    out = tmp_path / "spec.csv"
+    code, payload, _ = run(capsys, "spectrum", str(tensor), "--out", str(out))
+    assert code == 0
+    assert [level["L"] for level in payload["levels"]] == [12]
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == 1 + 169  # (L+1)^2 basis functions at L=12
+    assert {r[0] for r in rows[1:]} == {"12"}
+
+
 def test_radon_constant_function(tmp_path, capsys):
     tensor = tmp_path / "round.json"
     run(capsys, "gen", "round", "--n", "3", "--out", str(tensor))

@@ -11,16 +11,13 @@ from numpy.testing import assert_allclose
 
 from equator_forge.correspondence import (
     CurvatureMetric,
-    ScalarField,
     curv_from_killing,
-    F_from_metric,
     killing_constancy_residual,
     killing_from_curv,
     killing_from_metric,
     metric_derivatives,
     metric_from_curv,
     round_metric,
-    volume_ratio_D,
 )
 from equator_forge.sphere_geom import chart_at, great_circle, random_unit, tangent_frame
 from equator_forge.tensor_core import (
@@ -64,7 +61,7 @@ def test_volume_ratio_is_frame_independent(random_tensor):
     k = killing_from_curv(random_tensor)
     rng = np.random.default_rng(2)
     p = random_unit(rng, 4)
-    base = volume_ratio_D(k, p)
+    base = CurvatureMetric(random_tensor).D_values(p)[0]
     # recompute the determinant in randomly rotated tangent frames
     E = tangent_frame(p)
     for _ in range(10):
@@ -193,20 +190,20 @@ def test_curv_from_killing_rejects_non_killing_input():
         curv_from_killing(k, seed=0, check_constancy=True)
 
 
-def test_F_from_metric_round_and_fubini_study():
-    assert_allclose(F_from_metric(round_metric(3), np.eye(4)[1]), 1.0, atol=1e-12)
+def test_F_values_round_and_fubini_study():
+    assert_allclose(round_metric(3).F_values(np.eye(4)[1]), [1.0], atol=1e-12)
     g = CurvatureMetric(fubini_study(2))
     rng = np.random.default_rng(8)
     p = random_unit(rng, 6)
-    assert_allclose(F_from_metric(g, p), 0.5, rtol=1e-10)
+    assert_allclose(g.F_values(p), [0.5], rtol=1e-10)
 
 
-def test_scalar_field_role_positivity():
-    f = ScalarField(3, lambda P: -np.ones(P.shape[0]), role="D")
+def test_volume_ratios_require_positivity():
+    g = CurvatureMetric(constant_curvature(3, -1.0))
     with pytest.raises(PositivityError):
-        f.values(np.eye(4)[:2])
-    custom = ScalarField(3, lambda P: -np.ones(P.shape[0]), role="custom")
-    assert_allclose(custom.values(np.eye(4)[:2]), [-1.0, -1.0], atol=0)
+        g.D_values(np.eye(4)[:2])
+    with pytest.raises(PositivityError):
+        g.F_values(np.eye(4)[:2])
 
 
 def test_metric_in_frame_positivity_guard():
