@@ -41,7 +41,7 @@ from .tensor_core import (
     sym_product,
     wedge,
 )
-from .verification import _height_hessian, christoffels, curvature_of_metric
+from .verification import _height_hessian, _mean_curvature, christoffels, curvature_of_metric
 
 __all__ = [
     "equator_area",
@@ -72,23 +72,18 @@ def _as_equator(v) -> Equator:
 
 
 def _area_elements(g: MetricField, v: Equator, order: int, *, seed: int = 0):
-    """Nodes, round weights and g-area densities on the equator with normal v."""
-    if v.n == 3:
-        grid = _equator_grid(v, order)
-        nodes, weights = grid["nodes"], grid["weights"]
-        gm = g.ambient_matrices(nodes)
-        et, ep = grid["e_theta"], grid["e_phi"]
-        G00 = np.einsum("ni,nij,nj->n", et, gm, et)
-        G11 = np.einsum("ni,nij,nj->n", ep, gm, ep)
-        G01 = np.einsum("ni,nij,nj->n", et, gm, ep)
-        rho = np.sqrt(G00 * G11 - G01 * G01)
-        return nodes, weights, rho
+    """Nodes, round weights and g-area densities on the equator with normal v.
+
+    At a node p with ambient metric matrix G the density is
+    sqrt det(P G P + I - P), where P = I - v v^T - p p^T projects onto the
+    tangent space of the equator at p.
+    """
     rule = equator_quadrature(v, order, seed=seed)
-    nodes, weights = rule.nodes, rule.weights
-    gm = g.ambient_matrices(nodes)
-    E = np.array([_equator_tangent_frame(v.normal, p) for p in nodes])
-    rho = np.sqrt(np.linalg.det(E @ gm @ np.swapaxes(E, 1, 2)))
-    return nodes, weights, rho
+    nodes = rule.nodes
+    eye = np.eye(v.n + 1)
+    P = eye - np.outer(v.normal, v.normal) - np.einsum("ni,nj->nij", nodes, nodes)
+    rho = np.sqrt(np.linalg.det(P @ g.ambient_matrices(nodes) @ P + eye - P))
+    return nodes, rule.weights, rho
 
 
 def equator_area(g: MetricField, v, order: int = 32, *, seed: int = 0) -> float:
@@ -227,12 +222,10 @@ def equator_mesh(g: MetricField, v, order: int = 32) -> EquatorMesh:
             chart = GnomonicChart(p, np.vstack([et[i], ep[i], vn]))
             cv = curvature_of_metric(g, chart, np.zeros(3))
             _, _, hess, norm, normal = _height_hessian(cv, vn)
-            lap = float(np.einsum("ij,ij", cv.ginv, hess))
-            hnn = float(normal @ hess @ normal)
             _, G, _, a2 = _shape_operator(cv, hess, norm)
             ric_nn = float(normal @ cv.ricci @ normal)
             out[r, 0:4] = normal @ chart.frame
-            out[r, 4] = (lap - hnn) / norm
+            out[r, 4] = _mean_curvature(cv, hess, norm, normal)
             out[r, 5] = ric_nn + a2
             out[r, 6] = G[0, 0]
             out[r, 7] = G[0, 1]
@@ -486,8 +479,8 @@ def quaternion_generators() -> tuple[SkewMatrix, SkewMatrix, SkewMatrix]:
 
 def left_invariant_killing(a: float, b: float, c: float) -> KillingField:
     """Killing tensor whose generated metric is diag(a, b, c) in the quaternion frame."""
-    if min(a, b, c) <= 0.0:
-        raise DegenerateInputError("left-invariant coefficients must be positive")
+    if not all(np.isfinite(t) and t > 0.0 for t in (a, b, c)):
+        raise DegenerateInputError("left-invariant coefficients must be finite and positive")
     Mi, Mj, Mk = quaternion_generators()
     scale = 1.0 / np.sqrt(a * b * c)
     k = (0.5 * a * scale) * sym_product(Mi, Mi)

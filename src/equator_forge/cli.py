@@ -97,13 +97,9 @@ def cmd_gen(args) -> int:
         R = constant_curvature(args.n, 1.0)
         info = {"kind": "round", "n": args.n}
     elif args.kind == "fubini-study":
-        if args.m < 2:
-            raise ValueError("fubini-study requires --m >= 2")
         R = fubini_study(args.m)
         info = {"kind": "fubini-study", "m": args.m, "n": 2 * args.m + 1}
     elif args.kind == "left-invariant":
-        if min(args.a, args.b, args.c) <= 0:
-            raise ValueError("left-invariant coefficients must be positive")
         _, R = left_invariant_metric(args.a, args.b, args.c, seed=args.seed)
         info = {"kind": "left-invariant", "coefficients": [args.a, args.b, args.c], "n": 3}
     elif args.kind == "random":
@@ -116,13 +112,14 @@ def cmd_gen(args) -> int:
             "step": eps,
         }
     elif args.kind == "bump":
+        g = BumpMetric(n=args.n, amplitude=args.amplitude, width=args.width)
         payload = {
             "format": BUMP_FORMAT,
-            "n": args.n,
-            "amplitude": args.amplitude,
-            "width": args.width,
-            "center": [1.0] + [0.0] * args.n,
-            "direction": [0.0, 1.0] + [0.0] * (args.n - 1),
+            "n": g.n,
+            "amplitude": g.amplitude,
+            "width": g.width,
+            "center": g.center.tolist(),
+            "direction": g.direction.tolist(),
         }
         write_json(args.out, payload)
         _emit({"config": config.as_dict(), "written": args.out, "info": {"kind": "bump"}})

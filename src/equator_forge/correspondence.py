@@ -11,17 +11,24 @@ curvature tensor from samples of k_p(v, v) by least squares.  The two
 directions are mutually inverse, and F_{g} * D vanishes into the identity
 F * D = 1 along the way.
 
-All derivative information is produced in gnomonic charts as exact 2-jets: in
-a chart the entries of k are a quadratic polynomial divided by a power of
-1 + |x|^2, and the determinant normalizations follow by Jacobi's formula, so
-no numerical differentiation is involved.
+All derivative information is produced in gnomonic charts as exact 2-jets.
+Write q = c + x E for the unnormalized chart point (centre c, frame rows e_i)
+and Q_ij(x) = R(q, e_i, q, e_j), a quadratic polynomial in x.  With
+s = 1 + |x|^2 the pulled-back Killing tensor is k = Q / s^2, and the round
+chart metric has determinant s^-(n+1), so D = det(Q)^(2/(n-1)) / s^2.  The
+powers of s cancel in
+
+    g_R = k / D = Q * det(Q)^(-2/(n-1)),
+
+whose jet follows from that of Q by Jacobi's formula, so no numerical
+differentiation is involved.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .jets import MatrixJet, ScalarJet, quadratic_matrix_jet
+from .jets import MatrixJet, quadratic_matrix_jet
 from .sphere_geom import GnomonicChart, great_circle, random_unit
 from .tensor_core import (
     CurvatureTensor,
@@ -99,33 +106,16 @@ class MetricField:
         return dets ** (2.0 / (self.n + 1))
 
 
-def _quadratic_ambient(R: np.ndarray, p0: np.ndarray, E: np.ndarray):
-    """Quadratic coefficients of A(x) = Khat(q) + q q^T along q = p0 + x @ E."""
-    KP = np.einsum("abcd,a,c->bd", R, p0, p0)
-    cross = np.einsum("abcd,pa,c->pbd", R, E, p0)
-    K1 = cross + np.swapaxes(cross, 1, 2)
-    K2 = np.einsum("abcd,pa,qc->pqbd", R, E, E)
-    K2 = K2 + np.swapaxes(K2, 0, 1)
-    B0 = KP + np.outer(p0, p0)
-    B1 = K1 + np.einsum("pi,j->pij", E, p0) + np.einsum("i,pj->pij", p0, E)
-    B2 = K2 + np.einsum("pi,qj->pqij", E, E) + np.einsum("qi,pj->pqij", E, E)
-    return B0, B1, B2
-
-
-def _quadratic_chart(R: np.ndarray, p0: np.ndarray, E: np.ndarray):
-    """Quadratic coefficients of Q_ij(x) = R(q, e_i, q, e_j) in the chart frame."""
-    Q0 = np.einsum("abcd,a,ib,c,jd->ij", R, p0, E, p0, E)
-    t1 = np.einsum("abcd,pa,ib,c,jd->pij", R, E, E, p0, E)
-    Q1 = t1 + np.swapaxes(t1, 1, 2)
-    C = np.einsum("abcd,pa,ib,qc,jd->piqj", R, E, E, E, E)
-    Q2 = np.transpose(C, (0, 2, 1, 3))
-    Q2 = Q2 + np.swapaxes(Q2, 0, 1)
-    return Q0, Q1, Q2
-
-
-def _s_jet(x: np.ndarray) -> ScalarJet:
-    n = x.shape[0]
-    return ScalarJet(1.0 + float(x @ x), 2.0 * x, 2.0 * np.eye(n))
+def _chart_quadratic(R: np.ndarray, chart: GnomonicChart):
+    """Quadratic coefficients of Q_ij(x) = R(q, e_i, q, e_j) along q = center + x @ frame."""
+    T = R
+    basis = np.vstack([chart.center, chart.frame])
+    for _ in range(4):  # each contraction moves its axis to the end
+        T = np.tensordot(T, basis, axes=(0, 1))
+    Q0 = T[0, 1:, 0, 1:]
+    Q1 = T[1:, 1:, 0, 1:] + np.transpose(T[0, 1:, 1:, 1:], (1, 0, 2))
+    C = np.transpose(T[1:, 1:, 1:, 1:], (0, 2, 1, 3))
+    return Q0, Q1, C + np.swapaxes(C, 0, 1)
 
 
 class CurvatureMetric(MetricField):
@@ -151,16 +141,8 @@ class CurvatureMetric(MetricField):
 
     def chart_jet(self, chart: GnomonicChart, x) -> MatrixJet:
         x = chart.check_radius(np.asarray(x, dtype=float))
-        n = self.n
-        R = self.generator.coeffs
-        p0, E = chart.center, chart.frame
-        s = _s_jet(x)
-        Q0, Q1, Q2 = _quadratic_chart(R, p0, E)
-        k_jet = quadratic_matrix_jet(Q0, Q1, Q2, x).scaled(s.power(-2.0))
-        B0, B1, B2 = _quadratic_ambient(R, p0, E)
-        detA = quadratic_matrix_jet(B0, B1, B2, x).det()
-        D = (detA * s.power(-(n + 1.0))).power(2.0 / (n - 1.0))
-        return k_jet.scaled(D.power(-1.0))
+        Q = quadratic_matrix_jet(*_chart_quadratic(self.generator.coeffs, chart), x)
+        return Q.scaled(Q.det().power(-2.0 / (self.n - 1.0)))
 
 
 def round_metric(n: int) -> CurvatureMetric:

@@ -45,6 +45,7 @@ from .sphere_geom import (
 from .tensor_core import (
     CurvatureTensor,
     DegenerateInputError,
+    DimensionError,
     GroupElement,
     act,
     sec_min_estimate,
@@ -181,6 +182,12 @@ def _height_hessian(cd: ChristoffelData | CurvatureData, v: np.ndarray):
     return c0, c, hess, norm, grad_vec / norm
 
 
+def _mean_curvature(cd: ChristoffelData | CurvatureData, hess, norm: float, normal) -> float:
+    """(Delta h - h_NN) / |grad h|_g, the mean curvature of the level set of h."""
+    lap = float(np.einsum("ij,ij", cd.ginv, hess))
+    return (lap - float(normal @ hess @ normal)) / norm
+
+
 def height_derivatives(g: MetricField, v, p, chart: GnomonicChart | None = None) -> HeightData:
     """Covariant derivatives of the height function at p (chart-center evaluation)."""
     v = np.asarray(v, dtype=float)
@@ -203,9 +210,9 @@ def mean_curvature_equator(g: MetricField, v, p) -> float:
     p = np.asarray(p, dtype=float)
     if abs(p @ v) > 1e-10:
         raise DegenerateInputError("p does not lie on the equator of v")
-    h = height_derivatives(g, v, p)
-    hnn = float(h.normal @ h.hess @ h.normal)
-    return (h.laplacian - hnn) / h.grad_norm
+    cd = christoffels(g, chart_at(p), np.zeros(g.n))
+    _, _, hess, norm, normal = _height_hessian(cd, v)
+    return _mean_curvature(cd, hess, norm, normal)
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +224,15 @@ def cyclic_symmetrization(T: np.ndarray) -> np.ndarray:
     return T + np.transpose(T, (1, 2, 0)) + np.transpose(T, (2, 0, 1))
 
 
+def _round_gamma(x: np.ndarray) -> np.ndarray:
+    """Christoffel symbols of the round metric, the same in every gnomonic chart.
+
+    gamma[k, i, j] = -(x_i delta_jk + x_j delta_ik) / (1 + |x|^2).
+    """
+    G = -np.einsum("i,jk->kij", x, np.eye(x.shape[0])) / (1.0 + x @ x)
+    return G + np.swapaxes(G, 1, 2)
+
+
 def fundamental_tensor(g: MetricField, chart: GnomonicChart, x, X=None, Y=None, Z=None):
     """Difference tensor g(nabla^g_X Y - nabla-bar_X Y, Z) at chart point x.
 
@@ -224,8 +240,7 @@ def fundamental_tensor(g: MetricField, chart: GnomonicChart, x, X=None, Y=None, 
     coordinate vectors X, Y, Z, returns the scalar contraction.
     """
     cd = christoffels(g, chart, x)
-    cd_round = christoffels(round_metric(g.n), chart, x)
-    T = np.einsum("mij,mk->ijk", cd.gamma - cd_round.gamma, cd.gmat)
+    T = np.einsum("mij,mk->ijk", cd.gamma - _round_gamma(cd.x), cd.gmat)
     if X is None and Y is None and Z is None:
         return T
     if X is None or Y is None or Z is None:
@@ -237,18 +252,19 @@ def nabla_bar_g(g: MetricField, chart: GnomonicChart, x) -> np.ndarray:
     """Round covariant derivative of g: out[i, j, k] = (nabla-bar_k g)(e_i, e_j)."""
     x = np.asarray(x, dtype=float)
     gmat, dg, _ = metric_derivatives(g, chart, x)
-    cd_round = christoffels(round_metric(g.n), chart, x)
-    gb = cd_round.gamma
+    gb = _round_gamma(x)
     corr = np.einsum("mki,mj->ijk", gb, gmat) + np.einsum("mkj,im->ijk", gb, gmat)
     return np.transpose(dg, (1, 2, 0)) - corr
 
 
 def dlog_volume_ratio(g: MetricField, chart: GnomonicChart, x) -> np.ndarray:
-    """Coordinate gradient of log psi, where dV_g = psi dV_round."""
+    """Coordinate gradient of log psi, where dV_g = psi dV_round.
+
+    The round chart metric has det (1 + |x|^2)^-(n+1), whose half log-det
+    gradient is -(n + 1) x / (1 + |x|^2).
+    """
     x = np.asarray(x, dtype=float)
-    jet = g.chart_jet(chart, x)
-    jet_round = round_metric(g.n).chart_jet(chart, x)
-    return 0.5 * (jet.logdet().grad - jet_round.logdet().grad)
+    return 0.5 * g.chart_jet(chart, x).logdet().grad + (g.n + 1) * x / (1.0 + x @ x)
 
 
 def metric_equation_residual(g: MetricField, chart: GnomonicChart, x) -> float:
@@ -344,9 +360,15 @@ class BumpMetric(MetricField):
 
     def __init__(self, n: int = 3, amplitude: float = 0.1, width: float = 0.04,
                  center=None, direction=None):
+        if n < 2:
+            raise DimensionError("bump metrics need n >= 2")
         self.n = n
         self.amplitude = float(amplitude)
         self.width = float(width)
+        if not np.isfinite(self.amplitude):
+            raise DegenerateInputError("bump amplitude must be finite")
+        if not (np.isfinite(self.width) and self.width > 0.0):
+            raise DegenerateInputError("bump width must be finite and positive")
         dim = n + 1
         self.center = np.zeros(dim) if center is None else np.asarray(center, float)
         if center is None:
@@ -519,6 +541,17 @@ DEFAULT_TOLERANCES = {
 }
 
 
+def _add_sweep_checks(report, g, tol, equators, points, eq_samples,
+                      extra_normals=(), extra_pairs=()) -> None:
+    """The mean-curvature and metric-equation checks, seeded from the report's seed."""
+    seed = report.seed
+    worst = mean_curvature_sweep(g, equators=equators, points=points, seed=seed + 2,
+                                 extra_normals=extra_normals, extra_pairs=extra_pairs)
+    report.add("mean_curvature", worst, tol["mean_curvature"], equators * points, seed + 2)
+    worst = metric_equation_sweep(g, samples=eq_samples, seed=seed + 3)
+    report.add("metric_equation", worst, tol["metric_equation"], eq_samples, seed + 3)
+
+
 def verify_tensor(
     R: CurvatureTensor,
     *,
@@ -570,21 +603,7 @@ def verify_tensor(
         seed + 1,
     )
 
-    report.add(
-        "mean_curvature",
-        mean_curvature_sweep(g, equators=equators, points=points, seed=seed + 2),
-        tol["mean_curvature"],
-        equators * points,
-        seed + 2,
-    )
-
-    report.add(
-        "metric_equation",
-        metric_equation_sweep(g, samples=eq_samples, seed=seed + 3),
-        tol["metric_equation"],
-        eq_samples,
-        seed + 3,
-    )
+    _add_sweep_checks(report, g, tol, equators, points, eq_samples)
 
     rng = np.random.default_rng(seed + 4)
     worst = 0.0
@@ -623,28 +642,7 @@ def verify_metric(
     k = killing_from_metric(g, seed=seed)
     report.add("killing_constancy", k.constancy_residual, tol["killing_constancy"], 20, seed)
 
-    report.add(
-        "mean_curvature",
-        mean_curvature_sweep(
-            g,
-            equators=equators,
-            points=points,
-            seed=seed + 2,
-            extra_normals=extra_normals,
-            extra_pairs=extra_pairs,
-        ),
-        tol["mean_curvature"],
-        equators * points,
-        seed + 2,
-    )
-
-    report.add(
-        "metric_equation",
-        metric_equation_sweep(g, samples=eq_samples, seed=seed + 3),
-        tol["metric_equation"],
-        eq_samples,
-        seed + 3,
-    )
+    _add_sweep_checks(report, g, tol, equators, points, eq_samples, extra_normals, extra_pairs)
 
     report.add(
         "antipodal",

@@ -50,6 +50,38 @@ def test_gen_fubini_study_m1_is_an_input_error(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["left-invariant", "--a", "nan"],
+        ["left-invariant", "--b", "inf"],
+        ["bump", "--width", "0"],
+        ["bump", "--width", "nan"],
+        ["bump", "--amplitude", "inf"],
+        ["bump", "--n", "1"],
+    ],
+)
+def test_gen_rejects_bad_model_parameters(tmp_path, capsys, argv):
+    out = tmp_path / "x.json"
+    code, _, err = run(capsys, "gen", *argv, "--out", str(out))
+    assert code == 2
+    assert "error:" in err
+    assert not out.exists()
+
+
+def test_verify_rejects_zero_width_bump_fixture(tmp_path, capsys):
+    fixture = tmp_path / "bump.json"
+    fixture.write_text(json.dumps({
+        "format": "bump-metric-v1", "n": 3, "amplitude": 0.1, "width": 0.0,
+        "center": [1.0, 0.0, 0.0, 0.0], "direction": [0.0, 1.0, 0.0, 0.0],
+    }))
+    report = tmp_path / "report.json"
+    code, _, err = run(capsys, "verify", str(fixture), "--out", str(report))
+    assert code == 2
+    assert "error:" in err
+    assert not report.exists()
+
+
 def test_verify_random_tensor_passes(tmp_path, capsys):
     tensor = tmp_path / "t.json"
     run(capsys, "gen", "random", "--n", "3", "--seed", "3", "--out", str(tensor))

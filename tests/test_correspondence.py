@@ -102,21 +102,23 @@ def test_killing_gate_rejects_indefinite_tensors(random_tensor):
     assert k.n == 3
 
 
-def test_chart_jet_matches_finite_differences(random_tensor):
-    g = CurvatureMetric(random_tensor)
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_chart_jet_matches_finite_differences(n):
+    # the exponent -2/(n-1) of the closed form changes with n
+    g = CurvatureMetric(random_positive(n, seed=5)[0])
     rng = np.random.default_rng(5)
-    chart = chart_at(random_unit(rng, 4))
-    x0 = np.array([0.4, -0.1, 0.2])
+    chart = chart_at(random_unit(rng, n + 1))
+    x0 = np.array([0.4, -0.1, 0.2, -0.2, 0.1])[:n]
     gmat, dg, d2g = metric_derivatives(g, chart, x0)
     h = 1e-5
-    for a in range(3):
-        da = np.zeros(3)
+    for a in range(n):
+        da = np.zeros(n)
         da[a] = h
         gp, _, _ = metric_derivatives(g, chart, x0 + da)
         gm, _, _ = metric_derivatives(g, chart, x0 - da)
         assert_allclose(dg[a], (gp - gm) / (2 * h), atol=1e-8)
-        for b in range(a, 3):
-            db = np.zeros(3)
+        for b in range(a, n):
+            db = np.zeros(n)
             db[b] = h
             gpp, _, _ = metric_derivatives(g, chart, x0 + da + db)
             gpm, _, _ = metric_derivatives(g, chart, x0 + da - db)
@@ -126,16 +128,17 @@ def test_chart_jet_matches_finite_differences(random_tensor):
             assert_allclose(d2g[a, b], fd, atol=5e-5)
 
 
-def test_chart_jet_agrees_with_ambient_pullback(random_tensor):
-    g = CurvatureMetric(random_tensor)
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_chart_jet_agrees_with_ambient_pullback(n):
+    g = CurvatureMetric(random_positive(n, seed=5)[0])
     rng = np.random.default_rng(6)
-    chart = chart_at(random_unit(rng, 4))
-    x0 = np.array([-0.3, 0.5, 0.1])
+    chart = chart_at(random_unit(rng, n + 1))
+    x0 = np.array([-0.3, 0.5, 0.1, 0.2, -0.1])[:n]
     gmat, _, _ = metric_derivatives(g, chart, x0)
     h = 1e-6
-    J = np.zeros((3, 4))
-    for a in range(3):
-        da = np.zeros(3)
+    J = np.zeros((n, n + 1))
+    for a in range(n):
+        da = np.zeros(n)
         da[a] = h
         J[a] = (chart.point(x0 + da) - chart.point(x0 - da)) / (2 * h)
     direct = J @ g.ambient_matrix(chart.point(x0)) @ J.T

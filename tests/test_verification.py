@@ -277,6 +277,18 @@ def test_metric_equation_fails_on_bump():
     assert metric_equation_sweep(BumpMetric(), samples=30, seed=3) > 1e-6
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_round_jets_match_closed_form_round_connection(n):
+    # the generic jet pipeline on round jets, off the chart centre, against the
+    # closed-form round Christoffel symbols and volume form
+    rng = np.random.default_rng(n)
+    chart = chart_at(random_unit(rng, n + 1))
+    x = np.array([0.3, -0.2, 0.1, 0.25, -0.15])[:n]
+    g = round_metric(n)
+    assert np.max(np.abs(fundamental_tensor(g, chart, x))) < 1e-12
+    assert np.max(np.abs(dlog_volume_ratio(g, chart, x))) < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # equivariance, stabilizers, antipodal symmetry
 
