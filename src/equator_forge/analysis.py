@@ -23,14 +23,15 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .correspondence import CurvatureMetric, MetricField, curv_from_killing, metric_derivatives
+from .correspondence import CurvatureMetric, MetricField, curv_from_killing
 from .harmonics import basis_degrees, real_harmonic_basis
-from .parallel import tmap
+from .parallel import thread_count, tmap
 from .sphere_geom import (
     Equator,
-    GnomonicChart,
+    check_unit,
     equator_quadrature,
     _equator_grid,
+    _gram_schmidt,
     tangent_frame,
 )
 from .tensor_core import (
@@ -41,7 +42,12 @@ from .tensor_core import (
     sym_product,
     wedge,
 )
-from .verification import _height_hessian, _mean_curvature, christoffels, curvature_of_metric
+from .verification import (
+    _centre_arrays,
+    _curvature_arrays,
+    _height_hessian,
+    _mean_curvature,
+)
 
 __all__ = [
     "equator_area",
@@ -130,47 +136,36 @@ def _equator_tangent_frame(v: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Deterministic orthonormal basis of (v, p)-perp, as rows."""
     u = tangent_frame(v)
     drop = int(np.argmax(np.abs(u @ p)))
-    frame = []
-    for j in range(u.shape[0]):
-        if j == drop:
-            continue
-        w = u[j] - (u[j] @ p) * p
-        for f in frame:
-            w -= (w @ f) * f
-        norm = np.linalg.norm(w)
-        if norm < 1e-12:
-            raise DegenerateInputError("equator frame construction degenerated")
-        frame.append(w / norm)
-    return np.array(frame)
+    return _gram_schmidt(np.vstack([v, p, np.delete(u, drop, axis=0)]))[2:]
 
 
-def _shape_operator(cd, hess: np.ndarray, norm: float):
-    """A = hess / |grad h|, the induced metric G, its inverse and |A|^2.
+def _shape_operator(gmat, hess, norm):
+    """A = hess / |grad h|, the induced metric G, its inverse and |A|^2 (leading axes allowed).
 
     The chart's last frame vector is the equator normal, so its first n - 1
     axes span the tangent space of the equator at the chart centre.
     """
-    k = cd.chart.n - 1
-    A = hess[:k, :k] / norm
-    G = cd.gmat[:k, :k]
+    k = gmat.shape[-1] - 1
+    A = hess[..., :k, :k] / norm[..., None, None]
+    G = gmat[..., :k, :k]
     Ginv = np.linalg.inv(G)
-    return A, G, Ginv, float(np.einsum("ac,bd,ab,cd", Ginv, Ginv, A, A))
+    return A, G, Ginv, np.einsum("...ac,...bd,...ab,...cd->...", Ginv, Ginv, A, A)
 
 
 def second_fundamental_form(g: MetricField, v, p) -> SecondFundamentalForm:
     """Second fundamental form at p of the equator with normal v, under g."""
     eq = _as_equator(v)
     v = eq.normal
-    p = np.asarray(p, dtype=float)
+    p = check_unit(p)
     if abs(p @ v) > 1e-10:
         raise DegenerateInputError("p does not lie on the equator of v")
     sigma_frame = _equator_tangent_frame(v, p)
-    chart = GnomonicChart(p, np.vstack([sigma_frame, v[None, :]]))
-    cd = christoffels(g, chart, np.zeros(g.n))
-    _, _, hess, norm, _ = _height_hessian(cd, v)
-    A, G, Ginv, norm2 = _shape_operator(cd, hess, norm)
+    bases = np.vstack([p, sigma_frame, v])
+    gmat, ginv, gamma, _ = _centre_arrays(g, bases)
+    _, _, hess, norm, _ = _height_hessian(bases, ginv, gamma, v)
+    A, G, Ginv, norm2 = _shape_operator(gmat, hess, norm)
     H = float(np.einsum("ab,ab", Ginv, A))
-    return SecondFundamentalForm(A, sigma_frame, H, norm2, G)
+    return SecondFundamentalForm(A, sigma_frame, H, float(norm2), G)
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +198,23 @@ class EquatorMesh:
         return float(self.weights @ self.rho)
 
 
+def _node_blocks(fn, m: int) -> list[np.ndarray]:
+    """Outputs of ``fn(slice)`` over thread_count() contiguous blocks of m nodes, joined.
+
+    Blocks hold at most 256 nodes: a worker thread's heap keeps the temporaries
+    of the largest block it ran, and larger blocks save little time.
+    """
+    count = min(max(thread_count(), -(-m // 256)), m)
+    edges = np.linspace(0, m, count + 1).astype(int)
+    parts = tmap(fn, [slice(a, b) for a, b in zip(edges[:-1], edges[1:])])
+    return [np.concatenate(field) for field in zip(*parts)]
+
+
+def _mesh_bases(mesh_nodes, e_theta, e_phi, v) -> np.ndarray:
+    """Chart bases (m, 4, 4) with rows (node, e_theta, e_phi, v)."""
+    return np.stack([mesh_nodes, e_theta, e_phi, np.broadcast_to(v, mesh_nodes.shape)], axis=1)
+
+
 def equator_mesh(g: MetricField, v, order: int = 32) -> EquatorMesh:
     """Build the Jacobi mesh for the equator with normal v (metrics on S^3)."""
     if g.n != 3:
@@ -211,49 +223,25 @@ def equator_mesh(g: MetricField, v, order: int = 32) -> EquatorMesh:
     vn = eq.normal
     grid = _equator_grid(eq, order)
     nodes = grid["nodes"]
-    et, ep = grid["e_theta"], grid["e_phi"]
-    m = nodes.shape[0]
     ambient_g = g.ambient_matrices(nodes)
+    bases = _mesh_bases(nodes, grid["e_theta"], grid["e_phi"], vn)
 
-    def node_block(idx):
-        out = np.empty((len(idx), 9))
-        for r, i in enumerate(idx):
-            p = nodes[i]
-            chart = GnomonicChart(p, np.vstack([et[i], ep[i], vn]))
-            cv = curvature_of_metric(g, chart, np.zeros(3))
-            _, _, hess, norm, normal = _height_hessian(cv, vn)
-            _, G, _, a2 = _shape_operator(cv, hess, norm)
-            ric_nn = float(normal @ cv.ricci @ normal)
-            out[r, 0:4] = normal @ chart.frame
-            out[r, 4] = _mean_curvature(cv, hess, norm, normal)
-            out[r, 5] = ric_nn + a2
-            out[r, 6] = G[0, 0]
-            out[r, 7] = G[0, 1]
-            out[r, 8] = G[1, 1]
-        return out
+    def node_block(sl):
+        gmat, ginv, gamma, dgamma = _centre_arrays(g, bases[sl])
+        _, ricci, _ = _curvature_arrays(gmat, ginv, gamma, dgamma)
+        _, _, hess, norm, normal = _height_hessian(bases[sl], ginv, gamma, vn)
+        _, G, _, a2 = _shape_operator(gmat, hess, norm)
+        ric_nn = np.einsum("...i,...ij,...j->...", normal, ricci, normal)
+        normal_ambient = np.einsum("...i,...ij->...j", normal, bases[sl, 1:])
+        return normal_ambient, _mean_curvature(ginv, hess, norm, normal), ric_nn + a2, G
 
-    chunk = max(64, m // 32)
-    blocks = tmap(node_block, [range(i, min(i + chunk, m)) for i in range(0, m, chunk)])
-    data = np.vstack(blocks)
-    normal_ambient = data[:, 0:4]
-    mean_curv = data[:, 4]
-    potential = data[:, 5]
-    induced = np.empty((m, 2, 2))
-    induced[:, 0, 0] = data[:, 6]
-    induced[:, 0, 1] = induced[:, 1, 0] = data[:, 7]
-    induced[:, 1, 1] = data[:, 8]
+    normal_ambient, mean_curv, potential, induced = _node_blocks(node_block, nodes.shape[0])
     induced_inv = np.linalg.inv(induced)
     rho = np.sqrt(np.linalg.det(induced))
     return EquatorMesh(
         equator=eq,
         order=order,
-        basis=grid["basis"],
-        theta=grid["theta"],
-        phi=grid["phi"],
-        nodes=nodes,
-        weights=grid["weights"],
-        e_theta=et,
-        e_phi=ep,
+        **grid,  # basis, theta, phi, nodes, weights, e_theta, e_phi
         ambient_g=ambient_g,
         induced=induced,
         induced_inv=induced_inv,
@@ -418,36 +406,21 @@ def so4_jacobi_data(g: MetricField, mesh: EquatorMesh):
     """
     v = mesh.equator.normal
     Ks = [wedge(v, u) for u in mesh.basis]
-    m = mesh.nodes.shape[0]
-    etas = np.empty((3, m))
-    grads = np.empty((3, m, 2))
+    bases = _mesh_bases(mesh.nodes, mesh.e_theta, mesh.e_phi, v)
+    Kv = np.stack([K.matrix.T @ v for K in Ks], axis=1)
 
-    def node_block(idx):
-        out = np.empty((len(idx), 9))
-        for r, i in enumerate(idx):
-            p = mesh.nodes[i]
-            E = np.vstack([mesh.e_theta[i], mesh.e_phi[i], v[None, :]])
-            chart = GnomonicChart(p, E)
-            gmat, dg, _ = metric_derivatives(g, chart, np.zeros(3))
-            ginv = np.linalg.inv(gmat)
-            dginv = -np.einsum("ka,mab,bl->mkl", ginv, dg, ginv)
-            B2 = ginv[2, 2]
-            B = np.sqrt(B2)
-            dB = dginv[:, 2, 2] / (2.0 * B)
-            for j, K in enumerate(Ks):
-                A0 = float(K.matrix @ p @ v)
-                dA = np.array([K.matrix @ E[0] @ v, K.matrix @ E[1] @ v])
-                out[r, 3 * j] = A0 / B
-                out[r, 3 * j + 1 : 3 * j + 3] = (dA * B - A0 * dB[:2]) / B2
-        return out
+    def node_block(sl):
+        jet = g._chart_jets(bases[sl], np.zeros(3))
+        row = np.linalg.inv(jet.value)[:, 2]
+        B2 = row[:, 2]  # B = sqrt(ginv[2, 2]) and its chart derivatives along e_theta, e_phi
+        B = np.sqrt(B2)[:, None]
+        dB = -np.einsum("nk,nakl,nl->na", row, jet.grad[:, :2], row) / (2.0 * B)
+        # A[node, r, j] = <K_j b_r, v> for the chart rows b = (p, e_theta, e_phi)
+        A = bases[sl, :3] @ Kv
+        return A[:, 0] / B, (A[:, 1:] * B[..., None] - A[:, :1] * dB[..., None]) / B2[:, None, None]
 
-    chunk = max(64, m // 32)
-    blocks = tmap(node_block, [range(i, min(i + chunk, m)) for i in range(0, m, chunk)])
-    data = np.vstack(blocks)
-    for j in range(3):
-        etas[j] = data[:, 3 * j]
-        grads[j] = data[:, 3 * j + 1 : 3 * j + 3]
-    return etas, grads, Ks
+    etas, grads = _node_blocks(node_block, mesh.nodes.shape[0])
+    return etas.T, grads.transpose(2, 0, 1), Ks
 
 
 # ---------------------------------------------------------------------------

@@ -37,20 +37,11 @@ from .tensor_core import (
     random_positive,
     save_tensor,
 )
-from .verification import BumpMetric, verify_metric, verify_tensor
+from .verification import DEFAULT_TOLERANCES, BumpMetric, verify_metric, verify_tensor
 
 BUMP_FORMAT = "bump-metric-v1"
 
-CHECK_NAMES = (
-    "symmetry",
-    "positivity",
-    "roundtrip",
-    "killing_constancy",
-    "mean_curvature",
-    "metric_equation",
-    "equivariance",
-    "antipodal",
-)
+CHECK_NAMES = tuple(DEFAULT_TOLERANCES)
 
 
 @dataclass
@@ -146,12 +137,13 @@ def _bump_probe_pairs(g: BumpMetric, points: int = 12):
     center = g.center / np.linalg.norm(g.center)
     d = g.direction - (g.direction @ center) * center
     d /= np.linalg.norm(d)
-    comp = [w for w in tangent_frame(center) if abs(w @ d) < 0.9]
-    a, b = comp[0] - (comp[0] @ d) * d, comp[1] - (comp[1] @ d) * d
-    a /= np.linalg.norm(a)
-    b -= (b @ a) * a
-    b /= np.linalg.norm(b)
-    normals = [d + a, d + b, d + a + b]
+    comp = [w - (w @ d) * d for w in tangent_frame(center) if abs(w @ d) < 0.9]
+    a = comp[0] / np.linalg.norm(comp[0])
+    normals = [d + a]
+    if len(comp) > 1:  # on S^2 the complement of d in the tangent plane is one line
+        b = comp[1] - (comp[1] @ a) * a
+        b /= np.linalg.norm(b)
+        normals += [d + b, d + a + b]
     ts = np.linspace(0.05, 0.6, points)
     pairs = []
     for v in normals:

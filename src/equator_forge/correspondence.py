@@ -70,8 +70,8 @@ class MetricField:
 
     Subclasses provide ``ambient_matrices`` (batched symmetric matrices that
     annihilate the base point and restrict to the metric on the tangent space)
-    and ``chart_jet`` (the exact 2-jet of the pulled-back metric in a gnomonic
-    chart).
+    and ``_chart_jets`` (the exact 2-jets of the pulled-back metric in a stack
+    of gnomonic charts, given by their bases: rows centre, then frame).
     """
 
     n: int
@@ -79,8 +79,16 @@ class MetricField:
     def ambient_matrices(self, points) -> np.ndarray:
         raise NotImplementedError
 
-    def chart_jet(self, chart: GnomonicChart, x) -> MatrixJet:
+    def _chart_jets(self, bases: np.ndarray, x) -> MatrixJet:
+        """Batched chart jets: ``bases`` (..., n+1, n+1) and ``x`` (..., n) share leading axes."""
         raise NotImplementedError
+
+    def chart_jet(self, chart: GnomonicChart, x) -> MatrixJet:
+        """Exact 2-jet of the metric in ``chart`` at chart coordinates ``x``."""
+        if chart.n != self.n:
+            raise DimensionError("chart and metric dimensions differ")
+        x = chart.check_radius(np.asarray(x, dtype=float))
+        return self._chart_jets(np.vstack([chart.center, chart.frame]), x)
 
     def ambient_matrix(self, p) -> np.ndarray:
         return self.ambient_matrices(np.asarray(p, float)[None, :])[0]
@@ -106,16 +114,21 @@ class MetricField:
         return dets ** (2.0 / (self.n + 1))
 
 
-def _chart_quadratic(R: np.ndarray, chart: GnomonicChart):
-    """Quadratic coefficients of Q_ij(x) = R(q, e_i, q, e_j) along q = center + x @ frame."""
-    T = R
-    basis = np.vstack([chart.center, chart.frame])
-    for _ in range(4):  # each contraction moves its axis to the end
-        T = np.tensordot(T, basis, axes=(0, 1))
-    Q0 = T[0, 1:, 0, 1:]
-    Q1 = T[1:, 1:, 0, 1:] + np.transpose(T[0, 1:, 1:, 1:], (1, 0, 2))
-    C = np.transpose(T[1:, 1:, 1:, 1:], (0, 2, 1, 3))
-    return Q0, Q1, C + np.swapaxes(C, 0, 1)
+def _chart_quadratic(R: np.ndarray, bases: np.ndarray):
+    """Quadratic coefficients of Q_ij(x) = R(q, e_i, q, e_j) along q = center + x @ frame.
+
+    ``bases`` (..., n+1, n+1) holds the rows (center, frame) of each chart.
+    """
+    m = R.shape[0]
+    lead = bases.shape[:-2]
+    T = bases @ R.reshape(m, -1)
+    for k in range(1, 4):  # each step contracts the next slot of R with the basis
+        T = bases[..., None, :, :] @ T.reshape(*lead, m**k, m, -1)
+    T = T.reshape(*lead, m, m, m, m)
+    Q0 = T[..., 0, 1:, 0, 1:]
+    Q1 = T[..., 1:, 1:, 0, 1:] + np.swapaxes(T[..., 0, 1:, 1:, 1:], -3, -2)
+    C = np.swapaxes(T[..., 1:, 1:, 1:, 1:], -3, -2)
+    return Q0, Q1, C + np.swapaxes(C, -4, -3)
 
 
 class CurvatureMetric(MetricField):
@@ -139,9 +152,8 @@ class CurvatureMetric(MetricField):
         K = killing_matrices(self.generator, P)
         return K / self.D_values(P)[:, None, None]
 
-    def chart_jet(self, chart: GnomonicChart, x) -> MatrixJet:
-        x = chart.check_radius(np.asarray(x, dtype=float))
-        Q = quadratic_matrix_jet(*_chart_quadratic(self.generator.coeffs, chart), x)
+    def _chart_jets(self, bases: np.ndarray, x) -> MatrixJet:
+        Q = quadratic_matrix_jet(*_chart_quadratic(self.generator.coeffs, bases), x)
         return Q.scaled(Q.det().power(-2.0 / (self.n - 1.0)))
 
 
@@ -317,7 +329,5 @@ def metric_derivatives(g: MetricField, chart: GnomonicChart, x):
     Returns ``(gmat, dg, d2g)`` with ``dg[a, i, j] = d_a g_ij`` and
     ``d2g[a, b, i, j] = d_a d_b g_ij``.
     """
-    if chart.n != g.n:
-        raise DimensionError("chart and metric dimensions differ")
-    jet = g.chart_jet(chart, chart.check_radius(np.asarray(x, dtype=float)))
+    jet = g.chart_jet(chart, x)
     return jet.value, jet.grad, jet.hess

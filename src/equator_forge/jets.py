@@ -7,6 +7,11 @@ scalar function at a point; a :class:`MatrixJet` carries the same for a
 matrix-valued function.  Arithmetic combines jets by the product, quotient and
 chain rules, so no finite differencing enters the main code paths (finite
 differences are kept for cross-checks in the tests).
+
+Jets broadcast over leading axes, so one jet can hold a whole stack of points:
+a scalar jet has value ``(...)``, grad ``(..., q)`` and hess ``(..., q, q)``;
+a matrix jet has value ``(..., m, m)``, grad ``(..., q, m, m)`` and hess
+``(..., q, q, m, m)``.  A single point is the case with no leading axes.
 """
 
 from __future__ import annotations
@@ -18,22 +23,27 @@ import numpy as np
 __all__ = ["ScalarJet", "MatrixJet", "constant_jet", "quadratic_scalar_jet", "quadratic_matrix_jet"]
 
 
+def _lift(a, axes: int):
+    """``a`` with ``axes`` trailing unit axes, to broadcast against derivative arrays."""
+    return np.asarray(a)[(...,) + (None,) * axes]
+
+
 @dataclass(frozen=True)
 class ScalarJet:
-    """Value, gradient (q,) and Hessian (q, q) of a scalar field at a point."""
+    """Value (...), gradient (..., q) and Hessian (..., q, q) of a scalar field."""
 
-    value: float
+    value: float | np.ndarray
     grad: np.ndarray
     hess: np.ndarray
 
-    @property
-    def nvars(self) -> int:
-        return self.grad.shape[0]
+    # numpy arrays on the left of an operator defer to the jet's own methods
+    __array_ufunc__ = None
 
-    def _chain(self, f0: float, f1: float, f2: float) -> "ScalarJet":
+    def _chain(self, f0, f1, f2) -> "ScalarJet":
         """Jet of ``f(self)`` given ``f, f', f''`` evaluated at ``self.value``."""
-        grad = f1 * self.grad
-        hess = f1 * self.hess + f2 * np.outer(self.grad, self.grad)
+        grad = _lift(f1, 1) * self.grad
+        outer = self.grad[..., :, None] * self.grad[..., None, :]
+        hess = _lift(f1, 2) * self.hess + _lift(f2, 2) * outer
         return ScalarJet(f0, grad, hess)
 
     def __add__(self, other):
@@ -55,11 +65,12 @@ class ScalarJet:
     def __mul__(self, other):
         if isinstance(other, ScalarJet):
             value = self.value * other.value
-            grad = self.grad * other.value + self.value * other.grad
-            cross = np.outer(self.grad, other.grad)
-            hess = self.hess * other.value + self.value * other.hess + cross + cross.T
+            grad = self.grad * _lift(other.value, 1) + _lift(self.value, 1) * other.grad
+            cross = self.grad[..., :, None] * other.grad[..., None, :]
+            hess = (self.hess * _lift(other.value, 2) + _lift(self.value, 2) * other.hess
+                    + cross + np.swapaxes(cross, -1, -2))
             return ScalarJet(value, grad, hess)
-        return ScalarJet(self.value * other, self.grad * other, self.hess * other)
+        return ScalarJet(self.value * other, self.grad * _lift(other, 1), self.hess * _lift(other, 2))
 
     __rmul__ = __mul__
 
@@ -99,50 +110,49 @@ def quadratic_scalar_jet(c0: float, c1: np.ndarray, c2: np.ndarray, x: np.ndarra
 
 @dataclass(frozen=True)
 class MatrixJet:
-    """Value (m, m), gradient (q, m, m) and Hessian (q, q, m, m) of a matrix field.
+    """Value (..., m, m), gradient (..., q, m, m) and Hessian (..., q, q, m, m).
 
-    ``grad[a]`` is the derivative along coordinate ``a``; ``hess`` is symmetric
-    in its first two axes.  The matrix dimension m is independent of the number
-    of chart variables q.
+    ``grad[..., a, :, :]`` is the derivative along coordinate ``a``; ``hess``
+    is symmetric in its two coordinate axes.  The matrix dimension m is
+    independent of the number of chart variables q.
     """
 
     value: np.ndarray
     grad: np.ndarray
     hess: np.ndarray
 
-    @property
-    def nvars(self) -> int:
-        return self.grad.shape[0]
-
     def __add__(self, other: "MatrixJet") -> "MatrixJet":
         return MatrixJet(self.value + other.value, self.grad + other.grad, self.hess + other.hess)
 
     def scaled(self, s: ScalarJet) -> "MatrixJet":
         """Jet of ``s(x) * M(x)`` for a scalar jet ``s``."""
-        value = s.value * self.value
-        grad = s.value * self.grad + s.grad[:, None, None] * self.value
+        sg = s.grad[..., None, None]
+        value = _lift(s.value, 2) * self.value
+        grad = _lift(s.value, 3) * self.grad + sg * self.value[..., None, :, :]
         hess = (
-            s.value * self.hess
-            + s.hess[:, :, None, None] * self.value
-            + s.grad[:, None, None, None] * self.grad[None, :, :, :]
-            + s.grad[None, :, None, None] * self.grad[:, None, :, :]
+            _lift(s.value, 4) * self.hess
+            + s.hess[..., None, None] * self.value[..., None, None, :, :]
+            + sg[..., :, None, :, :] * self.grad[..., None, :, :, :]
+            + sg[..., None, :, :, :] * self.grad[..., :, None, :, :]
         )
         return MatrixJet(value, grad, hess)
 
     def _logdet_parts(self):
         """``(det M, grad log det M, hess log det M)``; requires ``M`` invertible."""
-        d = float(np.linalg.det(self.value))
+        d = np.linalg.det(self.value)
         B = np.linalg.inv(self.value)
         # d log det = tr(B dM);  dd log det = tr(B ddM) - tr(B dM B dM)
-        glog = np.einsum("ij,aji->a", B, self.grad)
-        BdM = np.einsum("ij,ajk->aik", B, self.grad)
-        hlog = np.einsum("ij,abji->ab", B, self.hess) - np.einsum("aij,bji->ab", BdM, BdM)
+        glog = np.einsum("...ij,...aji->...a", B, self.grad)
+        BdM = B[..., None, :, :] @ self.grad
+        hlog = (np.einsum("...ij,...abji->...ab", B, self.hess)
+                - np.einsum("...aij,...bji->...ab", BdM, BdM))
         return d, glog, hlog
 
     def det(self) -> ScalarJet:
         """Jet of ``det M`` via Jacobi's formula; requires ``M`` invertible."""
         d, glog, hlog = self._logdet_parts()
-        return ScalarJet(d, d * glog, d * (hlog + np.outer(glog, glog)))
+        outer = glog[..., :, None] * glog[..., None, :]
+        return ScalarJet(d, _lift(d, 1) * glog, _lift(d, 2) * (hlog + outer))
 
     def logdet(self) -> ScalarJet:
         d, glog, hlog = self._logdet_parts()
@@ -152,9 +162,10 @@ class MatrixJet:
 def quadratic_matrix_jet(A0: np.ndarray, A1: np.ndarray, A2: np.ndarray, x: np.ndarray) -> MatrixJet:
     """Exact jet at ``x`` of ``A(x) = A0 + sum_a x_a A1[a] + sum_ab x_a x_b A2[a,b] / 2``.
 
-    ``A2`` must be symmetric in its first two axes (it is the constant second
-    derivative of ``A``).
+    ``A2`` must be symmetric in its two coordinate axes (it is the constant
+    second derivative of ``A``).  All arguments may carry the same leading axes.
     """
-    value = A0 + np.einsum("a,aij->ij", x, A1) + 0.5 * np.einsum("a,b,abij->ij", x, x, A2)
-    grad = A1 + np.einsum("b,abij->aij", x, A2)
+    value = (A0 + np.einsum("...a,...aij->...ij", x, A1)
+             + 0.5 * np.einsum("...a,...b,...abij->...ij", x, x, A2))
+    grad = A1 + np.einsum("...b,...abij->...aij", x, A2)
     return MatrixJet(value, grad, A2.copy())

@@ -45,9 +45,12 @@ CHART_RADIUS = 10.0
 
 
 def check_unit(p, tol: float = 1e-10) -> np.ndarray:
+    """``p`` as a float array whose vectors along the last axis are unit, or raise."""
     p = np.asarray(p, dtype=float)
-    if abs(p @ p - 1.0) > tol:
-        raise DegenerateInputError(f"vector has |p|^2 = {p @ p:.12g}, not unit")
+    norm2 = np.ravel(np.sum(p * p, axis=-1))
+    worst = int(np.argmax(np.abs(norm2 - 1.0)))
+    if abs(norm2[worst] - 1.0) > tol:
+        raise DegenerateInputError(f"vector has |p|^2 = {norm2[worst]:.12g}, not unit")
     return p
 
 
@@ -59,29 +62,37 @@ def random_unit(rng, dim: int) -> np.ndarray:
             return v / norm
 
 
+def _gram_schmidt(A) -> np.ndarray:
+    """Gram-Schmidt of the rows of A, batched over its leading axes."""
+    rows = []
+    for a in np.moveaxis(np.asarray(A, dtype=float), -2, 0):
+        for u in rows:
+            a = a - np.sum(a * u, axis=-1, keepdims=True) * u
+        norm = np.linalg.norm(a, axis=-1, keepdims=True)
+        if np.any(norm < 1e-12):
+            raise DegenerateInputError("frame construction degenerated")
+        rows.append(a / norm)
+    return np.stack(rows, axis=-2)
+
+
+def _tangent_bases(points) -> np.ndarray:
+    """Rows ``(p, tangent_frame(p))`` for each unit vector p along the last axis."""
+    P = check_unit(points)
+    j = np.arange(P.shape[-1] - 1)
+    drop = np.argmax(np.abs(P), axis=-1)[..., None]
+    others = np.eye(P.shape[-1])[j + (j >= drop)]
+    bases = _gram_schmidt(np.concatenate([P[..., None, :], others], axis=-2))
+    bases[..., 0, :] = P
+    return bases
+
+
 def tangent_frame(p) -> np.ndarray:
     """Deterministic orthonormal basis of the tangent space at p, as rows.
 
     Gram-Schmidt applied to the standard basis with the coordinate most
     aligned with p dropped (ties broken by lowest index).
     """
-    p = check_unit(p)
-    dim = p.shape[0]
-    drop = int(np.argmax(np.abs(p)))
-    frame = []
-    for j in range(dim):
-        if j == drop:
-            continue
-        v = np.zeros(dim)
-        v[j] = 1.0
-        v -= (v @ p) * p
-        for u in frame:
-            v -= (v @ u) * u
-        norm = np.linalg.norm(v)
-        if norm < 1e-12:
-            raise DegenerateInputError("tangent frame construction degenerated")
-        frame.append(v / norm)
-    return np.array(frame)
+    return _tangent_bases(p)[1:]
 
 
 @dataclass(frozen=True)
@@ -213,15 +224,15 @@ def phi_T(T: GroupElement, points):
 
 
 def dphi_T(T: GroupElement, p, w) -> np.ndarray:
-    """Differential of :func:`phi_T` at p applied to a tangent vector w."""
+    """Differential of :func:`phi_T` at p applied to a tangent vector w (leading axes allowed)."""
     p = check_unit(p)
     w = np.asarray(w, dtype=float)
-    if abs(p @ w) > 1e-10:
+    if np.any(np.abs(np.sum(p * w, axis=-1)) > 1e-10):
         raise DegenerateInputError("w must be tangent to the sphere at p")
-    Tp = T.matrix @ p
-    Tw = T.matrix @ w
-    norm2 = Tp @ Tp
-    return (Tw - ((Tw @ Tp) / norm2) * Tp) / math.sqrt(norm2)
+    Tp = p @ T.matrix.T
+    Tw = w @ T.matrix.T
+    norm2 = np.sum(Tp * Tp, axis=-1, keepdims=True)
+    return (Tw - (np.sum(Tw * Tp, axis=-1, keepdims=True) / norm2) * Tp) / np.sqrt(norm2)
 
 
 def jacobian_density(T: GroupElement, p) -> float:

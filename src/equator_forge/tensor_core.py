@@ -555,7 +555,10 @@ class KillingField:
 def killing_matrices(R: CurvatureTensor, points) -> np.ndarray:
     """Batched ambient matrices of k_p = R(p, ., p, .) at rows of ``points``."""
     P = np.atleast_2d(np.asarray(points, dtype=float))
-    return np.einsum("abcd,na,nc->nbd", R.coeffs, P, P)
+    m = P.shape[1]
+    # T[n, c, (b, d)] = R(p_n, b, c, d), then contract c with p_n
+    T = (P @ R.coeffs.transpose(0, 2, 1, 3).reshape(m, -1)).reshape(-1, m, m * m)
+    return (P[:, None, :] @ T).reshape(-1, m, m)
 
 
 def sym_product(K: SkewMatrix, L: SkewMatrix) -> KillingField:

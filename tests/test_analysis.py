@@ -191,6 +191,34 @@ def test_bump_mesh_matches_pointwise_height_data():
         assert_allclose(mesh.normal_ambient[i], height_derivatives(g, v, p).normal_ambient, atol=1e-11)
 
 
+def test_member_mesh_matches_pointwise_height_data():
+    g = metric_from_curv(random_positive(3, seed=2)[0])
+    v = Equator(np.array([0.3, -0.5, 0.2, 0.9]))
+    mesh = equator_mesh(g, v, order=8)
+    for i in range(0, mesh.nodes.shape[0], 5):
+        p = mesh.nodes[i]
+        hd = height_derivatives(g, v.normal, p)
+        assert abs(mesh.mean_curv[i]) < 1e-12
+        assert_allclose(mesh.mean_curv[i], mean_curvature_equator(g, v.normal, p), atol=1e-12)
+        assert_allclose(mesh.normal_ambient[i], hd.normal_ambient, atol=1e-12)
+
+
+def test_mesh_fields_do_not_depend_on_thread_count(monkeypatch):
+    g = metric_from_curv(random_positive(3, seed=2)[0])
+    v = np.array([0.3, -0.5, 0.2, 0.9])
+    meshes = []
+    rotations = []
+    for threads in ("1", "2", "3"):  # 128 nodes in one, two and three blocks
+        monkeypatch.setenv("EQUATOR_FORGE_THREADS", threads)
+        meshes.append(equator_mesh(g, v, order=8))
+        rotations.append(so4_jacobi_data(g, meshes[-1])[:2])
+    for mesh, rot in zip(meshes[1:], rotations[1:]):
+        for name in ("normal_ambient", "mean_curv", "potential", "induced", "induced_inv", "rho"):
+            assert np.array_equal(getattr(mesh, name), getattr(meshes[0], name)), name
+        for a, b in zip(rot, rotations[0]):
+            assert np.array_equal(a, b)
+
+
 def test_mesh_rejects_other_dimensions():
     with pytest.raises(DimensionError):
         equator_mesh(CurvatureMetric(fubini_study(2)), np.eye(6)[0])

@@ -82,6 +82,36 @@ def test_verify_rejects_zero_width_bump_fixture(tmp_path, capsys):
     assert not report.exists()
 
 
+@pytest.mark.parametrize(
+    "center, direction",
+    [
+        ([1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]),  # zero direction
+        ([float("nan"), 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]),  # NaN centre
+        ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]),  # centre of the wrong length
+        ([0.6, 0.8, 0.0, 0.0], [-1.2, -1.6, 0.0, 0.0]),  # direction parallel to the centre
+    ],
+)
+def test_verify_rejects_degenerate_bump_geometry(tmp_path, capsys, center, direction):
+    fixture = tmp_path / "bump.json"
+    fixture.write_text(json.dumps({
+        "format": "bump-metric-v1", "n": 3, "amplitude": 0.1, "width": 0.04,
+        "center": center, "direction": direction,
+    }))
+    code, payload, err = run(capsys, "verify", str(fixture))
+    assert code == 2
+    assert payload is None
+    assert "error:" in err
+    assert "Traceback" not in err
+
+
+def test_verify_bump_fixture_on_s2_fails(tmp_path, capsys):
+    fixture = tmp_path / "bump.json"
+    assert run(capsys, "gen", "bump", "--n", "2", "--out", str(fixture))[0] == 0
+    code, payload, _ = run(capsys, "verify", str(fixture), "--equators", "3", "--points", "3")
+    assert code == 1
+    assert payload["report"]["checks"]["mean_curvature"]["residual"] > 1e-2
+
+
 def test_verify_random_tensor_passes(tmp_path, capsys):
     tensor = tmp_path / "t.json"
     run(capsys, "gen", "random", "--n", "3", "--seed", "3", "--out", str(tensor))
