@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .correspondence import CurvatureMetric, MetricField, curv_from_killing
 from .harmonics import basis_degrees, real_harmonic_basis
@@ -276,20 +275,23 @@ class JacobiGalerkin:
     def project(self, node_values) -> np.ndarray:
         """Coefficients of the mass-orthogonal projection of node values."""
         w = self.mesh.weights * self.mesh.rho
-        rhs = self.values.T @ (w * np.asarray(node_values, dtype=float))
-        return scipy.linalg.solve(self.mass, rhs, assume_a="pos")
+        return self._mass_solve(self.values.T @ (w * np.asarray(node_values, dtype=float)))
 
     def apply(self, coeffs) -> np.ndarray:
         """Node values of the Jacobi operator applied to a coefficient vector."""
         c = np.asarray(coeffs, dtype=float)
         if c.shape != (self.values.shape[1],):
             raise DimensionError(f"expected {self.values.shape[1]} coefficients")
-        a = scipy.linalg.solve(self.mass, -self.stiffness @ c, assume_a="pos")
-        return self.values @ a
+        return self.values @ self._mass_solve(-self.stiffness @ c)
 
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues of minus the Jacobi operator, ascending."""
+        import scipy.linalg  # on use: importing the package loads no scipy
         return scipy.linalg.eigh(self.stiffness, self.mass, eigvals_only=True)
+
+    def _mass_solve(self, rhs) -> np.ndarray:
+        import scipy.linalg  # on use: importing the package loads no scipy
+        return scipy.linalg.solve(self.mass, rhs, assume_a="pos")
 
 
 def build_jacobi_galerkin(g: MetricField, v, L: int, *, order: int | None = None,
@@ -371,8 +373,7 @@ def jacobi_apply_field(
     w = mesh.weights * mesh.rho
     r = np.einsum("n,nka,nab,nb->k", w, gal.grads, mesh.induced_inv, grads)
     r -= gal.values.T @ (w * mesh.potential * values)
-    a = scipy.linalg.solve(gal.mass, -r, assume_a="pos")
-    return gal.values @ a
+    return gal.values @ gal._mass_solve(-r)
 
 
 def so4_jacobi_functions(g: MetricField, mesh: EquatorMesh):

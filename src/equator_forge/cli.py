@@ -58,7 +58,7 @@ class RunConfig:
 
 
 def _emit(payload: dict) -> None:
-    json.dump(payload, sys.stdout, indent=2)
+    json.dump(payload, sys.stdout, indent=2, allow_nan=False)
     sys.stdout.write("\n")
 
 
@@ -160,6 +160,8 @@ def cmd_verify(args) -> int:
     for name in CHECK_NAMES:
         val = getattr(args, f"tol_{name}")
         if val is not None:
+            if not np.isfinite(val):
+                raise ValueError(f"--tol-{name.replace('_', '-')} must be finite, got {val}")
             tolerances[name] = val
     kind, subject = _load_subject(args.input)
     config = RunConfig(

@@ -88,7 +88,9 @@ class MetricField:
         if chart.n != self.n:
             raise DimensionError("chart and metric dimensions differ")
         x = chart.check_radius(np.asarray(x, dtype=float))
-        return self._chart_jets(np.vstack([chart.center, chart.frame]), x)
+        # a batch of one: numpy's sums can round differently without a batch axis
+        jet = self._chart_jets(np.vstack([chart.center, chart.frame])[None], x[None])
+        return MatrixJet(jet.value[0], jet.grad[0], jet.hess[0])
 
     def ambient_matrix(self, p) -> np.ndarray:
         return self.ambient_matrices(np.asarray(p, float)[None, :])[0]

@@ -13,7 +13,6 @@ from __future__ import annotations
 from math import lgamma, pi, sqrt
 
 import numpy as np
-from scipy.special import assoc_legendre_p_all
 
 __all__ = ["basis_size", "basis_degrees", "real_harmonic_basis"]
 
@@ -72,6 +71,7 @@ def real_harmonic_basis(L: int, theta: np.ndarray, phi: np.ndarray):
     grads = np.empty((npts, nb, 2))
     cos_m = np.cos(np.outer(phi, np.arange(L + 1)))
     sin_m = np.sin(np.outer(phi, np.arange(L + 1)))
+    from scipy.special import assoc_legendre_p_all  # on use: importing the package loads no scipy
     P, dP = assoc_legendre_p_all(L, L, z, diff_n=1)  # P[l, m, point], dP/dz
     dth = -st[None, None, :] * dP
     col = 0

@@ -142,8 +142,8 @@ class MatrixJet:
         d = np.linalg.det(self.value)
         B = np.linalg.inv(self.value)
         # d log det = tr(B dM);  dd log det = tr(B ddM) - tr(B dM B dM)
-        glog = np.einsum("...ij,...aji->...a", B, self.grad)
         BdM = B[..., None, :, :] @ self.grad
+        glog = np.einsum("...aii->...a", BdM)  # a matmul and a trace: the same sums at any batch size
         hlog = (np.einsum("...ij,...abji->...ab", B, self.hess)
                 - np.einsum("...aij,...bji->...ab", BdM, BdM))
         return d, glog, hlog

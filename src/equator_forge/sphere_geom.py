@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import roots_jacobi
 
 from .tableio import write_csv
 from .tensor_core import DegenerateInputError, DimensionError, GroupElement
@@ -371,6 +370,7 @@ def sphere_quadrature(n: int, order: int) -> QuadratureRule:
         return QuadratureRule(nodes, weights, "sphere", order)
     inner = sphere_quadrature(n - 1, order)
     alpha = (n - 2) / 2.0
+    from scipy.special import roots_jacobi  # on use: importing the package loads no scipy
     t, wt = roots_jacobi(order, alpha, alpha)
     st = np.sqrt(1.0 - t**2)
     nodes = np.concatenate(

@@ -34,4 +34,4 @@ def write_csv(path: str, header, rows) -> None:
 
 
 def write_json(path: str, payload) -> None:
-    _atomic_write(path, json.dumps(payload, indent=2) + "\n")
+    _atomic_write(path, json.dumps(payload, indent=2, allow_nan=False) + "\n")

@@ -16,7 +16,7 @@ sectional curvature of the plane spanned by orthonormal ``x, y`` is
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -96,12 +96,7 @@ class SymmetryReport:
         return max(self.first_pair, self.second_pair, self.pair_swap, self.bianchi)
 
     def as_dict(self) -> dict:
-        return {
-            "first_pair": self.first_pair,
-            "second_pair": self.second_pair,
-            "pair_swap": self.pair_swap,
-            "bianchi": self.bianchi,
-        }
+        return asdict(self)
 
 
 def _as_curv_array(coeffs) -> np.ndarray:
@@ -130,17 +125,18 @@ def curvature_projection(coeffs) -> np.ndarray:
     Antisymmetrizes both pairs, symmetrizes the pair swap, then removes the
     totally antisymmetric part (the obstruction to the first Bianchi identity).
     Idempotent, and the identity on arrays that already satisfy all four
-    symmetries.
+    symmetries.  Leading axes are a batch of arrays, projected one by one.
     """
-    T = _as_curv_array(coeffs)
+    T = np.asarray(coeffs, dtype=float)
+    _as_curv_array(T[(0,) * max(T.ndim - 4, 0)])  # the shape check, on one array
     T = 0.25 * (
         T
-        - np.einsum("bacd->abcd", T)
-        - np.einsum("abdc->abcd", T)
-        + np.einsum("badc->abcd", T)
+        - np.einsum("...bacd->...abcd", T)
+        - np.einsum("...abdc->...abcd", T)
+        + np.einsum("...badc->...abcd", T)
     )
-    T = 0.5 * (T + np.einsum("cdab->abcd", T))
-    cyc = T + np.einsum("acdb->abcd", T) + np.einsum("adbc->abcd", T)
+    T = 0.5 * (T + np.einsum("...cdab->...abcd", T))
+    cyc = T + np.einsum("...acdb->...abcd", T) + np.einsum("...adbc->...abcd", T)
     return T - cyc / 3.0
 
 
@@ -151,6 +147,8 @@ class CurvatureTensor:
 
     def __init__(self, coeffs, *, tol: float = SYMMETRY_TOL):
         T = _as_curv_array(coeffs).copy()
+        if not np.all(np.isfinite(T)):
+            raise DegenerateInputError("curvature tensor has non-finite coefficients")
         report = symmetry_residuals(T)
         if report.max > tol:
             raise TensorSymmetryError(
@@ -240,25 +238,26 @@ def _basis_matrix_cached(n: int) -> np.ndarray:
     if n < 2:
         raise DimensionError("curvature-tensor basis requires n >= 2")
     m = n + 1
-    expected = curv_dim(n)
     pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    rows = []
-    for a, (i, j) in enumerate(pairs):
-        for i2, j2 in pairs[a:]:
-            T = np.zeros((m, m, m, m))
-            T[i, j, i2, j2] = 1.0
-            raw = curvature_projection(T)
-            vec = raw.reshape(-1)
-            # incremental Gram-Schmidt against the rows kept so far
-            for r in rows:
-                vec = vec - (r @ vec) * r
-            norm = np.linalg.norm(vec)
-            if norm > 1e-10:
-                rows.append(vec / norm)
+    idx = [p + q for a, p in enumerate(pairs) for q in pairs[a:]]
+    T = np.zeros((len(idx), m, m, m, m))
+    T[(np.arange(len(idx)), *np.array(idx).T)] = 1.0
+    # Gram-Schmidt of the projected unit tensors, in order.  Candidates with
+    # different index multisets have disjoint supports, so each needs only the
+    # rows kept from its own multiset (the other steps subtract exact zeros).
+    rows, kept = [], {}
+    for key, vec in zip(idx, curvature_projection(T).reshape(len(idx), -1)):
+        group = kept.setdefault(tuple(sorted(key)), [])
+        for r in group:
+            vec = vec - (r @ vec) * r
+        norm = np.linalg.norm(vec)
+        if norm > 1e-10:
+            group.append(vec / norm)
+            rows.append(group[-1])
     B = np.array(rows)
-    if B.shape[0] != expected:
+    if B.shape[0] != curv_dim(n):
         raise RuntimeError(
-            f"basis construction produced {B.shape[0]} elements, expected {expected}"
+            f"basis construction produced {B.shape[0]} elements, expected {curv_dim(n)}"
         )
     B.flags.writeable = False
     return B
@@ -501,7 +500,9 @@ def act(R: CurvatureTensor, T: GroupElement) -> CurvatureTensor:
         raise DimensionError(f"matrix is for n={T.n}, tensor for n={R.n}")
     M = T.matrix
     weight = abs(T.det) ** (-4.0 / (R.n + 1))
-    S = weight * np.einsum("abcd,ai,bj,ck,dl->ijkl", R.coeffs, M, M, M, M)
+    S = weight * R.coeffs
+    for _ in range(4):  # contract the leading slot with M; the new index goes last
+        S = np.tensordot(S, M, axes=([0], [0]))
     return CurvatureTensor(S, tol=1e-9 * max(1.0, float(np.max(np.abs(S)))))
 
 
@@ -657,7 +658,7 @@ def save_tensor(R: CurvatureTensor, path: str) -> None:
         "n": R.n,
         "coeffs": [float(v) for v in R.coeffs.reshape(-1)],
     }
-    _atomic_write(path, json.dumps(payload) + "\n")
+    _atomic_write(path, json.dumps(payload, allow_nan=False) + "\n")
 
 
 def load_tensor(path: str, *, tol: float = 1e-9) -> CurvatureTensor:
@@ -676,6 +677,8 @@ def load_tensor(path: str, *, tol: float = 1e-9) -> CurvatureTensor:
     coeffs = np.asarray(payload["coeffs"], dtype=float)
     if coeffs.shape != (m**4,):
         raise DimensionError(f"{path}: expected {m**4} coefficients, got {coeffs.shape}")
+    if not np.all(np.isfinite(coeffs)):
+        raise DegenerateInputError(f"{path}: non-finite coefficients")
     T = coeffs.reshape(m, m, m, m)
     report = symmetry_residuals(T)
     if report.max > tol:
@@ -692,7 +695,7 @@ def save_matrix(T: GroupElement, path: str) -> None:
         "n": T.n,
         "matrix": [[float(v) for v in row] for row in T.matrix],
     }
-    _atomic_write(path, json.dumps(payload) + "\n")
+    _atomic_write(path, json.dumps(payload, allow_nan=False) + "\n")
 
 
 def load_matrix(path: str) -> GroupElement:

@@ -1,11 +1,16 @@
 import csv
 import filecmp
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import equator_forge
 from equator_forge.cli import main
+from equator_forge.tableio import write_json
 from equator_forge.tensor_core import GroupElement, load_tensor, save_matrix
 
 
@@ -130,6 +135,16 @@ def test_verify_random_tensor_passes(tmp_path, capsys):
         assert json.load(fh) == payload
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_verify_rejects_non_finite_tolerance(tmp_path, capsys, value):
+    tensor = tmp_path / "round.json"
+    run(capsys, "gen", "round", "--n", "3", "--out", str(tensor))
+    code, payload, err = run(capsys, "verify", str(tensor), "--tol-roundtrip", value)
+    assert code == 2
+    assert "error:" in err and "--tol-roundtrip must be finite" in err
+    assert payload is None
+
+
 def test_verify_tolerance_override_can_fail(tmp_path, capsys):
     tensor = tmp_path / "t.json"
     run(capsys, "gen", "random", "--n", "3", "--seed", "3", "--out", str(tensor))
@@ -248,3 +263,63 @@ def test_act_with_orthogonal_matrix(tmp_path, capsys):
     # orthogonal elements preserve the dense norm of the tensor
     assert abs(np.linalg.norm(acted.coeffs) - np.linalg.norm(R.coeffs)) < 1e-9
     assert payload["n"] == 3
+
+
+def _nan_tensor_file(tmp_path, capsys):
+    tensor = tmp_path / "nan.json"
+    run(capsys, "gen", "round", "--n", "3", "--out", str(tensor))
+    payload = json.loads(tensor.read_text())
+    payload["coeffs"][0] = float("nan")
+    tensor.write_text(json.dumps(payload))  # the stdlib writes a NaN token by default
+    return tensor
+
+
+@pytest.mark.parametrize("command", ["verify", "area", "act"])
+def test_non_finite_tensor_file_is_an_input_error(tmp_path, capsys, command):
+    tensor = _nan_tensor_file(tmp_path, capsys)
+    mat = tmp_path / "eye.json"
+    save_matrix(GroupElement(np.eye(4)), mat)
+    out = tmp_path / "out"
+    argv = {
+        "verify": ["verify", str(tensor), "--out", str(out)],
+        "area": ["area", str(tensor), "--equators", "3", "--out", str(out)],
+        "act": ["act", str(tensor), str(mat), "--out", str(out)],
+    }[command]
+    code, payload, err = run(capsys, *argv)
+    assert code == 2
+    assert "error:" in err and "non-finite" in err
+    assert "Traceback" not in err
+    assert payload is None
+    assert not out.exists()
+
+
+def test_json_writers_refuse_nan(tmp_path):
+    out = tmp_path / "x.json"
+    with pytest.raises(ValueError):
+        write_json(out, {"residual": float("nan")})
+    assert not out.exists()
+
+
+def test_gen_verify_and_act_never_import_scipy(tmp_path):
+    tensor, mat, acted = (str(tmp_path / name) for name in ("t.json", "eye.json", "acted.json"))
+    script = f"""
+import sys
+import numpy as np
+import equator_forge.cli as cli
+from equator_forge.tensor_core import GroupElement, save_matrix
+loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert loaded() == [], loaded()
+assert cli.main(["gen", "random", "--n", "3", "--out", {tensor!r}]) == 0
+assert cli.main(["verify", {tensor!r}, "--equators", "3", "--points", "3"]) == 0
+save_matrix(GroupElement(np.eye(4)), {mat!r})
+assert cli.main(["act", {tensor!r}, {mat!r}, "--out", {acted!r}]) == 0
+print("scipy modules:", loaded())
+"""
+    # a fresh interpreter that imports this same copy of the package
+    src = os.path.dirname(os.path.dirname(os.path.abspath(equator_forge.__file__)))
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "scipy modules: []"

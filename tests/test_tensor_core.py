@@ -1,5 +1,7 @@
 """Algebraic curvature tensors: symmetries, bases, curvature bounds, group action."""
 
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -14,6 +16,7 @@ from equator_forge.tensor_core import (
     TensorSymmetryError,
     act,
     basis_coefficients,
+    basis_matrix,
     complex_structure,
     constant_curvature,
     curv_basis,
@@ -64,6 +67,58 @@ def test_symmetry_validation_rejects_asymmetric_arrays():
     T[0, 1, 0, 1] = 1.0  # missing the antisymmetric partners
     with pytest.raises(TensorSymmetryError):
         CurvatureTensor(T)
+
+
+def _basis_by_full_gram_schmidt(n):
+    """The basis as first built: each projected unit tensor against every row kept so far."""
+    m = n + 1
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    rows = []
+    for a, (i, j) in enumerate(pairs):
+        for i2, j2 in pairs[a:]:
+            T = np.zeros((m, m, m, m))
+            T[i, j, i2, j2] = 1.0
+            vec = curvature_projection(T).reshape(-1)
+            for r in rows:
+                vec = vec - (r @ vec) * r
+            norm = np.linalg.norm(vec)
+            if norm > 1e-10:
+                rows.append(vec / norm)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_basis_matrix_is_bitwise_the_full_gram_schmidt_basis(n):
+    # seeded tensors are u @ B, so the grouped construction must not move a bit
+    B = basis_matrix(n)
+    ref = _basis_by_full_gram_schmidt(n)
+    assert np.array_equal(B, ref)
+    assert B.tobytes() == ref.tobytes()
+
+
+def test_curvature_projection_of_a_stack_projects_each_array():
+    rng = np.random.default_rng(3)
+    T = rng.standard_normal((2, 3, 4, 4, 4, 4))
+    P = curvature_projection(T)
+    for idx in np.ndindex(2, 3):
+        assert np.array_equal(P[idx], curvature_projection(T[idx]))
+    with pytest.raises(DimensionError):
+        curvature_projection(np.zeros((2, 4, 4, 4)))
+
+
+def test_non_finite_coefficients_are_rejected(tmp_path):
+    T = constant_curvature(3).coeffs.copy()
+    for bad in (np.nan, np.inf):
+        T[0, 1, 0, 1] = bad
+        with pytest.raises(DegenerateInputError):
+            CurvatureTensor(T)
+    path = tmp_path / "nan.json"
+    save_tensor(constant_curvature(3), path)
+    payload = json.loads(path.read_text())
+    payload["coeffs"][0] = float("nan")
+    path.write_text(json.dumps(payload))  # the stdlib writes NaN tokens by default
+    with pytest.raises(DegenerateInputError):
+        load_tensor(path)
 
 
 def test_curvature_projection_is_identity_on_tensors():
@@ -205,6 +260,16 @@ def test_act_preserves_positivity():
     T = GroupElement(np.eye(4) + 0.4 * rng.standard_normal((4, 4)))
     probe = sec_min_estimate(act(R, T), restarts=6, iters=200, seed=0)
     assert probe.value > 0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_act_matches_five_operand_einsum(n):
+    rng = np.random.default_rng(n)
+    R = tensor_from_basis(n, rng.standard_normal(curv_dim(n)))
+    T = GroupElement(np.eye(n + 1) + 0.4 * rng.standard_normal((n + 1, n + 1)))
+    M = T.matrix
+    ref = abs(T.det) ** (-4.0 / (n + 1)) * np.einsum("abcd,ai,bj,ck,dl->ijkl", R.coeffs, M, M, M, M)
+    assert np.max(np.abs(act(R, T).coeffs - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_group_element_rejects_singular_matrices():

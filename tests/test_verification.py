@@ -278,6 +278,19 @@ def test_metric_equation_fails_on_bump():
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_metric_equation_sweep_is_the_max_of_pointwise_residuals(n):
+    # the batched sweep draws the same charts and points as one call per sample
+    for g in (CurvatureMetric(random_positive(n, seed=0)[0]), BumpMetric(n=n)):
+        rng = np.random.default_rng(0)
+        residuals = []
+        for _ in range(30):
+            chart = chart_at(random_unit(rng, n + 1))
+            x = 0.8 * rng.uniform(0.0, 1.0) ** (1.0 / n) * random_unit(rng, n)
+            residuals.append(metric_equation_residual(g, chart, x))
+        assert abs(metric_equation_sweep(g, samples=30, seed=0) - max(residuals)) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_round_jets_match_closed_form_round_connection(n):
     # the generic jet pipeline on round jets, off the chart centre, against the
     # closed-form round Christoffel symbols and volume form
