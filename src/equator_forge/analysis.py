@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correspondence import CurvatureMetric, MetricField, curv_from_killing
-from .harmonics import basis_degrees, real_harmonic_basis
+from .harmonics import _basis_values, _harmonic_factors, basis_degrees
 from .parallel import thread_count, tmap
 from .sphere_geom import (
     Equator,
@@ -294,6 +294,18 @@ class JacobiGalerkin:
         return scipy.linalg.solve(self.mass, rhs, assume_a="pos")
 
 
+def _factor_gram(terms, index) -> np.ndarray:
+    """Symmetrised sum over terms (U, X, field, V, Y) of the grid pairings
+    S[(l, a), (k, b)] = sum_ij field[i, j] U[i, l, a] X[j, a] V[i, k, b] Y[j, b],
+    summed over phi j first, then theta i; gathered to basis order by ``index``."""
+    S = 0.0
+    for U, X, field, V, Y in terms:
+        VF = V * ((X.T[:, None, :] * field) @ Y)[:, :, None, :]  # phi sum, times V: (a, theta, k, b)
+        S = S + U.transpose(2, 1, 0) @ VF.reshape(*VF.shape[:2], -1)  # (a, l, (k, b))
+    S = S.transpose(1, 0, 2).reshape(S.shape[0] * S.shape[1], -1)[np.ix_(index, index)]
+    return 0.5 * (S + S.T)
+
+
 def build_jacobi_galerkin(g: MetricField, v, L: int, *, order: int | None = None,
                           mesh: EquatorMesh | None = None) -> JacobiGalerkin:
     """Assemble the harmonic-basis Galerkin matrices on the equator of v."""
@@ -301,16 +313,18 @@ def build_jacobi_galerkin(g: MetricField, v, L: int, *, order: int | None = None
         order = max(2 * L + 8, 24)
     if mesh is None:
         mesh = equator_mesh(g, v, order)
-    values, grads = real_harmonic_basis(L, mesh.theta, mesh.phi)
-    m, nb = values.shape
-    w = mesh.weights * mesh.rho
-    mass = values.T @ (w[:, None] * values)
-    mass = 0.5 * (mass + mass.T)
-    W = np.einsum("nab,nkb->nka", mesh.induced_inv, grads)
-    X = np.transpose(grads, (1, 0, 2)).reshape(nb, 2 * m)
-    Y = np.transpose(w[:, None, None] * W, (1, 0, 2)).reshape(nb, 2 * m)
-    stiff = X @ Y.T - values.T @ ((w * mesh.potential)[:, None] * values)
-    stiff = 0.5 * (stiff + stiff.T)
+    cols = 2 * mesh.order  # the mesh is the product grid theta_i x phi_j, by rows
+    Pv, Pt, Pp, T, dT, index = _harmonic_factors(L, mesh.theta[::cols], mesh.phi[:cols])
+    w = (mesh.weights * mesh.rho).reshape(-1, cols)
+    Ginv = mesh.induced_inv.reshape(-1, cols, 2, 2)
+    mass = _factor_gram([(Pv, T, w, Pv, T)], index)
+    stiff = _factor_gram([
+        (Pt, T, w * Ginv[..., 0, 0], Pt, T),
+        (Pt, T, w * (Ginv[..., 0, 1] + Ginv[..., 1, 0]), Pp, dT),  # with its transpose, once symmetrised
+        (Pp, dT, w * Ginv[..., 1, 1], Pp, dT),
+        (Pv, T, -w * mesh.potential.reshape(-1, cols), Pv, T),
+    ], index)
+    values, grads = _basis_values(Pv[:, None], Pt[:, None], Pp[:, None], T[None], dT[None], index)
     return JacobiGalerkin(mesh, L, basis_degrees(L), values, grads, stiff, mass)
 
 
@@ -371,7 +385,9 @@ def jacobi_apply_field(
     values = np.asarray(values, dtype=float)
     grads = np.asarray(grads, dtype=float)
     w = mesh.weights * mesh.rho
-    r = np.einsum("n,nka,nab,nb->k", w, gal.grads, mesh.induced_inv, grads)
+    t = w[:, None] * np.einsum("nab,nb->na", mesh.induced_inv, grads)
+    # r[k] = sum_n <gal.grads[n, k], t[n]>: the (a, a) diagonal of one matrix product
+    r = np.einsum("kaa->k", (gal.grads.reshape(t.shape[0], -1).T @ t).reshape(-1, 2, 2))
     r -= gal.values.T @ (w * mesh.potential * values)
     return gal.values @ gal._mass_solve(-r)
 

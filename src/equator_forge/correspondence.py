@@ -29,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from .jets import MatrixJet, quadratic_matrix_jet
-from .sphere_geom import GnomonicChart, great_circle, random_unit
+from .sphere_geom import GnomonicChart, random_unit
 from .tensor_core import (
     CurvatureTensor,
     DegenerateInputError,
@@ -109,11 +109,15 @@ class MetricField:
     def F_values(self, points) -> np.ndarray:
         """Volume ratio against the round metric, det^(2/(n+1)) in a tangent frame."""
         P = np.atleast_2d(np.asarray(points, dtype=float))
-        A = self.ambient_matrices(P) + np.einsum("ni,nj->nij", P, P)
-        dets = np.linalg.det(A)
-        if np.any(dets <= 0.0):
-            raise PositivityError("metric determinant must be positive")
-        return dets ** (2.0 / (self.n + 1))
+        return _volume_ratio(self.ambient_matrices(P), P, 2.0 / (self.n + 1), "metric")
+
+
+def _volume_ratio(M: np.ndarray, P: np.ndarray, power: float, what: str) -> np.ndarray:
+    """det(M + p p^T)^power at the rows p of P: M's determinant in a tangent frame."""
+    dets = np.linalg.det(M + np.einsum("ni,nj->nij", P, P))
+    if np.any(dets <= 0.0):
+        raise PositivityError(f"{what} is not positive definite at a queried point")
+    return dets ** power
 
 
 def _chart_quadratic(R: np.ndarray, bases: np.ndarray):
@@ -143,16 +147,12 @@ class CurvatureMetric(MetricField):
     def D_values(self, points) -> np.ndarray:
         """Volume ratio of the Killing tensor, det^(2/(n-1)) in a tangent frame."""
         P = np.atleast_2d(np.asarray(points, dtype=float))
-        A = killing_matrices(self.generator, P) + np.einsum("ni,nj->nij", P, P)
-        dets = np.linalg.det(A)
-        if np.any(dets <= 0.0):
-            raise PositivityError("Killing tensor is not positive definite at a queried point")
-        return dets ** (2.0 / (self.n - 1))
+        return _volume_ratio(killing_matrices(self.generator, P), P, 2.0 / (self.n - 1), "Killing tensor")
 
     def ambient_matrices(self, points) -> np.ndarray:
         P = np.atleast_2d(np.asarray(points, dtype=float))
         K = killing_matrices(self.generator, P)
-        return K / self.D_values(P)[:, None, None]
+        return K / _volume_ratio(K, P, 2.0 / (self.n - 1), "Killing tensor")[:, None, None]
 
     def _chart_jets(self, bases: np.ndarray, x) -> MatrixJet:
         Q = quadratic_matrix_jet(*_chart_quadratic(self.generator.coeffs, bases), x)
@@ -209,18 +209,22 @@ def killing_constancy_residual(
     """Largest variation of k(gamma', gamma') along seeded random great circles."""
     rng = np.random.default_rng(seed)
     dim = k.n + 1
-    t = 2.0 * np.pi * np.arange(samples) / samples
-    worst = 0.0
-    for _ in range(circles):
+    if circles <= 0:
+        return 0.0
+    frames = []
+    for _ in range(circles):  # the draws of one circle after another
         p = random_unit(rng, dim)
         u = rng.standard_normal(dim)
         u -= (u @ p) * p
-        u /= np.linalg.norm(u)
-        pts = great_circle(p, u, t)
-        vel = -np.sin(t)[:, None] * p + np.cos(t)[:, None] * u
-        vals = np.einsum("nij,ni,nj->n", k.ambient_matrices(pts), vel, vel)
-        worst = max(worst, float(vals.max() - vals.min()))
-    return worst
+        frames.append((p, u / np.linalg.norm(u)))
+    p, u = (np.array(f)[:, None, :] for f in zip(*frames))
+    t = 2.0 * np.pi * np.arange(samples) / samples
+    c, s = np.cos(t)[:, None], np.sin(t)[:, None]
+    pts, vel = (c * p + s * u).reshape(-1, dim), (-s * p + c * u).reshape(-1, dim)
+    # 1024 points a call: killing_matrices holds (n+1)^3 numbers per point, 8.6 MB for 5000 at n = 5
+    vals = np.concatenate([np.einsum("nij,ni,nj->n", k.ambient_matrices(pts[b]), vel[b], vel[b])
+                           for b in (slice(i, i + 1024) for i in range(0, pts.shape[0], 1024))])
+    return float(np.max(np.ptp(vals.reshape(circles, samples), axis=1)))
 
 
 def metric_from_curv(

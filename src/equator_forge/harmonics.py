@@ -23,73 +23,62 @@ def basis_size(L: int) -> int:
 
 def basis_degrees(L: int) -> np.ndarray:
     """Degree l of each basis function, in basis order."""
-    out = []
-    for l in range(L + 1):
-        out.append(l)
-        for _ in range(1, l + 1):
-            out.extend([l, l])
-    return np.array(out, dtype=int)
+    return np.repeat(np.arange(L + 1), 2 * np.arange(L + 1) + 1)
 
 
 def _norms(L: int) -> np.ndarray:
-    """Orthonormalization constants N[l, m] = sqrt((2l+1)/(4 pi) (l-m)!/(l+m)!)."""
+    """N[l, m] = sqrt((2l+1)/(4 pi) (l-m)!/(l+m)!), times sqrt 2 for m > 0 (real pairs)."""
     N = np.zeros((L + 1, L + 1))
     for l in range(L + 1):
         for m in range(l + 1):
             N[l, m] = sqrt((2 * l + 1) / (4.0 * pi)) * np.exp(
-                0.5 * (lgamma(l - m + 1) - lgamma(l + m + 1))
-            )
+                0.5 * (lgamma(l - m + 1) - lgamma(l + m + 1)))
+    N[:, 1:] *= sqrt(2.0)
     return N
 
 
-def real_harmonic_basis(L: int, theta: np.ndarray, phi: np.ndarray):
-    """Values and tangential gradients of the real harmonic basis at given angles.
+def _harmonic_factors(L: int, theta, phi):
+    """One-dimensional factors of the real harmonic basis.
 
-    Parameters
-    ----------
-    L : int
-        Maximum degree; the basis has (L + 1)^2 functions.
-    theta, phi : ndarray, shape (m,)
-        Polar angles of the evaluation points, with 0 < theta < pi.
-
-    Returns
-    -------
-    values : ndarray, shape (m, (L+1)^2)
-    grads : ndarray, shape (m, (L+1)^2, 2)
-        Components (d_theta Y, d_phi Y / sin theta).
+    Trig column a is the constant for a = 0, else cos(m phi) for odd a and
+    sin(m phi) for even a, with m = (a + 1) // 2.  Basis function (l, a) is
+    Pv[l, a] T[a] with gradient (Pt[l, a] T[a], Pp[l, a] dT[a]), where Pv, Pt,
+    Pp = N P, -N sin(theta) P', N m P / sin(theta), zero for m > l, have shape
+    (len(theta), L+1, 2L+1) and T, dT = trig, (d/dphi trig) / m have shape
+    (len(phi), 2L+1).  Also returns the flat (l, a) index of each basis function.
     """
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    npts = theta.shape[0]
-    nb = basis_size(L)
-    z = np.cos(theta)
     st = np.sin(theta)
     if np.any(st <= 1e-12):
         raise ValueError("evaluation points must avoid the poles")
-    N = _norms(L)
-    values = np.empty((npts, nb))
-    grads = np.empty((npts, nb, 2))
-    cos_m = np.cos(np.outer(phi, np.arange(L + 1)))
-    sin_m = np.sin(np.outer(phi, np.arange(L + 1)))
     from scipy.special import assoc_legendre_p_all  # on use: importing the package loads no scipy
-    P, dP = assoc_legendre_p_all(L, L, z, diff_n=1)  # P[l, m, point], dP/dz
-    dth = -st[None, None, :] * dP
-    col = 0
-    for l in range(L + 1):
-        values[:, col] = N[l, 0] * P[l, 0]
-        grads[:, col, 0] = N[l, 0] * dth[l, 0]
-        grads[:, col, 1] = 0.0
-        col += 1
-        for m in range(1, l + 1):
-            base = sqrt(2.0) * N[l, m]
-            pv, pd = P[l, m], dth[l, m]
-            ratio = m * pv / st
-            values[:, col] = base * pv * cos_m[:, m]
-            grads[:, col, 0] = base * pd * cos_m[:, m]
-            grads[:, col, 1] = -base * ratio * sin_m[:, m]
-            col += 1
-            values[:, col] = base * pv * sin_m[:, m]
-            grads[:, col, 0] = base * pd * sin_m[:, m]
-            grads[:, col, 1] = base * ratio * cos_m[:, m]
-            col += 1
-    return values, grads
+    P, dP = assoc_legendre_p_all(L, L, np.cos(theta), diff_n=1)  # P[l, m, point], dP/dz
+    P, dth = P[:, : L + 1], -st * dP[:, : L + 1]
+    m = np.arange(L + 1)
+    N = _norms(L)
+    a_m = (np.arange(2 * L + 1) + 1) // 2
+    Pv, Pt, Pp = (np.ascontiguousarray(np.moveaxis(N[..., None] * F, -1, 0)[..., a_m])
+                  for F in (P, dth, m[:, None] * P / st))
+    cos_m, sin_m = np.cos(np.outer(phi, m)), np.sin(np.outer(phi, m))
+    T, dT = (np.stack(pair, axis=-1).reshape(-1, 2 * L + 2)[:, 1:]
+             for pair in ((cos_m, sin_m), (-sin_m, cos_m)))
+    T[:, 0], dT[:, 0] = 1.0, 0.0
+    l = basis_degrees(L)
+    return Pv, Pt, Pp, T, dT, l * (2 * L + 1) + np.arange(l.size) - l**2
+
+
+def real_harmonic_basis(L: int, theta: np.ndarray, phi: np.ndarray):
+    """Values (m, (L+1)^2) and tangential gradients (m, (L+1)^2, 2) of the real
+    harmonics of degree <= L at m points with polar angles theta, phi, where
+    0 < theta < pi; gradient components are (d_theta Y, d_phi Y / sin theta)."""
+    return _basis_values(*_harmonic_factors(L, theta, phi))
+
+
+def _basis_values(Pv, Pt, Pp, T, dT, index):
+    """Basis values and gradients, nodes flattened, from factors gathered before the product."""
+    a = index % T.shape[-1]
+    Pv, Pt, Pp = (F.reshape(*F.shape[:-2], -1)[..., index] for F in (Pv, Pt, Pp))
+    values = Pv * T[..., a]
+    grads = np.empty(values.shape + (2,))  # numpy is slow to broadcast over a last axis of 2
+    np.multiply(Pt, T[..., a], out=grads[..., 0])
+    np.multiply(Pp, dT[..., a], out=grads[..., 1])
+    return values.reshape(-1, a.size), grads.reshape(-1, a.size, 2)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache, reduce
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -295,6 +296,21 @@ def sphere_volume(k: int) -> float:
     return 2.0 * math.pi ** ((k + 1) / 2.0) / math.gamma((k + 1) / 2.0)
 
 
+@lru_cache(maxsize=16)
+def _reference_grid(order: int) -> tuple:
+    """Read-only angles, weights, and the coefficients of the nodes, e_theta and
+    e_phi on the basis rows of an equator: the part of the grid v does not change."""
+    z, wz = leggauss(order)
+    nphi = 2 * order
+    ct, pp = (a.reshape(-1) for a in np.meshgrid(z, 2.0 * math.pi * np.arange(nphi) / nphi, indexing="ij"))
+    st, cp, sp = np.sqrt(1.0 - ct**2), np.cos(pp), np.sin(pp)
+    arrays = (np.arccos(np.clip(ct, -1.0, 1.0)), pp, np.repeat(wz, nphi) * (2.0 * math.pi / nphi),
+              np.array([st * cp, st * sp, ct]), np.array([ct * cp, ct * sp, -st]), np.array([-sp, cp]))
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
 def _equator_grid(v: Equator, order: int) -> dict:
     """Product Gauss-Legendre x trapezoid grid on an equator of S^3.
 
@@ -303,27 +319,13 @@ def _equator_grid(v: Equator, order: int) -> dict:
     spherical polynomials of degree up to 2 * order - 1.
     """
     u = v.basis()
-    z, wz = leggauss(order)
-    nphi = 2 * order
-    phi = 2.0 * math.pi * np.arange(nphi) / nphi
-    zz, pp = np.meshgrid(z, phi, indexing="ij")
-    zz = zz.reshape(-1)
-    pp = pp.reshape(-1)
-    st = np.sqrt(1.0 - zz**2)
-    ct, cp, sp = zz, np.cos(pp), np.sin(pp)
-    nodes = (st * cp)[:, None] * u[0] + (st * sp)[:, None] * u[1] + ct[:, None] * u[2]
-    weights = np.repeat(wz, nphi) * (2.0 * math.pi / nphi)
-    e_theta = (ct * cp)[:, None] * u[0] + (ct * sp)[:, None] * u[1] - st[:, None] * u[2]
-    e_phi = (-sp)[:, None] * u[0] + cp[:, None] * u[1]
-    return {
-        "basis": u,
-        "theta": np.arccos(np.clip(zz, -1.0, 1.0)),
-        "phi": pp,
-        "nodes": nodes,
-        "weights": weights,
-        "e_theta": e_theta,
-        "e_phi": e_phi,
-    }
+    theta, phi, weights, node, e_theta, e_phi = _reference_grid(order)
+
+    def on_basis(coeffs):  # summed left to right
+        return reduce(np.add, (c[:, None] * row for c, row in zip(coeffs, u)))
+
+    return {"basis": u, "theta": theta, "phi": phi, "nodes": on_basis(node), "weights": weights,
+            "e_theta": on_basis(e_theta), "e_phi": on_basis(e_phi)}
 
 
 def equator_quadrature(v: Equator, order: int, *, seed: int = 0) -> QuadratureRule:

@@ -32,6 +32,7 @@ from equator_forge.correspondence import (
     metric_from_curv,
     round_metric,
 )
+from equator_forge.harmonics import real_harmonic_basis
 from equator_forge.sphere_geom import Equator, equator_quadrature, random_unit, sphere_volume
 from equator_forge.tensor_core import (
     DegenerateInputError,
@@ -244,6 +245,47 @@ def test_jacobi_apply_scales_harmonics(round_galerkin):
         c[k] = 1.0
         out = gal.apply(c)
         assert_allclose(out, (2.0 - l * (l + 1)) * gal.values[:, k], atol=1e-9)
+
+
+def _dense_galerkin(mesh, L):
+    """The assembly as dense products over all mesh nodes: the reference."""
+    values, grads = real_harmonic_basis(L, mesh.theta, mesh.phi)
+    m, nb = values.shape
+    w = mesh.weights * mesh.rho
+    mass = values.T @ (w[:, None] * values)
+    W = np.einsum("nab,nkb->nka", mesh.induced_inv, grads)
+    X = np.transpose(grads, (1, 0, 2)).reshape(nb, 2 * m)
+    Y = np.transpose(w[:, None, None] * W, (1, 0, 2)).reshape(nb, 2 * m)
+    stiff = X @ Y.T - values.T @ ((w * mesh.potential)[:, None] * values)
+    return 0.5 * (mass + mass.T), 0.5 * (stiff + stiff.T)
+
+
+@pytest.mark.parametrize("metric", ["round", "berger", "random", "bump"])
+def test_sum_factorised_assembly_matches_dense_products(metric, berger):
+    g = {
+        "round": lambda: round_metric(3),
+        "berger": lambda: berger[0],
+        "random": lambda: metric_from_curv(random_positive(3, seed=2)[0]),
+        "bump": BumpMetric,
+    }[metric]()
+    v = np.array([0.3, -0.5, 0.2, 0.9])
+    mesh = equator_mesh(g, v, order=32)
+    for L in (4, 8, 12):
+        gal = build_jacobi_galerkin(g, v, L, mesh=mesh)
+        mass, stiff = _dense_galerkin(mesh, L)
+        assert np.max(np.abs(gal.mass - mass)) <= 1e-13 * np.max(np.abs(mass))
+        assert np.max(np.abs(gal.stiffness - stiff)) <= 1e-13 * np.max(np.abs(stiff))
+        values, grads = real_harmonic_basis(L, mesh.theta, mesh.phi)
+        assert np.array_equal(gal.values, values)
+        assert np.array_equal(gal.grads, grads)
+    # the weak pairing of jacobi_apply_field against the four-operand contraction
+    etas, etagrads, _ = so4_jacobi_data(g, mesh)
+    w = mesh.weights * mesh.rho
+    r = np.einsum("n,nka,nab,nb->k", w, gal.grads, mesh.induced_inv, etagrads[0])
+    r -= gal.values.T @ (w * mesh.potential * etas[0])
+    expected = gal.values @ np.linalg.solve(gal.mass, -r)
+    out = jacobi_apply_field(g, None, etas[0], etagrads[0], galerkin=gal)
+    assert_allclose(out, expected, rtol=0, atol=1e-12 * max(1.0, np.max(np.abs(expected))))
 
 
 def test_member_spectra_have_index_one_nullity_three(berger_galerkin):

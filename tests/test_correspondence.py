@@ -28,10 +28,14 @@ from equator_forge.sphere_geom import _tangent_bases, chart_at, great_circle, ra
 from equator_forge.tensor_core import (
     CurvatureTensor,
     DegenerateInputError,
+    KillingField,
     PositivityError,
     constant_curvature,
+    curv_dim,
     fubini_study,
+    killing_matrices,
     random_positive,
+    tensor_from_basis,
 )
 from equator_forge.verification import BumpMetric
 
@@ -75,6 +79,44 @@ def test_volume_ratio_is_frame_independent(random_tensor):
         frame = Q @ E
         M = k.matrix_in_frame(p, frame)
         assert_allclose(np.linalg.det(M), base ** ((random_tensor.n - 1) / 2.0), rtol=1e-12)
+
+
+def _circle_loop_residual(k, circles, samples, seed):
+    """One great circle at a time: the reference for the batched residual."""
+    rng = np.random.default_rng(seed)
+    t = 2.0 * np.pi * np.arange(samples) / samples
+    worst = 0.0
+    for _ in range(circles):
+        p = random_unit(rng, k.n + 1)
+        u = rng.standard_normal(k.n + 1)
+        u -= (u @ p) * p
+        u /= np.linalg.norm(u)
+        vel = -np.sin(t)[:, None] * p + np.cos(t)[:, None] * u
+        vals = np.einsum("nij,ni,nj->n", k.ambient_matrices(great_circle(p, u, t)), vel, vel)
+        worst = max(worst, float(vals.max() - vals.min()))
+    return worst
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_constancy_residual_equals_circle_loop(n):
+    rng = np.random.default_rng(n)
+    R = CurvatureTensor(constant_curvature(n).coeffs + 0.2 * tensor_from_basis(
+        n, rng.standard_normal(curv_dim(n))).coeffs)
+    bent = KillingField(n, lambda P: P[:, :1, None] * (np.eye(n + 1) - P[:, :, None] * P[:, None, :]))
+    fields = [killing_from_curv(R, override=True),
+              killing_from_metric(metric_from_curv(R, override=True), constancy_circles=0), bent]
+    for k in fields:
+        for circles, samples in [(0, 10), (1, 7), (13, 40)]:
+            expected = _circle_loop_residual(k, circles, samples, seed=n + 11)
+            assert killing_constancy_residual(k, circles=circles, samples=samples, seed=n + 11) == expected
+    assert killing_constancy_residual(bent, circles=5, samples=20) > 0.1
+
+
+def test_ambient_matrices_are_killing_matrices_over_D(random_tensor):
+    g = CurvatureMetric(random_tensor)
+    P = np.array([random_unit(np.random.default_rng(i), 4) for i in range(20)])
+    expected = killing_matrices(random_tensor, P) / g.D_values(P)[:, None, None]
+    assert np.array_equal(g.ambient_matrices(P), expected)
 
 
 def test_killing_field_is_constant_along_great_circles(random_tensor):

@@ -72,3 +72,46 @@ def test_gradient_matches_finite_differences():
 def test_poles_are_rejected():
     with pytest.raises(ValueError):
         real_harmonic_basis(3, np.array([0.0]), np.array([0.0]))
+
+
+def _columnwise_basis(L, theta, phi):
+    """The basis one column at a time: the reference for the factored evaluation."""
+    from scipy.special import assoc_legendre_p_all
+
+    st = np.sin(theta)
+    N = np.zeros((L + 1, L + 1))
+    for l in range(L + 1):
+        for m in range(l + 1):
+            N[l, m] = math.sqrt((2 * l + 1) / (4.0 * math.pi)) * math.exp(
+                0.5 * (math.lgamma(l - m + 1) - math.lgamma(l + m + 1)))
+    values = np.empty((theta.size, basis_size(L)))
+    grads = np.empty((theta.size, basis_size(L), 2))
+    cos_m = np.cos(np.outer(phi, np.arange(L + 1)))
+    sin_m = np.sin(np.outer(phi, np.arange(L + 1)))
+    P, dP = assoc_legendre_p_all(L, L, np.cos(theta), diff_n=1)
+    dth = -st[None, None, :] * dP
+    col = 0
+    for l in range(L + 1):
+        values[:, col] = N[l, 0] * P[l, 0]
+        grads[:, col] = np.column_stack([N[l, 0] * dth[l, 0], np.zeros_like(st)])
+        col += 1
+        for m in range(1, l + 1):
+            base = math.sqrt(2.0) * N[l, m]
+            ratio = m * P[l, m] / st
+            for trig, dtrig in ((cos_m[:, m], -sin_m[:, m]), (sin_m[:, m], cos_m[:, m])):
+                values[:, col] = base * P[l, m] * trig
+                grads[:, col, 0] = base * dth[l, m] * trig
+                grads[:, col, 1] = base * ratio * dtrig
+                col += 1
+    return values, grads
+
+
+@pytest.mark.parametrize("L", [0, 1, 5, 16])
+def test_factored_basis_matches_columnwise_evaluation(L):
+    rng = np.random.default_rng(L)
+    theta = rng.uniform(0.01, math.pi - 0.01, 200)
+    phi = rng.uniform(-1.0, 7.0, 200)
+    values, grads = real_harmonic_basis(L, theta, phi)
+    ref_values, ref_grads = _columnwise_basis(L, theta, phi)
+    assert_allclose(values, ref_values, rtol=0, atol=1e-14)
+    assert_allclose(grads, ref_grads, rtol=0, atol=1e-14)

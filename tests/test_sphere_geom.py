@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from numpy.polynomial.legendre import leggauss
+
 from equator_forge.sphere_geom import (
     CHART_RADIUS,
     Equator,
@@ -23,6 +25,8 @@ from equator_forge.sphere_geom import (
     sphere_quadrature,
     sphere_volume,
     tangent_frame,
+    _equator_grid,
+    _reference_grid,
 )
 from equator_forge.tensor_core import DegenerateInputError, GroupElement
 
@@ -158,6 +162,42 @@ def test_equator_quadrature_weights_and_polynomials():
     assert_allclose(rule.integrate(vals), 4.0 * math.pi / 15.0, atol=1e-12)
     odd = rule.nodes[:, 2]
     assert_allclose(rule.integrate(odd), 0.0, atol=1e-12)
+
+
+def _fresh_equator_grid(v, order):
+    """The S^3 grid built afresh for one equator: the reference for the cached grid."""
+    u = v.basis()
+    z, wz = leggauss(order)
+    nphi = 2 * order
+    zz, pp = (a.reshape(-1) for a in np.meshgrid(z, 2.0 * math.pi * np.arange(nphi) / nphi, indexing="ij"))
+    st, cp, sp = np.sqrt(1.0 - zz**2), np.cos(pp), np.sin(pp)
+    return {
+        "basis": u,
+        "theta": np.arccos(np.clip(zz, -1.0, 1.0)),
+        "phi": pp,
+        "nodes": (st * cp)[:, None] * u[0] + (st * sp)[:, None] * u[1] + zz[:, None] * u[2],
+        "weights": np.repeat(wz, nphi) * (2.0 * math.pi / nphi),
+        "e_theta": (zz * cp)[:, None] * u[0] + (zz * sp)[:, None] * u[1] - st[:, None] * u[2],
+        "e_phi": (-sp)[:, None] * u[0] + cp[:, None] * u[1],
+    }
+
+
+def test_cached_equator_grid_is_read_only_and_unchanged():
+    rng = np.random.default_rng(7)
+    for order in (1, 5, 24):
+        for _ in range(3):
+            v = random_equator(rng, 3)
+            grid = _equator_grid(v, order)
+            fresh = _fresh_equator_grid(v, order)
+            assert grid.keys() == fresh.keys()
+            for name in grid:
+                assert grid[name].tobytes() == fresh[name].tobytes(), name
+        for array in _reference_grid(order):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+        for cached, rebuilt in zip(_reference_grid(order), _reference_grid.__wrapped__(order)):
+            assert cached.tobytes() == rebuilt.tobytes()
 
 
 def test_equator_quadrature_monte_carlo_fallback():
