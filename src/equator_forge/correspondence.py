@@ -31,6 +31,7 @@ import numpy as np
 from .jets import MatrixJet, quadratic_matrix_jet
 from .sphere_geom import GnomonicChart, random_unit
 from .tensor_core import (
+    AmbientField,
     CurvatureTensor,
     DegenerateInputError,
     DimensionError,
@@ -65,19 +66,13 @@ class SamplingError(RuntimeError):
 # metric fields
 
 
-class MetricField:
+class MetricField(AmbientField):
     """Riemannian metric on S^n evaluated through ambient matrices and chart jets.
 
-    Subclasses provide ``ambient_matrices`` (batched symmetric matrices that
-    annihilate the base point and restrict to the metric on the tangent space)
-    and ``_chart_jets`` (the exact 2-jets of the pulled-back metric in a stack
-    of gnomonic charts, given by their bases: rows centre, then frame).
+    Subclasses provide ``ambient_matrices`` (see :class:`AmbientField`) and
+    ``_chart_jets`` (the exact 2-jets of the pulled-back metric in a stack of
+    gnomonic charts, given by their bases: rows centre, then frame).
     """
-
-    n: int
-
-    def ambient_matrices(self, points) -> np.ndarray:
-        raise NotImplementedError
 
     def _chart_jets(self, bases: np.ndarray, x) -> MatrixJet:
         """Batched chart jets: ``bases`` (..., n+1, n+1) and ``x`` (..., n) share leading axes."""
@@ -91,20 +86,6 @@ class MetricField:
         # a batch of one: numpy's sums can round differently without a batch axis
         jet = self._chart_jets(np.vstack([chart.center, chart.frame])[None], x[None])
         return MatrixJet(jet.value[0], jet.grad[0], jet.hess[0])
-
-    def ambient_matrix(self, p) -> np.ndarray:
-        return self.ambient_matrices(np.asarray(p, float)[None, :])[0]
-
-    def value(self, p, u, v) -> float:
-        M = self.ambient_matrix(p)
-        return float(np.asarray(u, float) @ M @ np.asarray(v, float))
-
-    def matrix_in_frame(self, p, frame, *, check_positive: bool = False) -> np.ndarray:
-        E = np.asarray(frame, float)
-        M = E @ self.ambient_matrix(p) @ E.T
-        if check_positive and np.min(np.linalg.eigvalsh(M)) <= 0.0:
-            raise PositivityError("metric is not positive definite at the queried point")
-        return M
 
     def F_values(self, points) -> np.ndarray:
         """Volume ratio against the round metric, det^(2/(n+1)) in a tangent frame."""
@@ -167,35 +148,29 @@ def round_metric(n: int) -> CurvatureMetric:
 # ---------------------------------------------------------------------------
 # curvature tensor -> Killing tensor -> metric
 
-# depth and seed of the positivity probe that gates the generators
-PROBE_RESTARTS = 6
-PROBE_ITERS = 200
-PROBE_SEED = 0
+# the generators and verify_tensor need a certified bound above this
+POSITIVITY_MARGIN = 1e-6
 
 
-def _require_positive(R: CurvatureTensor, margin: float) -> None:
-    """Refuse R when the positivity probe finds a sectional curvature <= margin."""
-    cert = is_positive(R, margin=margin, restarts=PROBE_RESTARTS, iters=PROBE_ITERS, seed=PROBE_SEED)
+def _require_positive(R: CurvatureTensor) -> None:
+    cert = is_positive(R, margin=POSITIVITY_MARGIN)
     if not cert.positive:
-        raise PositivityError(
-            f"positivity probe reports min sectional {cert.min_estimate:.3g} <= {margin:g}"
-        )
+        raise PositivityError(f"certified curvature bound {cert.lower:.3g} <= {POSITIVITY_MARGIN:g}")
 
 
 def killing_from_curv(
     R: CurvatureTensor,
     *,
-    margin: float = 1e-6,
     override: bool = False,
 ) -> KillingField:
     """Killing tensor field k_p(v, w) = R(p, v, p, w) of a positive tensor.
 
-    Runs the positivity probe first and refuses generators whose estimated
-    minimum sectional curvature is below ``margin`` (pass ``override=True`` to
-    skip the gate, e.g. for negative controls).
+    Refuses generators whose certified lower bound on the sectional curvature
+    (:func:`is_positive`) is not above ``POSITIVITY_MARGIN``; pass
+    ``override=True`` to skip the gate, e.g. for negative controls.
     """
     if not override:
-        _require_positive(R, margin)
+        _require_positive(R)
     return KillingField(R.n, lambda P: killing_matrices(R, P), source=R)
 
 
@@ -230,12 +205,11 @@ def killing_constancy_residual(
 def metric_from_curv(
     R: CurvatureTensor,
     *,
-    margin: float = 1e-6,
     override: bool = False,
 ) -> CurvatureMetric:
     """Metric with all equators minimal, generated by a positive curvature tensor."""
     if not override:
-        _require_positive(R, margin)
+        _require_positive(R)
     return CurvatureMetric(R)
 
 
@@ -247,7 +221,6 @@ def killing_from_metric(
     g: MetricField,
     *,
     constancy_circles: int = 20,
-    constancy_samples: int = 60,
     seed: int = 0,
 ) -> KillingField:
     """Candidate Killing tensor k_g = g / F_g of a metric.
@@ -261,9 +234,7 @@ def killing_from_metric(
         return g.ambient_matrices(P) / g.F_values(P)[:, None, None]
 
     k = KillingField(g.n, batch)
-    k.constancy_residual = killing_constancy_residual(
-        k, circles=constancy_circles, samples=constancy_samples, seed=seed
-    )
+    k.constancy_residual = killing_constancy_residual(k, circles=constancy_circles, samples=60, seed=seed)
     return k
 
 
@@ -273,7 +244,6 @@ def curv_from_killing(
     samples: int | None = None,
     seed: int = 0,
     check_constancy: bool = True,
-    constancy_tol: float = 1e-8,
     full_output: bool = False,
 ):
     """Reconstruct the curvature tensor generating a Killing tensor field.
@@ -298,9 +268,9 @@ def curv_from_killing(
 
     if check_constancy:
         resid = killing_constancy_residual(k, circles=20, samples=60, seed=seed + 101)
-        if resid > constancy_tol:
+        if resid > 1e-8:
             raise DegenerateInputError(
-                f"field is not constant along great circles (residual {resid:.3g} > {constancy_tol:g})"
+                f"field is not constant along great circles (residual {resid:.3g} > 1e-8)"
             )
 
     attempt_seed = seed

@@ -4,9 +4,9 @@ A curvature tensor here is a 4-linear form with the symmetries of a Riemann
 tensor: antisymmetry in the first and last pairs, symmetry under swapping the
 pairs, and the first Bianchi identity.  The module provides construction and
 validation, an orthonormal basis of the space of such tensors, sectional
-curvature and a minimum-sectional-curvature probe, the model tensors (constant
-curvature and the complex-projective one), the twisted GL(n+1) action, and a
-dense JSON interchange format.
+curvature with a certified lower bound on its minimum and a descent probe,
+the model tensors (constant curvature and the complex-projective one), the
+twisted GL(n+1) action, and a dense JSON interchange format.
 
 Conventions: ``R.coeffs[a, b, c, d]`` is ``R(e_a, e_b, e_c, e_d)``, and the
 sectional curvature of the plane spanned by orthonormal ``x, y`` is
@@ -18,6 +18,8 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from functools import lru_cache
+from itertools import combinations
+from math import comb
 
 import numpy as np
 
@@ -32,6 +34,7 @@ __all__ = [
     "CurvatureTensor",
     "GroupElement",
     "SkewMatrix",
+    "AmbientField",
     "KillingField",
     "wedge",
     "symmetry_residuals",
@@ -44,6 +47,7 @@ __all__ = [
     "sectional",
     "sec_min_estimate",
     "sec_brute_force",
+    "PositivityCertificate",
     "is_positive",
     "constant_curvature",
     "complex_structure",
@@ -79,7 +83,7 @@ class DegenerateInputError(ValueError):
 
 
 class PositivityError(ValueError):
-    """The positivity probe refused a tensor that must have positive curvature."""
+    """A tensor or field that must be positive is not certified positive."""
 
 
 @dataclass(frozen=True)
@@ -419,28 +423,90 @@ def sec_brute_force(R: CurvatureTensor, *, samples: int = 20000, seed: int = 0):
     return float(vals[i]), (X[i], Y[i])
 
 
+def _two_vector_operator(R: CurvatureTensor) -> np.ndarray:
+    """R on 2-vectors e_a ^ e_b (a < b): entry ((a, b), (c, d)) is R(e_a, e_b, e_c, e_d)."""
+    a, b = np.triu_indices(R.n + 1, 1)
+    return R.coeffs[a, b][:, a, b]
+
+
+@lru_cache(maxsize=None)
+def _four_forms(m: int) -> np.ndarray:
+    """Operators on 2-vectors of the basis 4-forms e_a ^ e_b ^ e_c ^ e_d (a < b < c < d) of R^m."""
+    index = {pair: i for i, pair in enumerate(zip(*np.triu_indices(m, 1)))}
+    W = np.zeros((comb(m, 4), len(index), len(index)))
+    for k, (a, b, c, d) in enumerate(combinations(range(m), 4)):
+        for p, q, sign in (((a, b), (c, d), 1.0), ((a, c), (b, d), -1.0), ((a, d), (b, c), 1.0)):
+            W[k, index[p], index[q]] = W[k, index[q], index[p]] = sign
+    W.flags.writeable = False
+    return W
+
+
+def _best_four_form(R: CurvatureTensor) -> np.ndarray:
+    """Operator of the 4-form omega that maximizes lambda_min(R^ + omega^).
+
+    Damped Newton steps follow the log-barrier path of max t + mu log det(R^ +
+    omega^ - t I) from omega = 0, with mu falling by 10^3 a stage from ||R^||
+    to 10^-12 ||R^||; no step goes past 0.9 of the way to the boundary.  Every
+    omega gives a valid bound, so the search only tightens it.
+    """
+    A, forms = _two_vector_operator(R), _four_forms(R.n + 1)
+    K, ev = len(forms), np.linalg.eigvalsh(A)
+    scale = float(np.max(np.abs(ev)))
+    G = np.concatenate([forms, -np.eye(len(A))[None]])  # derivatives in z = (w, t)
+    z = np.append(np.zeros(K), ev[0] - scale)
+    for mu in scale * 1e-3 ** np.arange(5 if K and scale else 0):  # none for n = 2 or R = 0
+        for _ in range(50):
+            try:
+                Li = np.linalg.inv(np.linalg.cholesky(A + np.tensordot(z, G, 1)))
+            except np.linalg.LinAlgError:  # rounding left the feasible set
+                return np.tensordot(z[:K], forms, 1)
+            F = Li @ G @ Li.T  # the derivatives where the barrier matrix is I
+            grad = np.trace(F, axis1=1, axis2=2) + np.eye(K + 1)[K] / mu  # of log det + t / mu
+            step = np.linalg.solve(np.einsum("kij,lij->kl", F, F), grad)
+            z += 0.9 / max(0.9, -np.linalg.eigvalsh(np.tensordot(step, F, 1))[0]) * step
+            if grad @ step < 0.0625:  # Newton decrement below 1/4
+                break
+    return np.tensordot(z[:K], forms, 1)
+
+
 @dataclass(frozen=True)
 class PositivityCertificate:
-    """Result of the positivity probe (a numerical estimate, not a proof)."""
+    """Bounds on the minimum sectional curvature, with a witness plane.
+
+    ``lower`` is proven; ``upper`` is attained on the orthonormal plane
+    (x, y).  ``positive`` is ``lower > margin``.
+    """
 
     positive: bool
-    min_estimate: float
+    lower: float
+    upper: float
     margin: float
     x: np.ndarray
     y: np.ndarray
 
 
-def is_positive(
-    R: CurvatureTensor,
-    *,
-    margin: float = 0.0,
-    restarts: int = 8,
-    iters: int = 300,
-    seed: int = 0,
-) -> PositivityCertificate:
-    """Probe whether all sectional curvatures exceed ``margin``."""
-    res = sec_min_estimate(R, restarts=restarts, iters=iters, seed=seed)
-    return PositivityCertificate(res.value > margin, res.value, margin, res.x, res.y)
+def _certificate(R: CurvatureTensor, shift: np.ndarray, margin: float) -> PositivityCertificate:
+    """Bounds from lambda_min(R^ + shift), for the operator ``shift`` of a 4-form."""
+    M = _two_vector_operator(R) + shift
+    lam, vecs = np.linalg.eigh(M)
+    # eigh is backward stable: allow 8 N eps ||M||_F for it and for forming M
+    lower = float(lam[0] - 8 * len(M) * np.finfo(float).eps * np.linalg.norm(M))
+    X = np.zeros((R.n + 1, R.n + 1))
+    X[np.triu_indices(R.n + 1, 1)] = vecs[:, 0]
+    # the witness plane: the top singular pair of the bottom eigenvector as a skew matrix
+    x, y = np.linalg.svd(X - X.T)[0].T[:2]
+    return PositivityCertificate(lower > margin, lower, sectional(R, x, y), margin, x, y)
+
+
+def is_positive(R: CurvatureTensor, *, margin: float = 0.0) -> PositivityCertificate:
+    """Certify that all sectional curvatures of R exceed ``margin``, without sampling.
+
+    A 4-form omega vanishes on every plane, so lambda_min(R^ + omega^) bounds
+    the sectional curvature from below for every omega (Thorpe's trick).  The
+    bound is exact for n <= 3; for n >= 4 it certifies strongly positive
+    curvature, which is sufficient for positivity but not necessary.
+    """
+    return _certificate(R, _best_four_form(R), margin)
 
 
 # ---------------------------------------------------------------------------
@@ -510,14 +576,35 @@ def act(R: CurvatureTensor, T: GroupElement) -> CurvatureTensor:
 # Killing tensors of rank one pairs, and evaluation of R(p, ., p, .)
 
 
-class KillingField:
-    """Symmetric 2-tensor field on the sphere, evaluated through ambient matrices.
+class AmbientField:
+    """Symmetric 2-tensor field on S^n, evaluated through ambient matrices.
 
-    ``ambient_matrices(P)`` returns, for each row p of P, the symmetric
-    (n+1) x (n+1) matrix M(p) with M(p) p = 0 whose restriction to the tangent
-    space at p is the tensor.  For the field generated by a curvature tensor
-    this is k_p(v, w) = R(p, v, p, w).
+    Subclasses provide ``ambient_matrices(P)``: for each row p of P, the
+    symmetric matrix M(p) with M(p) p = 0 that restricts to the tensor at p.
     """
+
+    n: int
+
+    def ambient_matrices(self, points) -> np.ndarray:
+        raise NotImplementedError
+
+    def ambient_matrix(self, p) -> np.ndarray:
+        return self.ambient_matrices(np.asarray(p, float)[None, :])[0]
+
+    def value(self, p, v, w) -> float:
+        return float(np.asarray(v, float) @ self.ambient_matrix(p) @ np.asarray(w, float))
+
+    def matrix_in_frame(self, p, frame, *, check_positive: bool = False) -> np.ndarray:
+        """Matrix of the tensor in a frame given as rows of tangent vectors."""
+        E = np.asarray(frame, float)
+        M = E @ self.ambient_matrix(p) @ E.T
+        if check_positive and np.min(np.linalg.eigvalsh(M)) <= 0.0:
+            raise PositivityError("field is not positive definite at the queried point")
+        return M
+
+
+class KillingField(AmbientField):
+    """Field of a batched function of points, such as k_p(v, w) = R(p, v, p, w)."""
 
     def __init__(self, n: int, batch_fn, source: CurvatureTensor | None = None):
         self.n = n
@@ -529,18 +616,6 @@ class KillingField:
         if P.shape[1] != self.n + 1:
             raise DimensionError(f"points must have {self.n + 1} components")
         return self._batch_fn(P)
-
-    def ambient_matrix(self, p) -> np.ndarray:
-        return self.ambient_matrices(np.asarray(p, float)[None, :])[0]
-
-    def value(self, p, v, w) -> float:
-        M = self.ambient_matrix(p)
-        return float(np.asarray(v, float) @ M @ np.asarray(w, float))
-
-    def matrix_in_frame(self, p, frame) -> np.ndarray:
-        """Matrix of the tensor in a frame given as rows of tangent vectors."""
-        E = np.asarray(frame, float)
-        return E @ self.ambient_matrix(p) @ E.T
 
     def __add__(self, other: "KillingField") -> "KillingField":
         if other.n != self.n:
@@ -587,17 +662,6 @@ def sym_product(K: SkewMatrix, L: SkewMatrix) -> KillingField:
 
 # longest walk from the round tensor taken by random_positive
 STEP_CAP = 64.0
-# Initial descent step for probing the unit-norm direction U.  The probe's
-# default of 0.05 suits tensors like R0 + eps U, whose sectional curvatures
-# vary over planes eps times as much as U's (eps is 3 to 6 at n = 5); the
-# same descent path on U needs a step eps times larger.  With 0.05, a
-# 128 x 300 probe of U stopped short of the minimum on most n = 5 seeds.
-DIRECTION_STEP = 0.5
-# Depth of the probe of U.  Against a 256 x 400 reference probe on 20 n = 5
-# seeds, 64 x 150 left true minima as low as 0.062 for a target of 0.1, and
-# 128 x 300 kept every one at or above 0.0978.
-DIRECTION_RESTARTS = 128
-DIRECTION_ITERS = 300
 
 
 def random_positive(
@@ -606,45 +670,23 @@ def random_positive(
     *,
     target_margin: float = 0.1,
 ):
-    """Random curvature tensor with all sectional curvatures above ``target_margin``.
+    """Random tensor with a certified bound ``target_margin`` on its sectional curvature.
 
-    Draws a unit-norm random direction U in curvature-tensor space and walks
-    from the round tensor R0 along it.  On a fixed orthonormal plane (x, y)
-    the walk gives sec(R0 + eps U) = 1 + eps U(x, y, x, y), so the plane that
-    minimizes the sectional curvature does not depend on eps, and the step
-    has the closed form eps = (1 - target_margin) / (-min sec U).  One batched
-    :func:`sec_min_estimate` probe of U (``DIRECTION_RESTARTS`` x
-    ``DIRECTION_ITERS``) supplies min sec U and its witness plane; when the
-    probe finds no negative curvature of U, or the step would exceed
-    ``STEP_CAP``, the step is ``STEP_CAP``.  Deterministic for a given seed.
-
-    The returned minimum is R's sectional curvature on the witness plane, so
-    it is a probe estimate: an upper bound on the true minimum, not a
-    certificate.  If the probe misses U's deepest plane, the true minimum of
-    the tensor lies below ``target_margin``.
-
-    Returns
-    -------
-    (CurvatureTensor, float, float)
-        The tensor, the probed minimum sectional curvature, and the step size.
+    Walks from the round tensor R0, the identity on 2-vectors, along a seeded
+    unit-norm direction U.  With the 4-form omega of U's certificate
+    (:func:`is_positive`), R0 + eps U has the bound 1 + eps lower(U), so the
+    step is eps = (1 - target_margin) / -lower(U), capped at ``STEP_CAP``.
+    Returns the tensor, its bound (from the shift eps omega) and eps.
     """
     if not 0.0 < target_margin < 1.0:
         raise ValueError(f"target_margin must lie in (0, 1), got {target_margin!r}")
-    rng = np.random.default_rng(seed)
-    B = basis_matrix(n)
-    u = rng.standard_normal(B.shape[0])
-    u /= np.linalg.norm(u)
-    m = n + 1
-    U = CurvatureTensor((u @ B).reshape(m, m, m, m))
-    probe = sec_min_estimate(
-        U, restarts=DIRECTION_RESTARTS, iters=DIRECTION_ITERS, step=DIRECTION_STEP, seed=seed + 1
-    )
-    if probe.value < 0.0:
-        eps = min(STEP_CAP, (1.0 - target_margin) / -probe.value)
-    else:
-        eps = STEP_CAP
+    u = np.random.default_rng(seed).standard_normal(curv_dim(n))
+    U = tensor_from_basis(n, u / np.linalg.norm(u))
+    shift = _best_four_form(U)
+    lower = _certificate(U, shift, 0.0).lower
+    eps = min(STEP_CAP, (1.0 - target_margin) / -lower) if lower < 0.0 else STEP_CAP
     R = CurvatureTensor(constant_curvature(n, 1.0).coeffs + eps * U.coeffs)
-    return R, sectional(R, probe.x, probe.y), float(eps)
+    return R, _certificate(R, eps * shift, target_margin).lower, float(eps)
 
 
 # ---------------------------------------------------------------------------

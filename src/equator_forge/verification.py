@@ -21,6 +21,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .correspondence import (
+    POSITIVITY_MARGIN,
     CurvatureMetric,
     MetricField,
     curv_from_killing,
@@ -47,7 +48,7 @@ from .tensor_core import (
     DimensionError,
     GroupElement,
     act,
-    sec_min_estimate,
+    is_positive,
     symmetry_residuals,
 )
 
@@ -240,23 +241,16 @@ def cyclic_symmetrization(T: np.ndarray) -> np.ndarray:
     return T + np.moveaxis(T, -3, -1) + np.moveaxis(T, -1, -3)
 
 
-def _round_gamma(x: np.ndarray) -> np.ndarray:
-    """Christoffel symbols of the round metric, the same in every gnomonic chart.
-
-    gamma[k, i, j] = -(x_i delta_jk + x_j delta_ik) / (1 + |x|^2).
-    """
-    G = -np.einsum("i,jk->kij", x, np.eye(x.shape[0])) / (1.0 + x @ x)
-    return G + np.swapaxes(G, 1, 2)
-
-
 def fundamental_tensor(g: MetricField, chart: GnomonicChart, x, X=None, Y=None, Z=None):
     """Difference tensor g(nabla^g_X Y - nabla-bar_X Y, Z) at chart point x.
 
+    Both connections are torsion free, so the Koszul formula gives it from the
+    first-order jet: T_ijk = (nabla-bar_i g_jk + nabla-bar_j g_ik - nabla-bar_k g_ij) / 2.
     Without vectors, returns the (n, n, n) array T[i, j, k]; with chart-
     coordinate vectors X, Y, Z, returns the scalar contraction.
     """
-    cd = christoffels(g, chart, x)
-    T = np.einsum("mij,mk->ijk", cd.gamma - _round_gamma(cd.x), cd.gmat)
+    nb = nabla_bar_g(g, chart, x)  # nb[i, j, k] = nabla-bar_k g_ij
+    T = 0.5 * (np.einsum("jki->ijk", nb) + np.einsum("ikj->ijk", nb) - nb)
     if X is None and Y is None and Z is None:
         return T
     if X is None or Y is None or Z is None:
@@ -267,8 +261,8 @@ def fundamental_tensor(g: MetricField, chart: GnomonicChart, x, X=None, Y=None, 
 def _nabla_bar(jet: MatrixJet, x: np.ndarray) -> np.ndarray:
     """nabla-bar_k g_ij = d_k g_ij + (2 x_k g_ij + x_i g_kj + x_j g_ik) / (1 + |x|^2).
 
-    The round connection term in closed form (see :func:`_round_gamma`), with
-    no sums, so a batch of points gives exactly the pointwise values.
+    The round connection term in closed form, with no sums, so a batch of
+    points gives exactly the pointwise values.
     """
     g = jet.value
     xi, xj, xk = x[..., :, None, None], x[..., None, :, None], x[..., None, None, :]
@@ -455,19 +449,16 @@ def mean_curvature_sweep(
     equators: int = 20,
     points: int = 10,
     seed: int = 0,
-    extra_normals=(),
     extra_pairs=(),
 ) -> float:
     """Max |mean curvature| over seeded equators and points on each.
 
-    ``extra_normals`` adds deterministic equators, and ``extra_pairs`` adds
-    explicit ``(normal, points)`` batches; both are used to aim the sweep at a
-    localized perturbation when testing negative controls.  All points are
-    evaluated in one batched pass.
+    ``extra_pairs`` adds explicit ``(normal, points)`` batches, used to aim the
+    sweep at a localized perturbation when testing negative controls.  All
+    points are evaluated in one batched pass.
     """
     rng = np.random.default_rng(seed)
     normals = [random_equator(rng, g.n).normal for _ in range(equators)]
-    normals += [np.asarray(v, float) for v in extra_normals]
     jobs = [(v, _equator_points(rng, v, points)) for v in normals]
     jobs += [(np.asarray(v, float), np.asarray(pts, float)) for v, pts in extra_pairs]
     V = np.concatenate([np.broadcast_to(v, pts.shape) for v, pts in jobs])
@@ -545,12 +536,11 @@ DEFAULT_TOLERANCES = {
 }
 
 
-def _add_sweep_checks(report, g, tol, equators, points, eq_samples,
-                      extra_normals=(), extra_pairs=()) -> None:
+def _add_sweep_checks(report, g, tol, equators, points, eq_samples, extra_pairs=()) -> None:
     """The mean-curvature and metric-equation checks, seeded from the report's seed."""
     seed = report.seed
     worst = mean_curvature_sweep(g, equators=equators, points=points, seed=seed + 2,
-                                 extra_normals=extra_normals, extra_pairs=extra_pairs)
+                                 extra_pairs=extra_pairs)
     report.add("mean_curvature", worst, tol["mean_curvature"], equators * points, seed + 2)
     worst = metric_equation_sweep(g, samples=eq_samples, seed=seed + 3)
     report.add("metric_equation", worst, tol["metric_equation"], eq_samples, seed + 3)
@@ -566,18 +556,17 @@ def verify_tensor(
     circles: int = 50,
     eq_samples: int = 30,
     group_elements: int = 5,
-    positivity_margin: float = 1e-6,
 ) -> VerificationReport:
-    """Run the full verification suite on a curvature tensor."""
+    """Run the full verification suite; it stops after positivity unless is_positive's bound is > 0."""
     tol = dict(DEFAULT_TOLERANCES)
     tol.update(tolerances or {})
     report = VerificationReport("tensor", R.n, seed)
 
     report.add("symmetry", symmetry_residuals(R.coeffs).max, tol["symmetry"], 0, seed)
 
-    probe = sec_min_estimate(R, restarts=8, iters=250, seed=seed)
-    report.add("positivity", max(0.0, positivity_margin - probe.value), tol["positivity"], 8, seed)
-    if probe.value <= 0.0:
+    lower = is_positive(R).lower
+    report.add("positivity", max(0.0, POSITIVITY_MARGIN - lower), tol["positivity"], 0, seed)
+    if lower <= 0.0:
         return report
 
     g = metric_from_curv(R, override=True)
@@ -613,7 +602,6 @@ def verify_metric(
     equators: int = 20,
     points: int = 10,
     eq_samples: int = 30,
-    extra_normals=(),
     extra_pairs=(),
 ) -> VerificationReport:
     """Run the metric-side membership checks (used for negative controls)."""
@@ -624,7 +612,7 @@ def verify_metric(
     k = killing_from_metric(g, seed=seed)
     report.add("killing_constancy", k.constancy_residual, tol["killing_constancy"], 20, seed)
 
-    _add_sweep_checks(report, g, tol, equators, points, eq_samples, extra_normals, extra_pairs)
+    _add_sweep_checks(report, g, tol, equators, points, eq_samples, extra_pairs)
 
     worst = antipodal_residual(g, samples=40, seed=seed + 6)
     report.add("antipodal", worst, tol["antipodal"], 40, seed + 6)

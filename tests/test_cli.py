@@ -10,8 +10,21 @@ import pytest
 
 import equator_forge
 from equator_forge.cli import main
+from equator_forge.correspondence import metric_from_curv
 from equator_forge.tableio import write_json
-from equator_forge.tensor_core import GroupElement, load_tensor, save_matrix
+from equator_forge.tensor_core import (
+    CurvatureTensor,
+    GroupElement,
+    PositivityError,
+    constant_curvature,
+    curv_dim,
+    is_positive,
+    load_tensor,
+    save_matrix,
+    save_tensor,
+    sectional,
+    tensor_from_basis,
+)
 
 
 def run(capsys, *argv):
@@ -143,6 +156,26 @@ def test_verify_rejects_non_finite_tolerance(tmp_path, capsys, value):
     assert code == 2
     assert "error:" in err and "--tol-roundtrip must be finite" in err
     assert payload is None
+
+
+def test_verify_rejects_a_negative_plane_for_every_seed(tmp_path, capsys):
+    # U is the unit direction random_positive(5, seed=1) draws; R0 + t U has the
+    # least sectional curvature 1 + t lower(U) = -0.05.  A seeded 8 x 250
+    # descent probe passed this tensor with seed 18.
+    u = np.random.default_rng(1).standard_normal(curv_dim(5))
+    U = tensor_from_basis(5, u / np.linalg.norm(u))
+    cert = is_positive(U)
+    t = 1.05 / -cert.lower
+    R = CurvatureTensor(constant_curvature(5).coeffs + t * U.coeffs)
+    assert sectional(R, cert.x, cert.y) < -0.049
+    path = tmp_path / "negative.json"
+    save_tensor(R, str(path))
+    for seed in range(20):
+        code, payload, _ = run(capsys, "verify", str(path), "--seed", str(seed))
+        assert code == 1
+        assert not payload["report"]["checks"]["positivity"]["pass"]
+    with pytest.raises(PositivityError):
+        metric_from_curv(R)
 
 
 def test_verify_tolerance_override_can_fail(tmp_path, capsys):

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from equator_forge.tensor_core import (
@@ -186,14 +188,55 @@ def test_fubini_study_minimum_is_one():
 
 def test_is_positive_and_certificates():
     R, _, _ = random_positive(3, seed=4)
-    cert = is_positive(R, margin=0.0, seed=0)
+    cert = is_positive(R, margin=0.0)
     assert cert.positive
-    assert cert.min_estimate > 0
+    assert 0 < cert.lower <= cert.upper
     # an indefinite tensor: flip the sign
     neg = CurvatureTensor(-R.coeffs)
-    cert2 = is_positive(neg, seed=0)
+    cert2 = is_positive(neg)
     assert not cert2.positive
     assert sectional(neg, cert2.x, cert2.y) < 0
+
+
+def _projected_gaussian(n, seed):
+    m = n + 1
+    return CurvatureTensor(curvature_projection(np.random.default_rng(seed).standard_normal((m,) * 4)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
+def test_certificate_brackets_the_minimum(n, seed):
+    R = _projected_gaussian(n, seed)
+    cert = is_positive(R)
+    assert_allclose(np.stack([cert.x, cert.y]) @ np.stack([cert.x, cert.y]).T, np.eye(2), atol=1e-12)
+    assert cert.upper == sectional(R, cert.x, cert.y)
+    assert cert.lower <= cert.upper
+    assert cert.lower <= sec_brute_force(R, samples=2000, seed=seed)[0]
+
+
+def test_certificate_is_exact_for_n2():
+    # every 2-vector in three dimensions is a plane, so lambda_min of R^ is the minimum
+    for seed in range(20):
+        cert = is_positive(_projected_gaussian(2, seed))
+        assert 0.0 <= cert.upper - cert.lower <= 1e-12
+
+
+def test_fubini_study_is_certified_by_the_four_form():
+    R = fubini_study(2)
+    a, b = np.triu_indices(6, 1)
+    # R^ alone has a zero eigenvalue; only the 4-form shift lifts the bound to the minimum, 1
+    assert abs(np.linalg.eigvalsh(R.coeffs[a, b][:, a, b])[0]) < 1e-12
+    cert = is_positive(R, margin=0.5)
+    assert cert.positive
+    assert 1.0 - 1e-9 <= cert.lower <= cert.upper
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_random_positive_bound_is_the_target_margin(n):
+    R, lower, _ = random_positive(n, seed=n, target_margin=0.1)
+    assert abs(lower - 0.1) <= 1e-9
+    # a fresh search on R certifies it as well
+    assert is_positive(R).lower >= 0.1 - 1e-9
 
 
 def test_random_positive_meets_target_margin():
