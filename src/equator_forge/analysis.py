@@ -23,16 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correspondence import CurvatureMetric, MetricField, curv_from_killing
-from .harmonics import _basis_values, _harmonic_factors, basis_degrees
+from .harmonics import _harmonic_factors, basis_degrees, real_harmonic_basis
 from .parallel import thread_count, tmap
-from .sphere_geom import (
-    Equator,
-    check_unit,
-    equator_quadrature,
-    _equator_grid,
-    _gram_schmidt,
-    tangent_frame,
-)
+from .sphere_geom import Equator, _equator_rule, _reference_grid, _tangent_bases, check_unit
 from .tensor_core import (
     DegenerateInputError,
     DimensionError,
@@ -60,7 +53,6 @@ __all__ = [
     "SpectrumProbe",
     "jacobi_spectrum_probe",
     "jacobi_apply_field",
-    "so4_jacobi_functions",
     "so4_jacobi_data",
     "quaternion_generators",
     "left_invariant_killing",
@@ -76,19 +68,15 @@ def _as_equator(v) -> Equator:
     return v if isinstance(v, Equator) else Equator(np.asarray(v, dtype=float))
 
 
-def _area_elements(g: MetricField, v: Equator, order: int, *, seed: int = 0):
+def _area_elements(g: MetricField, v: Equator, order: int, seed: int):
     """Nodes, round weights and g-area densities on the equator with normal v.
 
-    At a node p with ambient metric matrix G the density is
-    sqrt det(P G P + I - P), where P = I - v v^T - p p^T projects onto the
-    tangent space of the equator at p.
+    At a node with ambient metric matrix G and round orthonormal tangent frame
+    F of the equator (rows), the density is sqrt det(F G F^T).
     """
-    rule = equator_quadrature(v, order, seed=seed)
-    nodes = rule.nodes
-    eye = np.eye(v.n + 1)
-    P = eye - np.outer(v.normal, v.normal) - np.einsum("ni,nj->nij", nodes, nodes)
-    rho = np.sqrt(np.linalg.det(P @ g.ambient_matrices(nodes) @ P + eye - P))
-    return nodes, rule.weights, rho
+    nodes, weights, frames = _equator_rule(v, order, seed)
+    rho = np.sqrt(np.linalg.det(frames @ g.ambient_matrices(nodes) @ frames.transpose(0, 2, 1)))
+    return nodes, weights, rho
 
 
 def equator_area(g: MetricField, v, order: int = 32, *, seed: int = 0) -> float:
@@ -98,21 +86,19 @@ def equator_area(g: MetricField, v, order: int = 32, *, seed: int = 0) -> float:
     of v.  Uses the deterministic product quadrature on S^3 (seeded Monte
     Carlo elsewhere).
     """
-    eq = _as_equator(v)
-    _, weights, rho = _area_elements(g, eq, order, seed=seed)
+    _, weights, rho = _area_elements(g, _as_equator(v), order, seed)
     return float(weights @ rho)
 
 
 def funk_radon(g: MetricField, f, v, order: int = 32, *, seed: int = 0) -> float:
-    """Integral of f over the equator with normal v, against the g-area element."""
-    eq = _as_equator(v)
-    nodes, weights, rho = _area_elements(g, eq, order, seed=seed)
-    try:
-        values = np.asarray(f(nodes), dtype=float)
-        if values.shape != (nodes.shape[0],):
-            raise TypeError
-    except (TypeError, ValueError):
-        values = np.array([float(f(p)) for p in nodes])
+    """Integral of f over the equator with normal v, against the g-area element.
+
+    ``f`` maps the (m, n+1) array of quadrature nodes to their m values.
+    """
+    nodes, weights, rho = _area_elements(g, _as_equator(v), order, seed)
+    values = np.asarray(f(nodes), dtype=float)
+    if values.shape != weights.shape:
+        raise DimensionError(f"f must map the nodes {nodes.shape} to {weights.shape}, got {values.shape}")
     return float(weights @ (values * rho))
 
 
@@ -129,13 +115,6 @@ class SecondFundamentalForm:
     mean_curvature: float
     norm2: float  # |A|^2 with indices raised by the induced metric
     induced: np.ndarray  # induced metric matrix in `frame`
-
-
-def _equator_tangent_frame(v: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Deterministic orthonormal basis of (v, p)-perp, as rows."""
-    u = tangent_frame(v)
-    drop = int(np.argmax(np.abs(u @ p)))
-    return _gram_schmidt(np.vstack([v, p, np.delete(u, drop, axis=0)]))[2:]
 
 
 def _shape_operator(gmat, hess, norm):
@@ -158,7 +137,8 @@ def second_fundamental_form(g: MetricField, v, p) -> SecondFundamentalForm:
     p = check_unit(p)
     if abs(p @ v) > 1e-10:
         raise DegenerateInputError("p does not lie on the equator of v")
-    sigma_frame = _equator_tangent_frame(v, p)
+    u = eq.basis()
+    sigma_frame = _tangent_bases(u @ p)[1:] @ u  # orthonormal basis of (v, p)-perp
     bases = np.vstack([p, sigma_frame, v])
     gmat, ginv, gamma, _ = _centre_arrays(g, bases)
     _, _, hess, norm, _ = _height_hessian(bases, ginv, gamma, v)
@@ -182,10 +162,8 @@ class EquatorMesh:
     phi: np.ndarray
     nodes: np.ndarray  # (m, 4)
     weights: np.ndarray  # round quadrature weights, sum 4 pi
-    e_theta: np.ndarray
-    e_phi: np.ndarray
-    ambient_g: np.ndarray  # (m, 4, 4) ambient metric matrices at the nodes
-    induced: np.ndarray  # (m, 2, 2) induced metric in the (e_theta, e_phi) frame
+    frames: np.ndarray  # (m, 2, 4) round orthonormal (e_theta, e_phi) at the nodes
+    induced: np.ndarray  # (m, 2, 2) induced metric in `frames`
     induced_inv: np.ndarray
     rho: np.ndarray  # area density against the round element
     normal_ambient: np.ndarray  # (m, 4) unit g-normal of the equator
@@ -209,9 +187,9 @@ def _node_blocks(fn, m: int) -> list[np.ndarray]:
     return [np.concatenate(field) for field in zip(*parts)]
 
 
-def _mesh_bases(mesh_nodes, e_theta, e_phi, v) -> np.ndarray:
+def _mesh_bases(mesh_nodes, frames, v) -> np.ndarray:
     """Chart bases (m, 4, 4) with rows (node, e_theta, e_phi, v)."""
-    return np.stack([mesh_nodes, e_theta, e_phi, np.broadcast_to(v, mesh_nodes.shape)], axis=1)
+    return np.concatenate([mesh_nodes[:, None], frames, np.broadcast_to(v, frames[:, :1].shape)], axis=1)
 
 
 def equator_mesh(g: MetricField, v, order: int = 32) -> EquatorMesh:
@@ -220,10 +198,8 @@ def equator_mesh(g: MetricField, v, order: int = 32) -> EquatorMesh:
         raise DimensionError("Jacobi meshes are implemented for S^3")
     eq = _as_equator(v)
     vn = eq.normal
-    grid = _equator_grid(eq, order)
-    nodes = grid["nodes"]
-    ambient_g = g.ambient_matrices(nodes)
-    bases = _mesh_bases(nodes, grid["e_theta"], grid["e_phi"], vn)
+    nodes, weights, frames = _equator_rule(eq, order, 0)  # seed unused: S^3 has the product grid
+    bases = _mesh_bases(nodes, frames, vn)
 
     def node_block(sl):
         gmat, ginv, gamma, dgamma = _centre_arrays(g, bases[sl])
@@ -235,20 +211,10 @@ def equator_mesh(g: MetricField, v, order: int = 32) -> EquatorMesh:
         return normal_ambient, _mean_curvature(ginv, hess, norm, normal), ric_nn + a2, G
 
     normal_ambient, mean_curv, potential, induced = _node_blocks(node_block, nodes.shape[0])
-    induced_inv = np.linalg.inv(induced)
-    rho = np.sqrt(np.linalg.det(induced))
-    return EquatorMesh(
-        equator=eq,
-        order=order,
-        **grid,  # basis, theta, phi, nodes, weights, e_theta, e_phi
-        ambient_g=ambient_g,
-        induced=induced,
-        induced_inv=induced_inv,
-        rho=rho,
-        normal_ambient=normal_ambient,
-        mean_curv=mean_curv,
-        potential=potential,
-    )
+    theta, phi = _reference_grid(order)[:2]
+    return EquatorMesh(eq, order, eq.basis(), theta, phi, nodes, weights, frames, induced,
+                       np.linalg.inv(induced), np.sqrt(np.linalg.det(induced)), normal_ambient,
+                       mean_curv, potential)
 
 
 # ---------------------------------------------------------------------------
@@ -267,22 +233,25 @@ class JacobiGalerkin:
     mesh: EquatorMesh
     L: int
     degrees: np.ndarray
-    values: np.ndarray  # (m, nb)
-    grads: np.ndarray  # (m, nb, 2) in the (e_theta, e_phi) frame
     stiffness: np.ndarray
     mass: np.ndarray
+
+    def basis(self):
+        """Values (m, nb) of the harmonic basis at the mesh nodes, and its
+        gradients (m, nb, 2) in the mesh frames."""
+        return real_harmonic_basis(self.L, self.mesh.theta, self.mesh.phi)
 
     def project(self, node_values) -> np.ndarray:
         """Coefficients of the mass-orthogonal projection of node values."""
         w = self.mesh.weights * self.mesh.rho
-        return self._mass_solve(self.values.T @ (w * np.asarray(node_values, dtype=float)))
+        return self._mass_solve(self.basis()[0].T @ (w * np.asarray(node_values, dtype=float)))
 
     def apply(self, coeffs) -> np.ndarray:
         """Node values of the Jacobi operator applied to a coefficient vector."""
         c = np.asarray(coeffs, dtype=float)
-        if c.shape != (self.values.shape[1],):
-            raise DimensionError(f"expected {self.values.shape[1]} coefficients")
-        return self.values @ self._mass_solve(-self.stiffness @ c)
+        if c.shape != self.degrees.shape:
+            raise DimensionError(f"expected {self.degrees.size} coefficients")
+        return self.basis()[0] @ self._mass_solve(-self.stiffness @ c)
 
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues of minus the Jacobi operator, ascending."""
@@ -324,8 +293,7 @@ def build_jacobi_galerkin(g: MetricField, v, L: int, *, order: int | None = None
         (Pp, dT, w * Ginv[..., 1, 1], Pp, dT),
         (Pv, T, -w * mesh.potential.reshape(-1, cols), Pv, T),
     ], index)
-    values, grads = _basis_values(Pv[:, None], Pt[:, None], Pp[:, None], T[None], dT[None], index)
-    return JacobiGalerkin(mesh, L, basis_degrees(L), values, grads, stiff, mass)
+    return JacobiGalerkin(mesh, L, basis_degrees(L), stiff, mass)
 
 
 @dataclass(frozen=True)
@@ -375,7 +343,7 @@ def jacobi_apply_field(
     """Apply the Jacobi operator to a function given by exact node data.
 
     ``values`` are the function's values at the mesh nodes and ``grads`` its
-    surface gradient components in the unit (e_theta, e_phi) directions.  The
+    surface gradient components along the mesh frames (e_theta, e_phi).  The
     weak pairings with the degree-L harmonics use this exact data, so the
     result is limited by quadrature only, not by how well the function itself
     truncates at degree L (compare :meth:`JacobiGalerkin.apply`).
@@ -384,35 +352,21 @@ def jacobi_apply_field(
     mesh = gal.mesh
     values = np.asarray(values, dtype=float)
     grads = np.asarray(grads, dtype=float)
+    basis_values, basis_grads = gal.basis()
     w = mesh.weights * mesh.rho
     t = w[:, None] * np.einsum("nab,nb->na", mesh.induced_inv, grads)
-    # r[k] = sum_n <gal.grads[n, k], t[n]>: the (a, a) diagonal of one matrix product
-    r = np.einsum("kaa->k", (gal.grads.reshape(t.shape[0], -1).T @ t).reshape(-1, 2, 2))
-    r -= gal.values.T @ (w * mesh.potential * values)
-    return gal.values @ gal._mass_solve(-r)
-
-
-def so4_jacobi_functions(g: MetricField, mesh: EquatorMesh):
-    """Jacobi-null candidates from ambient rotations tilting the equator.
-
-    The rotation generators K pairing the normal v with a basis of the equator
-    hyperplane move the equator through the family of nearby equators; the
-    functions g(K p, N) generated this way span the expected nullity.  (The
-    generators fixing v map to the zero function.)  Returns the three node-value
-    arrays and the generators.
-    """
-    v = mesh.equator.normal
-    Ks = [wedge(v, u) for u in mesh.basis]
-    etas = []
-    for K in Ks:
-        KP = mesh.nodes @ K.matrix.T
-        etas.append(np.einsum("ni,nij,nj->n", KP, mesh.ambient_g, mesh.normal_ambient))
-    return np.array(etas), Ks
+    # r[k] = sum_n <basis_grads[n, k], t[n]>: the (a, a) diagonal of one matrix product
+    r = np.einsum("kaa->k", (basis_grads.reshape(t.shape[0], -1).T @ t).reshape(-1, 2, 2))
+    r -= basis_values.T @ (w * mesh.potential * values)
+    return basis_values @ gal._mass_solve(-r)
 
 
 def so4_jacobi_data(g: MetricField, mesh: EquatorMesh):
-    """The rotation-generated Jacobi functions with exact surface gradients.
+    """Jacobi-null candidates g(Kp, N) from ambient rotations tilting the equator,
+    with exact surface gradients.
 
+    The generators K pairing the normal v with the basis of the equator
+    hyperplane move it through nearby equators and span the expected nullity.
     In the chart with frame (e_theta, e_phi, v) at a node, the function of the
     generator K reduces to eta = X(h) / |grad h|_g, where h is the height
     along v and X the chart velocity field of the rotation; the metric factors
@@ -423,7 +377,7 @@ def so4_jacobi_data(g: MetricField, mesh: EquatorMesh):
     """
     v = mesh.equator.normal
     Ks = [wedge(v, u) for u in mesh.basis]
-    bases = _mesh_bases(mesh.nodes, mesh.e_theta, mesh.e_phi, v)
+    bases = _mesh_bases(mesh.nodes, mesh.frames, v)
     Kv = np.stack([K.matrix.T @ v for K in Ks], axis=1)
 
     def node_block(sl):

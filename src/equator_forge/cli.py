@@ -58,8 +58,14 @@ class RunConfig:
 
 
 def _emit(payload: dict) -> None:
-    json.dump(payload, sys.stdout, indent=2, allow_nan=False)
-    sys.stdout.write("\n")
+    """Print one JSON document; nothing is written if it does not encode."""
+    sys.stdout.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
+
+
+def _require_at_least_one(args, *names) -> None:
+    for name in names:
+        if getattr(args, name) < 1:
+            raise ValueError(f"--{name} must be at least 1, got {getattr(args, name)}")
 
 
 def _load_subject(path: str):
@@ -156,6 +162,7 @@ def _bump_probe_pairs(g: BumpMetric, points: int = 12):
 
 
 def cmd_verify(args) -> int:
+    _require_at_least_one(args, "equators", "points")
     tolerances = {}
     for name in CHECK_NAMES:
         val = getattr(args, f"tol_{name}")
@@ -205,6 +212,7 @@ def _metric_from_file(path: str):
 
 
 def cmd_area(args) -> int:
+    _require_at_least_one(args, "equators")
     g = _metric_from_file(args.input)
     rng = np.random.default_rng(args.seed)
     normals = [random_equator(rng, g.n).normal for _ in range(args.equators)]
@@ -279,6 +287,7 @@ def _radon_function(kind: str, seed: int, dim: int):
 
 
 def cmd_radon(args) -> int:
+    _require_at_least_one(args, "equators")
     g = _metric_from_file(args.input)
     f = _radon_function(args.f, args.f_seed, g.n + 1)
     rng = np.random.default_rng(args.seed)

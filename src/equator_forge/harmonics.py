@@ -70,15 +70,14 @@ def real_harmonic_basis(L: int, theta: np.ndarray, phi: np.ndarray):
     """Values (m, (L+1)^2) and tangential gradients (m, (L+1)^2, 2) of the real
     harmonics of degree <= L at m points with polar angles theta, phi, where
     0 < theta < pi; gradient components are (d_theta Y, d_phi Y / sin theta)."""
-    return _basis_values(*_harmonic_factors(L, theta, phi))
-
-
-def _basis_values(Pv, Pt, Pp, T, dT, index):
-    """Basis values and gradients, nodes flattened, from factors gathered before the product."""
+    # the factors at each distinct angle only: a product grid repeats every theta and phi
+    (theta, at), (phi, ap) = (np.unique(x, return_inverse=True) for x in (theta, phi))
+    Pv, Pt, Pp, T, dT, index = _harmonic_factors(L, theta, phi)
     a = index % T.shape[-1]
-    Pv, Pt, Pp = (F.reshape(*F.shape[:-2], -1)[..., index] for F in (Pv, Pt, Pp))
-    values = Pv * T[..., a]
+    Pv, Pt, Pp = (F.reshape(F.shape[0], -1)[:, index][at] for F in (Pv, Pt, Pp))
+    T, dT = T[:, a][ap], dT[:, a][ap]
+    values = Pv * T
     grads = np.empty(values.shape + (2,))  # numpy is slow to broadcast over a last axis of 2
-    np.multiply(Pt, T[..., a], out=grads[..., 0])
-    np.multiply(Pp, dT[..., a], out=grads[..., 1])
-    return values.reshape(-1, a.size), grads.reshape(-1, a.size, 2)
+    np.multiply(Pt, T, out=grads[..., 0])
+    np.multiply(Pp, dT, out=grads[..., 1])
+    return values, grads

@@ -311,45 +311,37 @@ def _reference_grid(order: int) -> tuple:
     return arrays
 
 
-def _equator_grid(v: Equator, order: int) -> dict:
-    """Product Gauss-Legendre x trapezoid grid on an equator of S^3.
+def _equator_rule(v: Equator, order: int, seed: int) -> tuple:
+    """Nodes (m, n+1), weights (m,) and the round orthonormal tangent frames
+    (m, n-1, n+1) of the equator at each node, for the equator with normal v.
 
-    Returns nodes with their spherical angles and the orthonormal tangent
-    vectors (e_theta, e_phi) of the round equator at each node.  Exact for
-    spherical polynomials of degree up to 2 * order - 1.
-    """
-    u = v.basis()
-    theta, phi, weights, node, e_theta, e_phi = _reference_grid(order)
-
-    def on_basis(coeffs):  # summed left to right
-        return reduce(np.add, (c[:, None] * row for c, row in zip(coeffs, u)))
-
-    return {"basis": u, "theta": theta, "phi": phi, "nodes": on_basis(node), "weights": weights,
-            "e_theta": on_basis(e_theta), "e_phi": on_basis(e_phi)}
-
-
-def equator_quadrature(v: Equator, order: int, *, seed: int = 0) -> QuadratureRule:
-    """Quadrature on the round equator with normal v.
-
-    For S^3 this is a deterministic Gauss-Legendre x trapezoid product rule
-    whose weights sum to 4 pi exactly.  In other dimensions it falls back to
-    seeded Monte Carlo (flagged on the rule), with weights summing to the
-    round volume of the equator.
+    On S^3 this is the Gauss-Legendre x trapezoid product grid with frames
+    (e_theta, e_phi), exact for spherical polynomials of degree up to
+    2 * order - 1, and ``seed`` is unused.  In other dimensions it is seeded
+    Monte Carlo, with weights summing to the round volume of the equator.
     """
     if order < 1:
         raise DegenerateInputError("quadrature order must be positive")
+    u = v.basis()
+    if v.n == 3:
+        _, _, weights, *coeffs = _reference_grid(order)
+        nodes, e_theta, e_phi = (reduce(np.add, (c[:, None] * row for c, row in zip(cs, u)))
+                                 for cs in coeffs)  # each summed left to right over the rows of u
+        return nodes, weights, np.stack([e_theta, e_phi], axis=1)
+    count = max(2 * order * order, 64)
+    raw = np.random.default_rng(seed).standard_normal((count, v.n))
+    raw /= np.linalg.norm(raw, axis=1, keepdims=True)
+    return raw @ u, np.full(count, sphere_volume(v.n - 1) / count), _tangent_bases(raw)[:, 1:] @ u
+
+
+def equator_quadrature(v: Equator, order: int, *, seed: int = 0) -> QuadratureRule:
+    """Quadrature on the round equator with normal v: :func:`_equator_rule`
+    without its frames, flagged as Monte Carlo off S^3."""
     if not isinstance(v, Equator):
         v = Equator(np.asarray(v, dtype=float))
+    nodes, weights, _ = _equator_rule(v, order, seed)
     if v.n == 3:
-        grid = _equator_grid(v, order)
-        return QuadratureRule(grid["nodes"], grid["weights"], "equator", order)
-    rng = np.random.default_rng(seed)
-    count = max(2 * order * order, 64)
-    u = v.basis()
-    raw = rng.standard_normal((count, v.n))
-    raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-    nodes = raw @ u
-    weights = np.full(count, sphere_volume(v.n - 1) / count)
+        return QuadratureRule(nodes, weights, "equator", order)
     return QuadratureRule(nodes, weights, "equator", order, monte_carlo=True, seed=seed)
 
 

@@ -703,6 +703,14 @@ def save_tensor(R: CurvatureTensor, path: str) -> None:
     _atomic_write(path, json.dumps(payload, allow_nan=False) + "\n")
 
 
+def _file_dimension(path: str, payload: dict) -> int:
+    """The file's ``n``, which must be a JSON integer (not a bool, float or string)."""
+    n = payload["n"]
+    if type(n) is not int:
+        raise DimensionError(f"{path}: n must be an integer, got {n!r}")
+    return n
+
+
 def load_tensor(path: str, *, tol: float = 1e-9) -> CurvatureTensor:
     """Read a ``curv-dense-v1`` tensor file.
 
@@ -714,8 +722,7 @@ def load_tensor(path: str, *, tol: float = 1e-9) -> CurvatureTensor:
         payload = json.load(fh)
     if not isinstance(payload, dict) or payload.get("format") != TENSOR_FORMAT:
         raise ValueError(f"{path}: not a {TENSOR_FORMAT} tensor file")
-    n = payload["n"]
-    m = n + 1
+    m = _file_dimension(path, payload) + 1
     coeffs = np.asarray(payload["coeffs"], dtype=float)
     if coeffs.shape != (m**4,):
         raise DimensionError(f"{path}: expected {m**4} coefficients, got {coeffs.shape}")
@@ -746,7 +753,8 @@ def load_matrix(path: str) -> GroupElement:
         payload = json.load(fh)
     if not isinstance(payload, dict) or payload.get("format") != MATRIX_FORMAT:
         raise ValueError(f"{path}: not a {MATRIX_FORMAT} matrix file")
+    n = _file_dimension(path, payload)
     M = np.asarray(payload["matrix"], dtype=float)
-    if M.shape != (payload["n"] + 1, payload["n"] + 1):
-        raise DimensionError(f"{path}: matrix shape {M.shape} does not match n={payload['n']}")
+    if M.shape != (n + 1, n + 1):
+        raise DimensionError(f"{path}: matrix shape {M.shape} does not match n={n}")
     return GroupElement(M)

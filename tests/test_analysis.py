@@ -24,7 +24,6 @@ from equator_forge.analysis import (
     quaternion_generators,
     second_fundamental_form,
     so4_jacobi_data,
-    so4_jacobi_functions,
 )
 from equator_forge.correspondence import (
     CurvatureMetric,
@@ -237,14 +236,15 @@ def test_round_spectrum_is_exact(round_galerkin):
 
 def test_jacobi_apply_scales_harmonics(round_galerkin):
     gal = round_galerkin
-    nb = gal.values.shape[1]
+    values, _ = gal.basis()
+    nb = values.shape[1]
     # constant: J(1) = 2; degree 2: J(Y) = (2 - 6) Y
     for k, l in [(0, 0), (5, 2)]:
         assert gal.degrees[k] == l
         c = np.zeros(nb)
         c[k] = 1.0
         out = gal.apply(c)
-        assert_allclose(out, (2.0 - l * (l + 1)) * gal.values[:, k], atol=1e-9)
+        assert_allclose(out, (2.0 - l * (l + 1)) * values[:, k], atol=1e-9)
 
 
 def _dense_galerkin(mesh, L):
@@ -275,15 +275,13 @@ def test_sum_factorised_assembly_matches_dense_products(metric, berger):
         mass, stiff = _dense_galerkin(mesh, L)
         assert np.max(np.abs(gal.mass - mass)) <= 1e-13 * np.max(np.abs(mass))
         assert np.max(np.abs(gal.stiffness - stiff)) <= 1e-13 * np.max(np.abs(stiff))
-        values, grads = real_harmonic_basis(L, mesh.theta, mesh.phi)
-        assert np.array_equal(gal.values, values)
-        assert np.array_equal(gal.grads, grads)
     # the weak pairing of jacobi_apply_field against the four-operand contraction
+    values, grads = real_harmonic_basis(L, mesh.theta, mesh.phi)
     etas, etagrads, _ = so4_jacobi_data(g, mesh)
     w = mesh.weights * mesh.rho
-    r = np.einsum("n,nka,nab,nb->k", w, gal.grads, mesh.induced_inv, etagrads[0])
-    r -= gal.values.T @ (w * mesh.potential * etas[0])
-    expected = gal.values @ np.linalg.solve(gal.mass, -r)
+    r = np.einsum("n,nka,nab,nb->k", w, grads, mesh.induced_inv, etagrads[0])
+    r -= values.T @ (w * mesh.potential * etas[0])
+    expected = values @ np.linalg.solve(gal.mass, -r)
     out = jacobi_apply_field(g, None, etas[0], etagrads[0], galerkin=gal)
     assert_allclose(out, expected, rtol=0, atol=1e-12 * max(1.0, np.max(np.abs(expected))))
 
@@ -301,7 +299,7 @@ def test_member_spectra_have_index_one_nullity_three(berger_galerkin):
 
 def test_so4_functions_are_degree_one_on_round(round_galerkin):
     mesh = round_galerkin.mesh
-    etas, Ks = so4_jacobi_functions(round_metric(3), mesh)
+    etas, _, Ks = so4_jacobi_data(round_metric(3), mesh)
     for j in range(3):
         assert_allclose(np.abs(etas[j]), np.abs(mesh.nodes @ mesh.basis[j]), atol=1e-12)
         # exact nullity through the projection route (degree-1 truncation is exact)
@@ -324,8 +322,10 @@ def test_rotation_fields_are_jacobi_null(berger, berger_galerkin):
 def test_so4_data_matches_function_values(berger, berger_galerkin):
     g, _ = berger
     mesh = berger_galerkin.mesh
-    etas_fn, _ = so4_jacobi_functions(g, mesh)
-    etas, _, _ = so4_jacobi_data(g, mesh)
+    etas, _, Ks = so4_jacobi_data(g, mesh)
+    # reference: g(K p, N) from the ambient metric matrices and the g-unit normal
+    G = g.ambient_matrices(mesh.nodes)
+    etas_fn = [np.einsum("ni,nij,nj->n", mesh.nodes @ K.matrix.T, G, mesh.normal_ambient) for K in Ks]
     assert_allclose(etas, etas_fn, atol=1e-11)
 
 
@@ -383,8 +383,9 @@ def test_funk_radon_round_values():
     v = random_unit(rng, 4)
     # constants integrate to the area
     assert_allclose(funk_radon(g, lambda P: np.ones(P.shape[0]), v), 4.0 * np.pi, atol=1e-10)
-    # scalar (non-vectorized) callables take the slow path
-    assert_allclose(funk_radon(g, lambda p: 1.0, v), 4.0 * np.pi, atol=1e-10)
+    # f maps the node array to one value per node, or the call is refused
+    with pytest.raises(DimensionError):
+        funk_radon(g, lambda p: 1.0, v)
     # odd functions vanish, and the normal coordinate vanishes on the equator
     w = random_unit(rng, 4)
     assert abs(funk_radon(g, lambda P: P @ w, v)) < 1e-12

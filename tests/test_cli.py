@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import equator_forge
-from equator_forge.cli import main
+from equator_forge.cli import _emit, main
 from equator_forge.correspondence import metric_from_curv
 from equator_forge.tableio import write_json
 from equator_forge.tensor_core import (
@@ -324,6 +324,50 @@ def test_non_finite_tensor_file_is_an_input_error(tmp_path, capsys, command):
     assert "Traceback" not in err
     assert payload is None
     assert not out.exists()
+
+
+@pytest.mark.parametrize("n", ["3", None, 3.0, True])
+@pytest.mark.parametrize("command", ["verify", "area", "act"])
+def test_non_integer_n_is_an_input_error(tmp_path, capsys, command, n):
+    tensor, mat, out = tmp_path / "t.json", tmp_path / "eye.json", tmp_path / "out"
+    run(capsys, "gen", "round", "--n", "3", "--out", str(tensor))
+    save_matrix(GroupElement(np.eye(4)), mat)
+    bad = mat if command == "act" else tensor
+    payload = json.loads(bad.read_text())
+    payload["n"] = n
+    bad.write_text(json.dumps(payload))
+    argv = {
+        "verify": ["verify", str(tensor), "--out", str(out)],
+        "area": ["area", str(tensor), "--equators", "3", "--out", str(out)],
+        "act": ["act", str(tensor), str(mat), "--out", str(out)],
+    }[command]
+    code, payload, err = run(capsys, *argv)
+    assert code == 2
+    assert "error:" in err and "n must be an integer" in err
+    assert "Traceback" not in err
+    assert payload is None
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, option", [
+    ("area", "--equators"), ("radon", "--equators"), ("verify", "--equators"), ("verify", "--points"),
+])
+def test_zero_counts_are_input_errors_that_write_nothing(tmp_path, capsys, command, option):
+    tensor, out = tmp_path / "t.json", tmp_path / "out"
+    run(capsys, "gen", "round", "--n", "3", "--out", str(tensor))
+    code = main([command, str(tensor), option, "0", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "error:" in captured.err and option in captured.err
+    assert "Traceback" not in captured.err
+    assert not out.exists()
+
+
+def test_emit_writes_nothing_for_a_document_that_does_not_encode(capsys):
+    with pytest.raises(ValueError):
+        _emit({"config": {"command": "radon"}, "mean_transform": float("nan")})
+    assert capsys.readouterr().out == ""
 
 
 def test_json_writers_refuse_nan(tmp_path):

@@ -7,12 +7,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 from equator_forge.harmonics import basis_degrees, basis_size, real_harmonic_basis
-from equator_forge.sphere_geom import Equator, _equator_grid
+from equator_forge.sphere_geom import Equator, _equator_rule, _reference_grid
 
 
 @pytest.fixture(scope="module")
 def grid():
-    return _equator_grid(Equator(np.array([0.0, 0.0, 0.0, 1.0])), 24)
+    theta, phi = _reference_grid(24)[:2]
+    _, weights, _ = _equator_rule(Equator(np.array([0.0, 0.0, 0.0, 1.0])), 24, 0)
+    return {"theta": theta, "phi": phi, "weights": weights}
 
 
 def test_basis_size_and_degrees():

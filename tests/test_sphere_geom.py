@@ -25,7 +25,7 @@ from equator_forge.sphere_geom import (
     sphere_quadrature,
     sphere_volume,
     tangent_frame,
-    _equator_grid,
+    _equator_rule,
     _reference_grid,
 )
 from equator_forge.tensor_core import DegenerateInputError, GroupElement
@@ -187,8 +187,12 @@ def test_cached_equator_grid_is_read_only_and_unchanged():
     for order in (1, 5, 24):
         for _ in range(3):
             v = random_equator(rng, 3)
-            grid = _equator_grid(v, order)
+            nodes, weights, frames = _equator_rule(v, order, 0)
+            theta, phi = _reference_grid(order)[:2]
             fresh = _fresh_equator_grid(v, order)
+            grid = {"basis": v.basis(), "theta": theta, "phi": phi, "nodes": nodes, "weights": weights,
+                    "e_theta": frames[:, 0], "e_phi": frames[:, 1]}
+            assert frames.shape == (nodes.shape[0], 2, 4)
             assert grid.keys() == fresh.keys()
             for name in grid:
                 assert grid[name].tobytes() == fresh[name].tobytes(), name
@@ -198,6 +202,20 @@ def test_cached_equator_grid_is_read_only_and_unchanged():
                 array[0] = 0.0
         for cached, rebuilt in zip(_reference_grid(order), _reference_grid.__wrapped__(order)):
             assert cached.tobytes() == rebuilt.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_equator_rule_frames_are_orthonormal_and_tangent(n):
+    v = random_equator(np.random.default_rng(n), n)
+    nodes, weights, frames = _equator_rule(v, 6, 1)
+    assert frames.shape == (nodes.shape[0], n - 1, n + 1)
+    eye = np.broadcast_to(np.eye(n - 1), (nodes.shape[0], n - 1, n - 1))
+    assert_allclose(frames @ frames.transpose(0, 2, 1), eye, rtol=0, atol=1e-13)
+    assert_allclose(frames @ v.normal, 0.0, atol=1e-13)
+    assert_allclose(np.einsum("mkj,mj->mk", frames, nodes), 0.0, atol=1e-13)
+    assert_allclose(nodes @ v.normal, 0.0, atol=1e-13)
+    assert_allclose(np.linalg.norm(nodes, axis=1), 1.0, rtol=0, atol=1e-13)
+    assert_allclose(weights.sum(), sphere_volume(n - 1), rtol=1e-12)
 
 
 def test_equator_quadrature_monte_carlo_fallback():
