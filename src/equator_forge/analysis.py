@@ -25,7 +25,8 @@ import numpy as np
 from .correspondence import CurvatureMetric, MetricField, curv_from_killing
 from .harmonics import _harmonic_factors, basis_degrees, real_harmonic_basis
 from .parallel import thread_count, tmap
-from .sphere_geom import Equator, _equator_rule, _reference_grid, _tangent_bases, check_unit
+from .sphere_geom import (Equator, _equator_nodes, _equator_rule, _on_rows, _reference_grid,
+                          _tangent_bases, check_unit)
 from .tensor_core import (
     DegenerateInputError,
     DimensionError,
@@ -69,14 +70,11 @@ def _as_equator(v) -> Equator:
 
 
 def _area_elements(g: MetricField, v: Equator, order: int, seed: int):
-    """Nodes, round weights and g-area densities on the equator with normal v.
-
-    At a node with ambient metric matrix G and round orthonormal tangent frame
-    F of the equator (rows), the density is sqrt det(F G F^T).
-    """
-    nodes, weights, frames = _equator_rule(v, order, seed)
-    rho = np.sqrt(np.linalg.det(frames @ g.ambient_matrices(nodes) @ frames.transpose(0, 2, 1)))
-    return nodes, weights, rho
+    """Orthonormal basis U (rows: the basis u of v's hyperplane, then v), node coefficients c
+    on u, round weights and g-area densities of the equator with normal v."""
+    c, weights = _equator_nodes(v.n, order, seed)
+    U = np.vstack([v.basis(), v.normal])
+    return U, c, weights, g._equator_density(U, c)
 
 
 def equator_area(g: MetricField, v, order: int = 32, *, seed: int = 0) -> float:
@@ -86,7 +84,7 @@ def equator_area(g: MetricField, v, order: int = 32, *, seed: int = 0) -> float:
     of v.  Uses the deterministic product quadrature on S^3 (seeded Monte
     Carlo elsewhere).
     """
-    _, weights, rho = _area_elements(g, _as_equator(v), order, seed)
+    _, _, weights, rho = _area_elements(g, _as_equator(v), order, seed)
     return float(weights @ rho)
 
 
@@ -95,7 +93,8 @@ def funk_radon(g: MetricField, f, v, order: int = 32, *, seed: int = 0) -> float
 
     ``f`` maps the (m, n+1) array of quadrature nodes to their m values.
     """
-    nodes, weights, rho = _area_elements(g, _as_equator(v), order, seed)
+    U, c, weights, rho = _area_elements(g, _as_equator(v), order, seed)
+    nodes = c @ U[:-1]
     values = np.asarray(f(nodes), dtype=float)
     if values.shape != weights.shape:
         raise DimensionError(f"f must map the nodes {nodes.shape} to {weights.shape}, got {values.shape}")
@@ -198,7 +197,8 @@ def equator_mesh(g: MetricField, v, order: int = 32) -> EquatorMesh:
         raise DimensionError("Jacobi meshes are implemented for S^3")
     eq = _as_equator(v)
     vn = eq.normal
-    nodes, weights, frames = _equator_rule(eq, order, 0)  # seed unused: S^3 has the product grid
+    c, weights, f = _equator_rule(3, order, 0)  # seed unused: S^3 has the product grid
+    nodes, frames = _on_rows(c, eq.basis()), _on_rows(f, eq.basis())
     bases = _mesh_bases(nodes, frames, vn)
 
     def node_block(sl):

@@ -29,6 +29,7 @@ from .correspondence import metric_from_curv
 from .sphere_geom import Equator, random_equator, sphere_quadrature, tangent_frame
 from .tableio import write_csv, write_json
 from .tensor_core import (
+    _file_dimension,
     act,
     constant_curvature,
     fubini_study,
@@ -74,7 +75,7 @@ def _load_subject(path: str):
         head = json.load(fh)
     if isinstance(head, dict) and head.get("format") == BUMP_FORMAT:
         g = BumpMetric(
-            n=int(head["n"]),
+            n=_file_dimension(path, head),
             amplitude=float(head["amplitude"]),
             width=float(head["width"]),
             center=np.asarray(head["center"], dtype=float),

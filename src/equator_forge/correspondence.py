@@ -92,6 +92,23 @@ class MetricField(AmbientField):
         P = np.atleast_2d(np.asarray(points, dtype=float))
         return _volume_ratio(self.ambient_matrices(P), P, 2.0 / (self.n + 1), "metric")
 
+    def _equator_density(self, U: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """Area density of the equator at c @ u, U = (u, v) orthonormal: see the README's Areas."""
+        P = c @ U[:-1]
+        G = U @ (self.ambient_matrices(P) + P[:, :, None] * P[:, None, :]) @ U.T
+        return np.prod(_cholesky_diagonal(G.transpose(1, 2, 0), "metric")[:, :-1], axis=1)
+
+
+def _cholesky_diagonal(M: np.ndarray, what: str) -> np.ndarray:
+    """Cholesky diagonals (..., k) of M (k, k, ...), one pass per column: the positivity gate."""
+    L = np.zeros_like(M)
+    for j in range(M.shape[0]):
+        col = M[j:, j] - np.sum(L[j:, :j] * L[j, :j], axis=1)
+        if not np.all(col[0] > 0.0):
+            raise PositivityError(f"{what} is not positive definite at a queried point")
+        L[j:, j] = col / np.sqrt(col[0])
+    return np.diagonal(L, axis1=0, axis2=1)
+
 
 def _volume_ratio(M: np.ndarray, P: np.ndarray, power: float, what: str) -> np.ndarray:
     """det(M + p p^T)^power at the rows p of P: M's determinant in a tangent frame."""
@@ -134,6 +151,17 @@ class CurvatureMetric(MetricField):
         P = np.atleast_2d(np.asarray(points, dtype=float))
         K = killing_matrices(self.generator, P)
         return K / _volume_ratio(K, P, 2.0 / (self.n - 1), "Killing tensor")[:, None, None]
+
+    def _equator_density(self, U: np.ndarray, c: np.ndarray) -> np.ndarray:
+        # g = k / D with D = det(k + pp^T)^(2/(n-1)): with l the Cholesky diagonal of k + pp^T in U,
+        # the density is sqrt det(k on the equator) / det(k + pp^T) = 1 / (prod_{k<n} l_k l_n^2)
+        n, R = self.n, self.generator.coeffs
+        for _ in range(4):  # R'(a, b, c, d) = R(U_a, U_b, U_c, U_d), in which the point is (c, 0)
+            R = np.tensordot(R, U, axes=(0, 1))
+        cc = (c.T[:, None] * c.T[None, :]).reshape(n * n, -1)  # points last, as the gate takes them
+        K = (R[:n, :, :n, :].transpose(1, 3, 0, 2).reshape(-1, n * n) @ cc).reshape(n + 1, n + 1, -1)
+        K[:n, :n] += cc.reshape(n, n, -1)
+        return 1.0 / np.prod(_cholesky_diagonal(K, "Killing tensor") ** np.r_[np.ones(n), 2.0], axis=1)
 
     def _chart_jets(self, bases: np.ndarray, x) -> MatrixJet:
         Q = quadratic_matrix_jet(*_chart_quadratic(self.generator.coeffs, bases), x)

@@ -298,51 +298,52 @@ def sphere_volume(k: int) -> float:
 
 @lru_cache(maxsize=16)
 def _reference_grid(order: int) -> tuple:
-    """Read-only angles, weights, and the coefficients of the nodes, e_theta and
-    e_phi on the basis rows of an equator: the part of the grid v does not change."""
+    """Read-only angles, the coefficients of the nodes (m, 3) on the basis rows of an equator, weights,
+    and the coefficients of (e_theta, e_phi) (m, 2, 3): the part of the grid v does not change."""
     z, wz = leggauss(order)
     nphi = 2 * order
     ct, pp = (a.reshape(-1) for a in np.meshgrid(z, 2.0 * math.pi * np.arange(nphi) / nphi, indexing="ij"))
     st, cp, sp = np.sqrt(1.0 - ct**2), np.cos(pp), np.sin(pp)
-    arrays = (np.arccos(np.clip(ct, -1.0, 1.0)), pp, np.repeat(wz, nphi) * (2.0 * math.pi / nphi),
-              np.array([st * cp, st * sp, ct]), np.array([ct * cp, ct * sp, -st]), np.array([-sp, cp]))
+    frames = np.stack([np.stack([ct * cp, ct * sp, -st], -1), np.stack([-sp, cp, np.zeros_like(sp)], -1)], 1)
+    arrays = (np.arccos(np.clip(ct, -1.0, 1.0)), pp, np.stack([st * cp, st * sp, ct], axis=-1),
+              np.repeat(wz, nphi) * (2.0 * math.pi / nphi), frames)
     for array in arrays:
         array.flags.writeable = False
     return arrays
 
 
-def _equator_rule(v: Equator, order: int, seed: int) -> tuple:
-    """Nodes (m, n+1), weights (m,) and the round orthonormal tangent frames
-    (m, n-1, n+1) of the equator at each node, for the equator with normal v.
+def _on_rows(coeffs, u) -> np.ndarray:
+    """The vectors sum_k coeffs[..., k] u[k], summed left to right over the rows of u."""
+    return reduce(np.add, (coeffs[..., k, None] * row for k, row in enumerate(u)))
 
-    On S^3 this is the Gauss-Legendre x trapezoid product grid with frames
-    (e_theta, e_phi), exact for spherical polynomials of degree up to
-    2 * order - 1, and ``seed`` is unused.  In other dimensions it is seeded
-    Monte Carlo, with weights summing to the round volume of the equator.
-    """
+
+def _equator_nodes(n: int, order: int, seed: int) -> tuple:
+    """Node coefficients (m, n) on an equator's basis rows, and weights: the S^3 grid, else Monte Carlo."""
     if order < 1:
         raise DegenerateInputError("quadrature order must be positive")
-    u = v.basis()
-    if v.n == 3:
-        _, _, weights, *coeffs = _reference_grid(order)
-        nodes, e_theta, e_phi = (reduce(np.add, (c[:, None] * row for c, row in zip(cs, u)))
-                                 for cs in coeffs)  # each summed left to right over the rows of u
-        return nodes, weights, np.stack([e_theta, e_phi], axis=1)
+    if n == 3:
+        return _reference_grid(order)[2:4]
     count = max(2 * order * order, 64)
-    raw = np.random.default_rng(seed).standard_normal((count, v.n))
+    raw = np.random.default_rng(seed).standard_normal((count, n))
     raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-    return raw @ u, np.full(count, sphere_volume(v.n - 1) / count), _tangent_bases(raw)[:, 1:] @ u
+    return raw, np.full(count, sphere_volume(n - 1) / count)
+
+
+def _equator_rule(n: int, order: int, seed: int) -> tuple:
+    """:func:`_equator_nodes` and coefficients f (m, n-1, n) on u of round orthonormal tangent frames."""
+    c, weights = _equator_nodes(n, order, seed)
+    return c, weights, _reference_grid(order)[4] if n == 3 else _tangent_bases(c)[:, 1:]
 
 
 def equator_quadrature(v: Equator, order: int, *, seed: int = 0) -> QuadratureRule:
-    """Quadrature on the round equator with normal v: :func:`_equator_rule`
-    without its frames, flagged as Monte Carlo off S^3."""
+    """Quadrature on the round equator with normal v: the nodes of
+    :func:`_equator_nodes` mapped by the basis rows of v, flagged as Monte Carlo off S^3."""
     if not isinstance(v, Equator):
         v = Equator(np.asarray(v, dtype=float))
-    nodes, weights, _ = _equator_rule(v, order, seed)
-    if v.n == 3:
-        return QuadratureRule(nodes, weights, "equator", order)
-    return QuadratureRule(nodes, weights, "equator", order, monte_carlo=True, seed=seed)
+    c, weights = _equator_nodes(v.n, order, seed)
+    if v.n == 3:  # summed over the rows like the Jacobi mesh, so the nodes are bitwise the mesh's
+        return QuadratureRule(_on_rows(c, v.basis()), weights, "equator", order)
+    return QuadratureRule(c @ v.basis(), weights, "equator", order, monte_carlo=True, seed=seed)
 
 
 def sphere_quadrature(n: int, order: int) -> QuadratureRule:

@@ -27,15 +27,17 @@ from equator_forge.analysis import (
 )
 from equator_forge.correspondence import (
     CurvatureMetric,
+    MetricField,
     killing_constancy_residual,
     metric_from_curv,
     round_metric,
 )
 from equator_forge.harmonics import real_harmonic_basis
-from equator_forge.sphere_geom import Equator, equator_quadrature, random_unit, sphere_volume
+from equator_forge.sphere_geom import Equator, _equator_rule, equator_quadrature, random_unit, sphere_volume
 from equator_forge.tensor_core import (
     DegenerateInputError,
     DimensionError,
+    PositivityError,
     constant_curvature,
     fubini_study,
     random_positive,
@@ -110,6 +112,61 @@ def test_equator_area_off_s3():
         E = np.linalg.qr(M)[0].T
         rho.append(np.sqrt(np.linalg.det(E @ g.ambient_matrix(p) @ E.T)))
     assert_allclose(equator_area(g, v, order=8), rule.weights @ np.array(rho), rtol=1e-12)
+
+
+def _ambient_area(g, v: Equator, order: int) -> float:
+    """The reference: density sqrt det(F G F^T) from the ambient metric matrices G
+    and the ambient round frames F of the equator, with the same rule."""
+    c, weights, f = _equator_rule(v.n, order, 0)
+    F = f @ v.basis()
+    return float(weights @ np.sqrt(np.linalg.det(F @ g.ambient_matrices(c @ v.basis()) @ F.transpose(0, 2, 1))))
+
+
+def _density_metrics(n):
+    metrics = {"round": round_metric(n), "random": CurvatureMetric(random_positive(n, seed=n + 20)[0]),
+               "bump": BumpMetric(n, amplitude=0.5, width=0.3)}
+    if n == 5:
+        metrics["fubini-study"] = CurvatureMetric(fubini_study(2))
+    return metrics
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_equator_area_matches_the_ambient_density(n):
+    rng = np.random.default_rng(40 + n)
+    for name, g in _density_metrics(n).items():
+        for v in [Equator(random_unit(rng, n + 1)) for _ in range(3)] + [Equator(np.eye(n + 1)[0])]:
+            assert_allclose(equator_area(g, v, order=8), _ambient_area(g, v, 8), rtol=1e-13, err_msg=name)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_curvature_density_matches_the_ambient_default(n):
+    # the bump has no override; a curvature metric's rotated-R density equals the ambient one
+    assert BumpMetric._equator_density is MetricField._equator_density
+    assert CurvatureMetric._equator_density is not MetricField._equator_density
+    v = Equator(random_unit(np.random.default_rng(n), n + 1))
+    U = np.vstack([v.basis(), v.normal])
+    c, _, _ = _equator_rule(n, 6, 0)
+    for name, g in _density_metrics(n).items():
+        assert_allclose(g._equator_density(U, c), MetricField._equator_density(g, U, c), rtol=1e-13, err_msg=name)
+
+
+def test_funk_radon_of_one_is_the_area():
+    rng = np.random.default_rng(8)
+    for n in (3, 5):
+        for g in _density_metrics(n).values():
+            v = random_unit(rng, n + 1)
+            assert funk_radon(g, lambda P: np.ones(P.shape[0]), v, order=12) == equator_area(g, v, order=12)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_area_of_an_indefinite_metric_is_refused(n):
+    # at n = 4 the Killing tensor of curvature -1 has det > 0 with four negative eigenvalues;
+    # the bump's negative rank-one term makes it indefinite through the default path
+    v = random_unit(np.random.default_rng(n), n + 1)
+    for g in (CurvatureMetric(constant_curvature(n, -1.0)), BumpMetric(n, amplitude=-5.0, width=10.0)):
+        for call in (lambda: equator_area(g, v, order=4), lambda: funk_radon(g, lambda P: P[:, 0], v, order=4)):
+            with pytest.raises(PositivityError, match="not positive definite"):
+                call()
 
 
 def test_mesh_area_matches_quadrature(berger):

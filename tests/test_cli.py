@@ -349,6 +349,40 @@ def test_non_integer_n_is_an_input_error(tmp_path, capsys, command, n):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n", [3.7, "3", None, True])
+@pytest.mark.parametrize("command", ["verify", "area"])
+def test_bump_fixture_with_non_integer_n_is_an_input_error(tmp_path, capsys, command, n):
+    fixture, out = tmp_path / "bump.json", tmp_path / "out"
+    run(capsys, "gen", "bump", "--n", "3", "--out", str(fixture))
+    payload = json.loads(fixture.read_text())
+    payload["n"] = n
+    fixture.write_text(json.dumps(payload))
+    argv = {
+        "verify": ["verify", str(fixture), "--out", str(out)],
+        "area": ["area", str(fixture), "--equators", "3", "--out", str(out)],
+    }[command]
+    code, payload, err = run(capsys, *argv)
+    assert code == 2
+    assert "error:" in err and "n must be an integer" in err
+    assert "Traceback" not in err
+    assert payload is None
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["area", "radon"])
+def test_indefinite_killing_tensor_is_an_input_error(tmp_path, capsys, command):
+    # on S^4 the Killing tensor of curvature -1 is minus the round metric: four negative
+    # eigenvalues, so its determinant is positive and only a factorisation sees the sign
+    tensor, out = tmp_path / "neg.json", tmp_path / "out.csv"
+    save_tensor(constant_curvature(4, -1.0), tensor)
+    code, payload, err = run(capsys, command, str(tensor), "--equators", "3", "--out", str(out))
+    assert code == 2
+    assert "error:" in err and "not positive definite" in err
+    assert "Traceback" not in err
+    assert payload is None
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, option", [
     ("area", "--equators"), ("radon", "--equators"), ("verify", "--equators"), ("verify", "--points"),
 ])

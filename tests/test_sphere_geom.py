@@ -26,6 +26,7 @@ from equator_forge.sphere_geom import (
     sphere_volume,
     tangent_frame,
     _equator_rule,
+    _on_rows,
     _reference_grid,
 )
 from equator_forge.tensor_core import DegenerateInputError, GroupElement
@@ -187,11 +188,14 @@ def test_cached_equator_grid_is_read_only_and_unchanged():
     for order in (1, 5, 24):
         for _ in range(3):
             v = random_equator(rng, 3)
-            nodes, weights, frames = _equator_rule(v, order, 0)
+            c, weights, f = _equator_rule(3, order, 0)
+            nodes, frames = _on_rows(c, v.basis()), _on_rows(f, v.basis())  # as the Jacobi mesh maps them
             theta, phi = _reference_grid(order)[:2]
             fresh = _fresh_equator_grid(v, order)
             grid = {"basis": v.basis(), "theta": theta, "phi": phi, "nodes": nodes, "weights": weights,
                     "e_theta": frames[:, 0], "e_phi": frames[:, 1]}
+            assert c.shape == (nodes.shape[0], 3)
+            assert f.shape == (nodes.shape[0], 2, 3)
             assert frames.shape == (nodes.shape[0], 2, 4)
             assert grid.keys() == fresh.keys()
             for name in grid:
@@ -207,7 +211,10 @@ def test_cached_equator_grid_is_read_only_and_unchanged():
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_equator_rule_frames_are_orthonormal_and_tangent(n):
     v = random_equator(np.random.default_rng(n), n)
-    nodes, weights, frames = _equator_rule(v, 6, 1)
+    c, weights, f = _equator_rule(n, 6, 1)
+    assert c.shape == (weights.shape[0], n)
+    assert f.shape == (weights.shape[0], n - 1, n)
+    nodes, frames = c @ v.basis(), f @ v.basis()
     assert frames.shape == (nodes.shape[0], n - 1, n + 1)
     eye = np.broadcast_to(np.eye(n - 1), (nodes.shape[0], n - 1, n - 1))
     assert_allclose(frames @ frames.transpose(0, 2, 1), eye, rtol=0, atol=1e-13)
@@ -216,6 +223,23 @@ def test_equator_rule_frames_are_orthonormal_and_tangent(n):
     assert_allclose(nodes @ v.normal, 0.0, atol=1e-13)
     assert_allclose(np.linalg.norm(nodes, axis=1), 1.0, rtol=0, atol=1e-13)
     assert_allclose(weights.sum(), sphere_volume(n - 1), rtol=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_equator_quadrature_nodes_are_bitwise_the_mapped_rule(n):
+    # references: the S^3 grid built afresh, and elsewhere the seeded draw times the basis
+    v = random_equator(np.random.default_rng(10 + n), n)
+    for order in (1, 4, 9):
+        rule = equator_quadrature(v, order, seed=5)
+        if n == 3:
+            nodes, weights = _fresh_equator_grid(v, order)["nodes"], _fresh_equator_grid(v, order)["weights"]
+        else:
+            count = max(2 * order * order, 64)
+            raw = np.random.default_rng(5).standard_normal((count, n))
+            raw /= np.linalg.norm(raw, axis=1, keepdims=True)
+            nodes, weights = raw @ v.basis(), np.full(count, sphere_volume(n - 1) / count)
+        assert rule.nodes.tobytes() == nodes.tobytes()
+        assert rule.weights.tobytes() == weights.tobytes()
 
 
 def test_equator_quadrature_monte_carlo_fallback():
