@@ -19,6 +19,7 @@ part of the acceptance evidence.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -139,7 +140,7 @@ def second_fundamental_form(g: MetricField, v, p) -> SecondFundamentalForm:
     u = eq.basis()
     sigma_frame = _tangent_bases(u @ p)[1:] @ u  # orthonormal basis of (v, p)-perp
     bases = np.vstack([p, sigma_frame, v])
-    gmat, ginv, gamma, _ = _centre_arrays(g, bases)
+    gmat, ginv, gamma, _ = _centre_arrays(g, bases, first_order=True)
     _, _, hess, norm, _ = _height_hessian(bases, ginv, gamma, v)
     A, G, Ginv, norm2 = _shape_operator(gmat, hess, norm)
     H = float(np.einsum("ab,ab", Ginv, A))
@@ -238,7 +239,11 @@ class JacobiGalerkin:
 
     def basis(self):
         """Values (m, nb) of the harmonic basis at the mesh nodes, and its
-        gradients (m, nb, 2) in the mesh frames."""
+        gradients (m, nb, 2) in the mesh frames; built on the first call."""
+        return self._basis_tables
+
+    @cached_property  # the eigensolve never needs the tables, so they are not built with the matrices
+    def _basis_tables(self):
         return real_harmonic_basis(self.L, self.mesh.theta, self.mesh.phi)
 
     def project(self, node_values) -> np.ndarray:
@@ -381,7 +386,7 @@ def so4_jacobi_data(g: MetricField, mesh: EquatorMesh):
     Kv = np.stack([K.matrix.T @ v for K in Ks], axis=1)
 
     def node_block(sl):
-        jet = g._chart_jets(bases[sl], np.zeros(3))
+        jet = g._chart_jets(bases[sl], np.zeros(3), first_order=True)
         row = np.linalg.inv(jet.value)[:, 2]
         B2 = row[:, 2]  # B = sqrt(ginv[2, 2]) and its chart derivatives along e_theta, e_phi
         B = np.sqrt(B2)[:, None]

@@ -241,9 +241,14 @@ def cmd_area(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    if not (np.isfinite(args.null_tol) and args.null_tol >= 0.0):
+        raise ValueError(f"--null-tol must be finite and >= 0, got {args.null_tol}")
     g = _metric_from_file(args.input)
     if args.v:
-        v = Equator(np.asarray([float(t) for t in args.v.split(",")], dtype=float))
+        v = np.asarray([float(t) for t in args.v.split(",")])
+        if v.shape != (g.n + 1,) or not np.all(np.isfinite(v)):
+            raise ValueError(f"--v must be {g.n + 1} finite numbers for n={g.n}, got {args.v!r}")
+        v = Equator(v)
     else:
         v = Equator(np.eye(g.n + 1)[0])
     levels = args.L or [12]

@@ -11,7 +11,8 @@ curvature tensor from samples of k_p(v, v) by least squares.  The two
 directions are mutually inverse, and F_{g} * D vanishes into the identity
 F * D = 1 along the way.
 
-All derivative information is produced in gnomonic charts as exact 2-jets.
+All derivative information is produced in gnomonic charts as exact jets
+(1-jets where only first derivatives are read).
 Write q = c + x E for the unnormalized chart point (centre c, frame rows e_i)
 and Q_ij(x) = R(q, e_i, q, e_j), a quadratic polynomial in x.  With
 s = 1 + |x|^2 the pulled-back Killing tensor is k = Q / s^2, and the round
@@ -70,22 +71,23 @@ class MetricField(AmbientField):
     """Riemannian metric on S^n evaluated through ambient matrices and chart jets.
 
     Subclasses provide ``ambient_matrices`` (see :class:`AmbientField`) and
-    ``_chart_jets`` (the exact 2-jets of the pulled-back metric in a stack of
+    ``_chart_jets`` (the exact jets of the pulled-back metric in a stack of
     gnomonic charts, given by their bases: rows centre, then frame).
     """
 
-    def _chart_jets(self, bases: np.ndarray, x) -> MatrixJet:
-        """Batched chart jets: ``bases`` (..., n+1, n+1) and ``x`` (..., n) share leading axes."""
+    def _chart_jets(self, bases: np.ndarray, x, first_order: bool = False) -> MatrixJet:
+        """Batched chart jets (1-jets if ``first_order``): ``bases`` (..., n+1, n+1) and ``x`` (..., n)
+        share leading axes."""
         raise NotImplementedError
 
-    def chart_jet(self, chart: GnomonicChart, x) -> MatrixJet:
-        """Exact 2-jet of the metric in ``chart`` at chart coordinates ``x``."""
+    def chart_jet(self, chart: GnomonicChart, x, first_order: bool = False) -> MatrixJet:
+        """Exact 2-jet (or 1-jet) of the metric in ``chart`` at chart coordinates ``x``."""
         if chart.n != self.n:
             raise DimensionError("chart and metric dimensions differ")
         x = chart.check_radius(np.asarray(x, dtype=float))
         # a batch of one: numpy's sums can round differently without a batch axis
-        jet = self._chart_jets(np.vstack([chart.center, chart.frame])[None], x[None])
-        return MatrixJet(jet.value[0], jet.grad[0], jet.hess[0])
+        jet = self._chart_jets(np.vstack([chart.center, chart.frame])[None], x[None], first_order)
+        return MatrixJet(jet.value[0], jet.grad[0], None if first_order else jet.hess[0])
 
     def F_values(self, points) -> np.ndarray:
         """Volume ratio against the round metric, det^(2/(n+1)) in a tangent frame."""
@@ -135,6 +137,21 @@ def _chart_quadratic(R: np.ndarray, bases: np.ndarray):
     return Q0, Q1, C + np.swapaxes(C, -4, -3)
 
 
+def _chart_linear(R: np.ndarray, bases: np.ndarray, x) -> MatrixJet:
+    """1-jet of Q at x: Q_ij = R(q, e_i, q, e_j) and d_k Q_ij = R(e_k, e_i, q, e_j) + (i <-> j).
+
+    R's third slot is contracted with q once, then the others with (q; E) and E.  Only
+    stacked matmuls, one product per chart, so a batch gives exactly the pointwise values.
+    """
+    m = R.shape[0]
+    E = bases[..., 1:, :]
+    q = bases[..., :1, :] + np.asarray(x)[..., None, :] @ E  # (..., 1, m)
+    Rq = (q @ np.moveaxis(R, 2, 0).reshape(m, -1)).reshape(*q.shape[:-2], m, m * m)
+    T = np.concatenate([q, E], axis=-2) @ Rq  # T[k, (b, d)]: slot 1 with q or e_k
+    T = E[..., None, :, :] @ T.reshape(*T.shape[:-1], m, m) @ np.swapaxes(E, -1, -2)[..., None, :, :]
+    return MatrixJet(T[..., 0, :, :], T[..., 1:, :, :] + np.swapaxes(T[..., 1:, :, :], -1, -2), None)
+
+
 class CurvatureMetric(MetricField):
     """Metric g_R = k_R / D_R generated by a positive curvature tensor."""
 
@@ -163,8 +180,10 @@ class CurvatureMetric(MetricField):
         K[:n, :n] += cc.reshape(n, n, -1)
         return 1.0 / np.prod(_cholesky_diagonal(K, "Killing tensor") ** np.r_[np.ones(n), 2.0], axis=1)
 
-    def _chart_jets(self, bases: np.ndarray, x) -> MatrixJet:
-        Q = quadratic_matrix_jet(*_chart_quadratic(self.generator.coeffs, bases), x)
+    def _chart_jets(self, bases: np.ndarray, x, first_order: bool = False) -> MatrixJet:
+        R = self.generator.coeffs
+        Q = (_chart_linear(R, bases, x) if first_order
+             else quadratic_matrix_jet(*_chart_quadratic(R, bases), x))
         return Q.scaled(Q.det().power(-2.0 / (self.n - 1.0)))
 
 

@@ -1,12 +1,17 @@
-"""Second-order Taylor data (2-jets) for scalar and matrix fields.
+"""Taylor data (1-jets and 2-jets) for scalar and matrix fields.
 
 Everything downstream that needs derivatives of a metric in a chart --
 Christoffel symbols, curvature, mean curvature of equators -- is built from
-closed-form 2-jets.  A :class:`ScalarJet` carries ``(value, grad, hess)`` of a
+closed-form jets.  A :class:`ScalarJet` carries ``(value, grad, hess)`` of a
 scalar function at a point; a :class:`MatrixJet` carries the same for a
 matrix-valued function.  Arithmetic combines jets by the product, quotient and
 chain rules, so no finite differencing enters the main code paths (finite
 differences are kept for cross-checks in the tests).
+
+A jet with ``hess=None`` is a 1-jet, and every operation passes the missing
+Hessian through.  The sweeps, second fundamental forms, height derivatives and
+SO(4) Jacobi data read only (g, dg) and use 1-jets; curvature, the equator
+meshes and the public ``chart_jet`` use 2-jets.
 
 Jets broadcast over leading axes, so one jet can hold a whole stack of points:
 a scalar jet has value ``(...)``, grad ``(..., q)`` and hess ``(..., q, q)``;
@@ -28,13 +33,18 @@ def _lift(a, axes: int):
     return np.asarray(a)[(...,) + (None,) * axes]
 
 
+def _opt(f, *hess):
+    """``f(*hess)``, or None if a jet is a 1-jet."""
+    return None if any(h is None for h in hess) else f(*hess)
+
+
 @dataclass(frozen=True)
 class ScalarJet:
     """Value (...), gradient (..., q) and Hessian (..., q, q) of a scalar field."""
 
     value: float | np.ndarray
     grad: np.ndarray
-    hess: np.ndarray
+    hess: np.ndarray | None  # None for a 1-jet
 
     # numpy arrays on the left of an operator defer to the jet's own methods
     __array_ufunc__ = None
@@ -42,19 +52,22 @@ class ScalarJet:
     def _chain(self, f0, f1, f2) -> "ScalarJet":
         """Jet of ``f(self)`` given ``f, f', f''`` evaluated at ``self.value``."""
         grad = _lift(f1, 1) * self.grad
+        if self.hess is None:
+            return ScalarJet(f0, grad, None)
         outer = self.grad[..., :, None] * self.grad[..., None, :]
         hess = _lift(f1, 2) * self.hess + _lift(f2, 2) * outer
         return ScalarJet(f0, grad, hess)
 
     def __add__(self, other):
         if isinstance(other, ScalarJet):
-            return ScalarJet(self.value + other.value, self.grad + other.grad, self.hess + other.hess)
-        return ScalarJet(self.value + other, self.grad.copy(), self.hess.copy())
+            hess = _opt(np.add, self.hess, other.hess)
+            return ScalarJet(self.value + other.value, self.grad + other.grad, hess)
+        return ScalarJet(self.value + other, self.grad.copy(), _opt(lambda h: h.copy(), self.hess))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ScalarJet(-self.value, -self.grad, -self.hess)
+        return ScalarJet(-self.value, -self.grad, _opt(np.negative, self.hess))
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, ScalarJet) else -other)
@@ -66,11 +79,14 @@ class ScalarJet:
         if isinstance(other, ScalarJet):
             value = self.value * other.value
             grad = self.grad * _lift(other.value, 1) + _lift(self.value, 1) * other.grad
+            if self.hess is None or other.hess is None:
+                return ScalarJet(value, grad, None)
             cross = self.grad[..., :, None] * other.grad[..., None, :]
             hess = (self.hess * _lift(other.value, 2) + _lift(self.value, 2) * other.hess
                     + cross + np.swapaxes(cross, -1, -2))
             return ScalarJet(value, grad, hess)
-        return ScalarJet(self.value * other, self.grad * _lift(other, 1), self.hess * _lift(other, 2))
+        return ScalarJet(self.value * other, self.grad * _lift(other, 1),
+                         _opt(lambda h: h * _lift(other, 2), self.hess))
 
     __rmul__ = __mul__
 
@@ -113,22 +129,25 @@ class MatrixJet:
     """Value (..., m, m), gradient (..., q, m, m) and Hessian (..., q, q, m, m).
 
     ``grad[..., a, :, :]`` is the derivative along coordinate ``a``; ``hess``
-    is symmetric in its two coordinate axes.  The matrix dimension m is
-    independent of the number of chart variables q.
+    is symmetric in its two coordinate axes, or None for a 1-jet.  The matrix
+    dimension m is independent of the number of chart variables q.
     """
 
     value: np.ndarray
     grad: np.ndarray
-    hess: np.ndarray
+    hess: np.ndarray | None
 
     def __add__(self, other: "MatrixJet") -> "MatrixJet":
-        return MatrixJet(self.value + other.value, self.grad + other.grad, self.hess + other.hess)
+        hess = _opt(np.add, self.hess, other.hess)
+        return MatrixJet(self.value + other.value, self.grad + other.grad, hess)
 
     def scaled(self, s: ScalarJet) -> "MatrixJet":
         """Jet of ``s(x) * M(x)`` for a scalar jet ``s``."""
         sg = s.grad[..., None, None]
         value = _lift(s.value, 2) * self.value
         grad = _lift(s.value, 3) * self.grad + sg * self.value[..., None, :, :]
+        if self.hess is None or s.hess is None:
+            return MatrixJet(value, grad, None)
         hess = (
             _lift(s.value, 4) * self.hess
             + s.hess[..., None, None] * self.value[..., None, None, :, :]
@@ -138,12 +157,14 @@ class MatrixJet:
         return MatrixJet(value, grad, hess)
 
     def _logdet_parts(self):
-        """``(det M, grad log det M, hess log det M)``; requires ``M`` invertible."""
+        """``(det M, grad log det M, hess log det M or None)``; requires ``M`` invertible."""
         d = np.linalg.det(self.value)
         B = np.linalg.inv(self.value)
         # d log det = tr(B dM);  dd log det = tr(B ddM) - tr(B dM B dM)
         BdM = B[..., None, :, :] @ self.grad
         glog = np.einsum("...aii->...a", BdM)  # a matmul and a trace: the same sums at any batch size
+        if self.hess is None:
+            return d, glog, None
         hlog = (np.einsum("...ij,...abji->...ab", B, self.hess)
                 - np.einsum("...aij,...bji->...ab", BdM, BdM))
         return d, glog, hlog
@@ -151,6 +172,8 @@ class MatrixJet:
     def det(self) -> ScalarJet:
         """Jet of ``det M`` via Jacobi's formula; requires ``M`` invertible."""
         d, glog, hlog = self._logdet_parts()
+        if hlog is None:
+            return ScalarJet(d, _lift(d, 1) * glog, None)
         outer = glog[..., :, None] * glog[..., None, :]
         return ScalarJet(d, _lift(d, 1) * glog, _lift(d, 2) * (hlog + outer))
 

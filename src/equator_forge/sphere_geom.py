@@ -103,6 +103,8 @@ class Equator:
 
     def __post_init__(self):
         v = np.asarray(self.normal, dtype=float)
+        if not np.all(np.isfinite(v)):
+            raise DegenerateInputError("equator normal must be finite")
         norm = np.linalg.norm(v)
         if norm < 1e-12:
             raise DegenerateInputError("equator normal must be nonzero")

@@ -185,6 +185,8 @@ class GroupElement:
         M = np.asarray(self.matrix, dtype=float)
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
             raise DimensionError(f"expected a square matrix, got shape {M.shape}")
+        if not np.all(np.isfinite(M)):
+            raise DegenerateInputError("matrix has non-finite entries")
         if abs(np.linalg.det(M)) <= 1e-12:
             raise DegenerateInputError("matrix is numerically singular")
         object.__setattr__(self, "matrix", M)
@@ -757,4 +759,6 @@ def load_matrix(path: str) -> GroupElement:
     M = np.asarray(payload["matrix"], dtype=float)
     if M.shape != (n + 1, n + 1):
         raise DimensionError(f"{path}: matrix shape {M.shape} does not match n={n}")
+    if not np.all(np.isfinite(M)):
+        raise DegenerateInputError(f"{path}: matrix has non-finite entries")
     return GroupElement(M)

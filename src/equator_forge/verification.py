@@ -95,11 +95,13 @@ class ChristoffelData:
 
 
 def _christoffel_arrays(gmat, dg, d2g):
-    """``(ginv, gamma, dgamma)`` from the metric jet; all arrays share leading axes."""
+    """``(ginv, gamma, dgamma)`` from the metric jet, dgamma None without d2g; arrays share leading axes."""
     ginv = np.linalg.inv(gmat)
     S = dg + np.swapaxes(dg, -3, -2) - np.moveaxis(dg, -3, -1)
     # S[i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
     gamma = 0.5 * np.einsum("...kl,...ijl->...kij", ginv, S)
+    if d2g is None:
+        return ginv, gamma, None
     dginv = -(ginv[..., None, :, :] @ dg @ ginv[..., None, :, :])
     dS = d2g + np.swapaxes(d2g, -3, -2) - np.moveaxis(d2g, -3, -1)
     # dS[m, i, j, l] = d_m S[i, j, l]
@@ -109,11 +111,12 @@ def _christoffel_arrays(gmat, dg, d2g):
     return ginv, gamma, dgamma
 
 
-def _centre_arrays(g: MetricField, bases: np.ndarray):
-    """``(gmat, ginv, gamma, dgamma)`` at the centres of the charts with rows ``bases``."""
+def _centre_arrays(g: MetricField, bases: np.ndarray, first_order: bool = False):
+    """``(gmat, ginv, gamma, dgamma)`` at the centres of the charts with rows ``bases``; ``first_order``
+    builds only gamma, from 1-jets."""
     if bases.shape[-1] != g.n + 1:
         raise DimensionError("chart and metric dimensions differ")
-    jet = g._chart_jets(bases, np.zeros(g.n))
+    jet = g._chart_jets(bases, np.zeros(g.n), first_order)
     return (jet.value, *_christoffel_arrays(jet.value, jet.grad, jet.hess))
 
 
@@ -205,7 +208,7 @@ def _equator_mean_curvatures(g: MetricField, v, p):
     if np.any(np.abs(np.sum(p * v, axis=-1)) > 1e-10):
         raise DegenerateInputError("p does not lie on the equator of v")
     bases = _tangent_bases(p)
-    _, ginv, gamma, _ = _centre_arrays(g, bases)
+    _, ginv, gamma, _ = _centre_arrays(g, bases, first_order=True)
     _, _, hess, norm, normal = _height_hessian(bases, ginv, gamma, v)
     return _mean_curvature(ginv, hess, norm, normal)
 
@@ -215,10 +218,10 @@ def height_derivatives(g: MetricField, v, p, chart: GnomonicChart | None = None)
     v = np.asarray(v, dtype=float)
     if chart is None:
         chart = chart_at(p)
-    cd = christoffels(g, chart, np.zeros(chart.n))
     bases = np.vstack([chart.center, chart.frame])
-    c0, c, hess, norm, normal = _height_hessian(bases, cd.ginv, cd.gamma, v)
-    laplacian = float(np.einsum("ij,ij", cd.ginv, hess))
+    _, ginv, gamma, _ = _centre_arrays(g, bases, first_order=True)
+    c0, c, hess, norm, normal = _height_hessian(bases, ginv, gamma, v)
+    laplacian = float(np.einsum("ij,ij", ginv, hess))
     normal_ambient = normal @ chart.frame
     return HeightData(chart, float(c0), c, hess, laplacian, float(norm), normal, normal_ambient)
 
@@ -285,7 +288,7 @@ def _metric_equation_errors(jet: MatrixJet, x: np.ndarray) -> np.ndarray:
 def nabla_bar_g(g: MetricField, chart: GnomonicChart, x) -> np.ndarray:
     """Round covariant derivative of g: out[i, j, k] = (nabla-bar_k g)(e_i, e_j)."""
     x = np.asarray(x, dtype=float)
-    return _nabla_bar(g.chart_jet(chart, x), x)
+    return _nabla_bar(g.chart_jet(chart, x, first_order=True), x)
 
 
 def dlog_volume_ratio(g: MetricField, chart: GnomonicChart, x) -> np.ndarray:
@@ -295,7 +298,7 @@ def dlog_volume_ratio(g: MetricField, chart: GnomonicChart, x) -> np.ndarray:
     gradient is -(n + 1) x / (1 + |x|^2).
     """
     x = np.asarray(x, dtype=float)
-    return _dlog_volume(g.chart_jet(chart, x), x)
+    return _dlog_volume(g.chart_jet(chart, x, first_order=True), x)
 
 
 def metric_equation_residual(g: MetricField, chart: GnomonicChart, x) -> float:
@@ -305,7 +308,7 @@ def metric_equation_residual(g: MetricField, chart: GnomonicChart, x) -> float:
     vanishes exactly on metrics generated by curvature tensors.
     """
     x = np.asarray(x, dtype=float)
-    return float(_metric_equation_errors(g.chart_jet(chart, x), x))
+    return float(_metric_equation_errors(g.chart_jet(chart, x, first_order=True), x))
 
 
 # ---------------------------------------------------------------------------
@@ -354,9 +357,11 @@ def _outer_jet(comps: list[ScalarJet]) -> MatrixJet:
     """Matrix jet of u(x) u(x)^T from scalar jets of the components of u."""
     u = np.stack([c.value for c in comps], axis=-1)
     du = np.stack([c.grad for c in comps], axis=-1)  # du[a, i] = d_a u_i
-    ddu = np.stack([c.hess for c in comps], axis=-1)  # ddu[a, b, i]
     value = np.einsum("...i,...j->...ij", u, u)
     grad = np.einsum("...ai,...j->...aij", du, u) + np.einsum("...i,...aj->...aij", u, du)
+    if any(c.hess is None for c in comps):
+        return MatrixJet(value, grad, None)
+    ddu = np.stack([c.hess for c in comps], axis=-1)  # ddu[a, b, i]
     hess = (
         np.einsum("...abi,...j->...abij", ddu, u)
         + np.einsum("...i,...abj->...abij", u, ddu)
@@ -410,20 +415,22 @@ class BumpMetric(MetricField):
         bump = self.amplitude * self._h(P)[:, None, None] * np.einsum("ni,nj->nij", wt, wt)
         return base + bump
 
-    def _chart_jets(self, bases: np.ndarray, x) -> MatrixJet:
+    def _chart_jets(self, bases: np.ndarray, x, first_order: bool = False) -> MatrixJet:
         n = self.n
         x = np.broadcast_to(x, bases.shape[:-2] + (n,))
         zero = np.zeros(x.shape + (n,))
-        base = round_metric(n)._chart_jets(bases, x)
-        s = ScalarJet(1.0 + np.sum(x * x, axis=-1), 2.0 * x, zero + 2.0 * np.eye(n))
+        hzero = None if first_order else zero  # the Hessian of a linear function; 1-jets carry none
+        base = round_metric(n)._chart_jets(bases, x, first_order)
+        s = ScalarJet(1.0 + np.sum(x * x, axis=-1), 2.0 * x,
+                      None if first_order else zero + 2.0 * np.eye(n))
         r = s.power(-0.5)
         c = bases @ self.direction
         # <q, w> along q = center + x @ frame is linear in x
-        beta, a = (ScalarJet(cw[..., 0] + np.sum(cw[..., 1:] * x, axis=-1), cw[..., 1:], zero)
+        beta, a = (ScalarJet(cw[..., 0] + np.sum(cw[..., 1:] * x, axis=-1), cw[..., 1:], hzero)
                    for cw in (c, bases @ self.center))
         comps = []
         for i in range(n):
-            xi = ScalarJet(x[..., i], zero[..., i, :] + np.eye(n)[i], zero)
+            xi = ScalarJet(x[..., i], zero[..., i, :] + np.eye(n)[i], hzero)
             comps.append((c[..., 1 + i] - xi * beta / s) * r)
         # |p - center|^2 = 1 + |center|^2 - 2 <p, center> at the unit point p
         dist2 = (1.0 + self.center @ self.center) - 2.0 * (a * r)
@@ -478,7 +485,7 @@ def metric_equation_sweep(g: MetricField, *, samples: int = 50, seed: int = 0) -
         P.append(random_unit(rng, g.n + 1))
         X.append(0.8 * rng.uniform(0.0, 1.0) ** (1.0 / g.n) * random_unit(rng, g.n))
     P, X = np.array(P), np.array(X)
-    return float(np.max(_metric_equation_errors(g._chart_jets(_tangent_bases(P), X), X)))
+    return float(np.max(_metric_equation_errors(g._chart_jets(_tangent_bases(P), X, first_order=True), X)))
 
 
 @dataclass(frozen=True)

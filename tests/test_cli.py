@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import equator_forge
+from equator_forge import correspondence, verification
 from equator_forge.cli import _emit, main
 from equator_forge.correspondence import metric_from_curv
 from equator_forge.tableio import write_json
@@ -279,6 +280,53 @@ def test_radon_constant_function(tmp_path, capsys):
         rows = list(csv.reader(fh))
     assert len(rows) == 4
     assert abs(float(rows[1][-1]) - 4.0 * np.pi) < 1e-9
+
+
+@pytest.mark.parametrize("option", [
+    ["--v", "1,0,0,0,0"], ["--v", "1,0,0"], ["--v", "1,nan,0,0"],
+    ["--null-tol", "nan"], ["--null-tol", "inf"], ["--null-tol", "-0.001"],
+])
+def test_spectrum_rejects_a_bad_normal_or_null_tol_before_writing(tmp_path, capsys, option):
+    tensor, out = tmp_path / "t.json", tmp_path / "spec.csv"
+    run(capsys, "gen", "random", "--n", "3", "--seed", "3", "--out", str(tensor))
+    code = main(["spectrum", str(tensor), "--L", "4", *option, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "error:" in captured.err and option[0] in captured.err
+    assert "Traceback" not in captured.err
+    assert not out.exists()
+
+
+def test_verify_builds_no_second_order_data(tmp_path, capsys, monkeypatch):
+    # the sweeps read only g and its first derivatives: no four-slot chart
+    # quadratic of R and no curvature assembly
+    tensor, fixture = tmp_path / "t.json", tmp_path / "bump.json"
+    run(capsys, "gen", "random", "--n", "4", "--seed", "3", "--out", str(tensor))
+    run(capsys, "gen", "bump", "--n", "3", "--out", str(fixture))
+
+    def refuse(*args):
+        raise AssertionError("a verify sweep built second-order data")
+
+    monkeypatch.setattr(correspondence, "_chart_quadratic", refuse)
+    monkeypatch.setattr(verification, "_curvature_arrays", refuse)
+    assert run(capsys, "verify", str(tensor))[0] == 0
+    code, payload, _ = run(capsys, "verify", str(fixture))
+    assert code == 1 and not payload["report"]["checks"]["mean_curvature"]["pass"]
+
+
+def test_act_rejects_a_non_finite_matrix_file(tmp_path, capsys):
+    tensor, mat, out = tmp_path / "t.json", tmp_path / "m.json", tmp_path / "out.json"
+    run(capsys, "gen", "round", "--n", "3", "--out", str(tensor))
+    save_matrix(GroupElement(np.eye(4)), mat)
+    payload = json.loads(mat.read_text())
+    payload["matrix"][1][2] = float("nan")
+    mat.write_text(json.dumps(payload))  # the stdlib writes a NaN token by default
+    code, payload, err = run(capsys, "act", str(tensor), str(mat), "--out", str(out))
+    assert code == 2
+    assert "error:" in err and str(mat) in err and "non-finite" in err
+    assert payload is None
+    assert not out.exists()
 
 
 def test_act_with_orthogonal_matrix(tmp_path, capsys):

@@ -297,6 +297,22 @@ def test_batched_chart_jets_match_pointwise(n):
         _assert_same_jets(g._chart_jets(bases, X[0]), [g.chart_jet(c, X[0]) for c in charts])
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_first_order_jets_match_the_second_order_ones(n):
+    # the sweeps' 1-jets (R contracted once with the chart point) against the 2-jets
+    rng = np.random.default_rng(60 + n)
+    for g in (_member(n), BumpMetric(n, amplitude=0.3, width=0.2), round_metric(n)):
+        near = g.center if isinstance(g, BumpMetric) else None
+        bases, _, X = _charts_and_points(rng, n, 12, near)
+        for x in (np.zeros(n), X):
+            one, two = g._chart_jets(bases, x, first_order=True), g._chart_jets(bases, x)
+            assert one.hess is None
+            scale = np.max(np.abs(two.value))
+            for name in ("value", "grad"):
+                a, b = getattr(one, name), getattr(two, name)
+                assert np.max(np.abs(a - b)) <= 1e-14 * max(np.max(np.abs(b)), scale), name
+
+
 @settings(max_examples=25, deadline=None)
 @given(n=st.integers(2, 5), count=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
        radius=st.floats(0.0, 1.5))

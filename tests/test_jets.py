@@ -158,3 +158,23 @@ def test_matrix_jet_sum():
     assert_allclose(total.value, M1(x) + M2(x), atol=1e-12)
     assert_allclose(total.grad, j1.grad + j2.grad, atol=1e-12)
     assert_allclose(total.hess, j1.hess + j2.hess, atol=1e-12)
+
+
+def test_one_jets_give_the_two_jets_value_and_gradient():
+    # hess=None passes through every op, and the value and gradient do not depend on it
+    rng = np.random.default_rng(5)
+    f, (c0, c1, c2) = _scalar_field(rng, 3)
+    x = 0.1 * rng.standard_normal(3)
+    s2 = quadratic_scalar_jet(c0 + 5.0 + abs(f(x)), c1, c2, x)
+    s1 = ScalarJet(s2.value, s2.grad, None)
+    M, parts = _matrix_field(rng, 3, 4)
+    m2 = quadratic_matrix_jet(*parts, x)
+    m1 = MatrixJet(m2.value, m2.grad, None)
+    scalar_ops = [lambda s: 2.0 - s * s / (s + 1.0), lambda s: (-s).exp() + s.log().sqrt(),
+                  lambda s: 1.0 / s - s.power(1.5)]
+    matrix_ops = [lambda m, s: m.scaled(m.det().power(-0.5) * s) + m, lambda m, s: m.logdet() * s]
+    pairs = [(op(s1), op(s2)) for op in scalar_ops] + [(op(m1, s1), op(m2, s2)) for op in matrix_ops]
+    for one, two in pairs:
+        assert one.hess is None and two.hess is not None
+        assert np.array_equal(one.value, two.value)
+        assert np.array_equal(one.grad, two.grad)

@@ -55,6 +55,12 @@ def test_equator_normalizes_and_canonicalizes():
         Equator(np.zeros(4))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_equator_rejects_non_finite_normals(bad):
+    with pytest.raises(DegenerateInputError):
+        Equator(np.array([bad, 0.0, 0.0, 1.0]))
+
+
 def test_chart_roundtrip():
     rng = np.random.default_rng(1)
     for _ in range(10):

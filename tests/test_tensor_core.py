@@ -325,6 +325,16 @@ def test_group_element_rejects_singular_matrices():
         GroupElement(M)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_group_element_rejects_non_finite_matrices(bad):
+    with pytest.raises(DegenerateInputError):
+        GroupElement(np.full((4, 4), bad))
+    M = np.eye(4)
+    M[2, 1] = bad
+    with pytest.raises(DegenerateInputError):
+        GroupElement(M)
+
+
 # ---------------------------------------------------------------------------
 # Killing fields and symmetric products
 
