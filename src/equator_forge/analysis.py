@@ -25,7 +25,7 @@ import numpy as np
 
 from .correspondence import CurvatureMetric, MetricField, curv_from_killing
 from .harmonics import _harmonic_factors, basis_degrees, real_harmonic_basis
-from .parallel import thread_count, tmap
+from .parallel import _one_blas_thread, thread_count, tmap
 from .sphere_geom import (Equator, _equator_nodes, _equator_rule, _on_rows, _reference_grid,
                           _tangent_bases, check_unit)
 from .tensor_core import (
@@ -261,11 +261,15 @@ class JacobiGalerkin:
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues of minus the Jacobi operator, ascending."""
         import scipy.linalg  # on use: importing the package loads no scipy
-        return scipy.linalg.eigh(self.stiffness, self.mass, eigvals_only=True)
+
+        with _one_blas_thread():  # scipy's own OpenBLAS loads with scipy.linalg
+            return scipy.linalg.eigh(self.stiffness, self.mass, eigvals_only=True)
 
     def _mass_solve(self, rhs) -> np.ndarray:
         import scipy.linalg  # on use: importing the package loads no scipy
-        return scipy.linalg.solve(self.mass, rhs, assume_a="pos")
+
+        with _one_blas_thread():
+            return scipy.linalg.solve(self.mass, rhs, assume_a="pos")
 
 
 def _factor_gram(terms, index) -> np.ndarray:

@@ -25,11 +25,13 @@ from .analysis import (
     jacobi_spectrum_probe,
     left_invariant_metric,
 )
-from .correspondence import metric_from_curv
+from .correspondence import SamplingError, metric_from_curv
+from .parallel import _one_blas_thread
 from .sphere_geom import Equator, random_equator, sphere_quadrature, tangent_frame
 from .tableio import write_csv, write_json
 from .tensor_core import (
     _file_dimension,
+    _require_memory,
     act,
     constant_curvature,
     fubini_study,
@@ -91,6 +93,7 @@ def _load_subject(path: str):
 
 def cmd_gen(args) -> int:
     config = RunConfig("gen", seed=args.seed, params={"kind": args.kind})
+    _require_memory({"fubini-study": 2 * args.m + 1, "left-invariant": 3}.get(args.kind, args.n))
     if args.kind == "round":
         R = constant_curvature(args.n, 1.0)
         info = {"kind": "round", "n": args.n}
@@ -424,8 +427,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except (ValueError, OSError, KeyError) as exc:
+        with _one_blas_thread():  # small matrices: a second BLAS thread only spins
+            return args.func(args)
+    except (ValueError, OSError, KeyError, SamplingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

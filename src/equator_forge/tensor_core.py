@@ -16,6 +16,7 @@ sectional curvature of the plane spanned by orthonormal ``x, y`` is
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -239,10 +240,31 @@ def curv_dim(n: int) -> int:
     return m * m * (m * m - 1) // 12
 
 
+def _physical_memory() -> int | None:
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):  # no sysconf on this platform
+        return None
+
+
+def _require_memory(n: int, rows: int = 1) -> None:
+    """Refuse dimension ``n`` if ``rows`` x (n+1)^4 doubles exceed physical memory.
+
+    One row is a tensor's coefficients; :func:`basis_matrix` has ``curv_dim(n)``.
+    """
+    need, have = 8 * rows * (n + 1) ** 4, _physical_memory()
+    if have is not None and need > have:
+        raise DimensionError(
+            f"n={n} needs an array of {need / 2**30:.3g} GiB, "
+            f"more than the {have / 2**30:.3g} GiB of physical memory"
+        )
+
+
 @lru_cache(maxsize=None)
 def _basis_matrix_cached(n: int) -> np.ndarray:
     if n < 2:
         raise DimensionError("curvature-tensor basis requires n >= 2")
+    _require_memory(n, curv_dim(n))
     m = n + 1
     pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
     idx = [p + q for a, p in enumerate(pairs) for q in pairs[a:]]
@@ -710,6 +732,7 @@ def _file_dimension(path: str, payload: dict) -> int:
     n = payload["n"]
     if type(n) is not int:
         raise DimensionError(f"{path}: n must be an integer, got {n!r}")
+    _require_memory(n)
     return n
 
 

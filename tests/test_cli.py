@@ -9,15 +9,17 @@ import numpy as np
 import pytest
 
 import equator_forge
-from equator_forge import correspondence, verification
+from equator_forge import correspondence, tensor_core, verification
 from equator_forge.cli import _emit, main
 from equator_forge.correspondence import metric_from_curv
 from equator_forge.tableio import write_json
 from equator_forge.tensor_core import (
     CurvatureTensor,
+    DimensionError,
     GroupElement,
     PositivityError,
     constant_curvature,
+    _require_memory,
     curv_dim,
     is_positive,
     load_tensor,
@@ -313,6 +315,79 @@ def test_verify_builds_no_second_order_data(tmp_path, capsys, monkeypatch):
     assert run(capsys, "verify", str(tensor))[0] == 0
     code, payload, _ = run(capsys, "verify", str(fixture))
     assert code == 1 and not payload["report"]["checks"]["mean_curvature"]["pass"]
+
+
+def test_verify_passes_a_member_with_an_ill_conditioned_group_draw(tmp_path, capsys):
+    # with --seed 3 one of the five draws I + 0.35 N has condition number
+    # 3,482, and rounding alone put the equivariance residual at 1.9e-8
+    tensor = tmp_path / "t.json"
+    run(capsys, "gen", "random", "--n", "3", "--seed", "7", "--out", str(tensor))
+    code, payload, _ = run(capsys, "verify", str(tensor), "--seed", "3")
+    assert code == 0
+    assert payload["report"]["checks"]["equivariance"]["residual"] < 1e-12
+
+
+def test_a_failed_roundtrip_solve_is_an_input_error(tmp_path, capsys, monkeypatch):
+    tensor = tmp_path / "t.json"
+    run(capsys, "gen", "random", "--n", "3", "--out", str(tensor))
+
+    def fail(*args, **kwargs):
+        raise correspondence.SamplingError("normal system condition stayed above 1e10")
+
+    monkeypatch.setattr(verification, "curv_from_killing", fail)
+    code, payload, err = run(capsys, "verify", str(tensor))
+    assert code == 2 and payload is None
+    assert "error: normal system condition" in err and "Traceback" not in err
+
+
+def test_size_guard_arithmetic(monkeypatch):
+    # n = 400: one tensor's (n+1)^4 doubles are 192.7 GiB; the basis has
+    # curv_dim(n) such rows.  Only the arithmetic runs: nothing is allocated.
+    monkeypatch.setattr(tensor_core, "_physical_memory", lambda: 8 * 2**30)
+    with pytest.raises(DimensionError, match=r"n=400 needs an array of 193 GiB"):
+        _require_memory(400)
+    with pytest.raises(DimensionError):
+        _require_memory(200)  # 12.2 GiB
+    _require_memory(150)  # 3.8 GiB
+    _require_memory(12, curv_dim(12))  # the basis at n = 12: 0.50 GiB
+    with pytest.raises(DimensionError):
+        _require_memory(25, curv_dim(25))  # 129 GiB
+    monkeypatch.setattr(tensor_core, "_physical_memory", lambda: None)
+    _require_memory(400, curv_dim(400))  # no limit where the memory is unknown
+
+
+def test_physical_memory_comes_from_sysconf():
+    have = tensor_core._physical_memory()
+    assert have is None or have == os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+@pytest.mark.parametrize("argv", [
+    ("gen", "round", "--n", "3"),
+    ("gen", "random", "--n", "3"),
+    ("gen", "fubini-study", "--m", "2"),
+    ("gen", "bump", "--n", "3"),
+    ("verify", "TENSOR"),
+    ("area", "TENSOR"),
+])
+def test_a_dimension_beyond_physical_memory_exits_2(tmp_path, capsys, monkeypatch, argv):
+    # the physical memory is patched down so that n = 3 (or 5) stands for n = 400
+    tensor, out = tmp_path / "t.json", tmp_path / "out"
+    run(capsys, "gen", "round", "--n", "3", "--out", str(tensor))
+    monkeypatch.setattr(tensor_core, "_physical_memory", lambda: 8 * 4**4 - 1)
+    argv = [str(tensor) if a == "TENSOR" else a for a in argv]
+    code, payload, err = run(capsys, *argv, "--out", str(out))
+    assert code == 2 and payload is None
+    assert "physical memory" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_gen_random_also_needs_room_for_the_basis(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "t.json"
+    tensor_core._basis_matrix_cached.cache_clear()  # a cached basis allocates nothing
+    monkeypatch.setattr(tensor_core, "_physical_memory", lambda: 8 * 4**4)
+    assert run(capsys, "gen", "round", "--n", "3", "--out", str(out))[0] == 0
+    code, _, err = run(capsys, "gen", "random", "--n", "3", "--out", str(out))
+    assert code == 2 and "physical memory" in err
 
 
 def test_act_rejects_a_non_finite_matrix_file(tmp_path, capsys):
