@@ -25,7 +25,7 @@ import numpy as np
 
 from .correspondence import CurvatureMetric, MetricField, curv_from_killing
 from .harmonics import _harmonic_factors, basis_degrees, real_harmonic_basis
-from .parallel import _one_blas_thread, thread_count, tmap
+from .parallel import thread_count, tmap
 from .sphere_geom import (Equator, _equator_nodes, _equator_rule, _on_rows, _reference_grid,
                           _tangent_bases, check_unit)
 from .tensor_core import (
@@ -197,9 +197,9 @@ def equator_mesh(g: MetricField, v, order: int = 32) -> EquatorMesh:
     if g.n != 3:
         raise DimensionError("Jacobi meshes are implemented for S^3")
     eq = _as_equator(v)
-    vn = eq.normal
+    vn, basis = eq.normal, eq.basis()
     c, weights, f = _equator_rule(3, order, 0)  # seed unused: S^3 has the product grid
-    nodes, frames = _on_rows(c, eq.basis()), _on_rows(f, eq.basis())
+    nodes, frames = _on_rows(c, basis), _on_rows(f, basis)
     bases = _mesh_bases(nodes, frames, vn)
 
     def node_block(sl):
@@ -213,7 +213,7 @@ def equator_mesh(g: MetricField, v, order: int = 32) -> EquatorMesh:
 
     normal_ambient, mean_curv, potential, induced = _node_blocks(node_block, nodes.shape[0])
     theta, phi = _reference_grid(order)[:2]
-    return EquatorMesh(eq, order, eq.basis(), theta, phi, nodes, weights, frames, induced,
+    return EquatorMesh(eq, order, basis, theta, phi, nodes, weights, frames, induced,
                        np.linalg.inv(induced), np.sqrt(np.linalg.det(induced)), normal_ambient,
                        mean_curv, potential)
 
@@ -259,17 +259,28 @@ class JacobiGalerkin:
         return self.basis()[0] @ self._mass_solve(-self.stiffness @ c)
 
     def eigenvalues(self) -> np.ndarray:
-        """Eigenvalues of minus the Jacobi operator, ascending."""
-        import scipy.linalg  # on use: importing the package loads no scipy
-
-        with _one_blas_thread():  # scipy's own OpenBLAS loads with scipy.linalg
-            return scipy.linalg.eigh(self.stiffness, self.mass, eigvals_only=True)
+        """Eigenvalues of minus the Jacobi operator, ascending: with mass = C C^T, those of
+        C^-1 stiffness C^-T, formed as W = C^-1 stiffness and the lower triangle of W C^-T."""
+        Ci, S, h = _lower_inverse(np.linalg.cholesky(self.mass)), self.stiffness, len(self.mass) // 2
+        W, A = np.empty_like(S), np.zeros_like(S)  # the products skip the zero block of Ci
+        W[:h], W[h:] = Ci[:h, :h] @ S[:h], Ci[h:] @ S
+        A[:, :h], A[h:, h:] = W[:, :h] @ Ci[:h, :h].T, W[h:] @ Ci[h:].T
+        return np.linalg.eigvalsh(A)  # reads the lower triangle only
 
     def _mass_solve(self, rhs) -> np.ndarray:
-        import scipy.linalg  # on use: importing the package loads no scipy
+        return np.linalg.solve(self.mass, rhs)
 
-        with _one_blas_thread():
-            return scipy.linalg.solve(self.mass, rhs, assume_a="pos")
+
+def _lower_inverse(C) -> np.ndarray:
+    """Inverse of a lower-triangular matrix by halving: [[A, 0], [B, D]]^-1 has the blocks
+    A^-1, D^-1 and -D^-1 B A^-1, so most of the work is in matrix products."""
+    h = C.shape[0] // 2
+    if h < 24:
+        return np.linalg.inv(C)
+    out = np.zeros_like(C)
+    out[:h, :h], out[h:, h:] = _lower_inverse(C[:h, :h]), _lower_inverse(C[h:, h:])
+    out[h:, :h] = -out[h:, h:] @ (C[h:, :h] @ out[:h, :h])
+    return out
 
 
 def _factor_gram(terms, index) -> np.ndarray:

@@ -11,6 +11,7 @@ codes: 0 success, 1 verification failure, 2 usage or input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict, dataclass, field
@@ -349,6 +350,7 @@ def cmd_act(args) -> int:
 # parser
 
 
+@functools.cache  # built on the first main() call, then reused
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="equator-forge",
@@ -369,7 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--amplitude", type=float, default=0.1, help="bump fixture amplitude")
     p.add_argument("--width", type=float, default=0.04, help="bump fixture width")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("verify", help="run the verification suite on a file")
     p.add_argument("input")
@@ -385,7 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             help=f"override tolerance of the {name} check",
         )
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("area", help="CSV scan of equator areas")
     p.add_argument("input")
@@ -393,7 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, default=32)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_area)
 
     p = sub.add_parser("spectrum", help="CSV of Jacobi-operator eigenvalues")
     p.add_argument("input")
@@ -402,7 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, default=None)
     p.add_argument("--null-tol", dest="null_tol", type=float, default=1e-3)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("radon", help="CSV scan of the great-sphere transform")
     p.add_argument("input")
@@ -412,23 +410,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f", choices=["one", "poly"], default="poly")
     p.add_argument("--f-seed", dest="f_seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_radon)
 
     p = sub.add_parser("act", help="apply a group element to a tensor file")
     p.add_argument("tensor")
     p.add_argument("matrix")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_act)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         with _one_blas_thread():  # small matrices: a second BLAS thread only spins
-            return args.func(args)
+            return globals()[f"cmd_{args.command}"](args)
     except (ValueError, OSError, KeyError, SamplingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -5,12 +5,13 @@ m = 1..l the cosine function followed by the sine function.  All functions are
 orthonormal for the round area element.  Gradients are returned as components
 in the orthonormal polar frame (e_theta, e_phi), i.e. (d_theta Y,
 d_phi Y / sin(theta)); quadrature grids built elsewhere never place nodes at
-the poles, so the sine division is safe.
+the poles, so the sine division is safe.  The Legendre factors come from the
+fully normalised recurrence of :func:`_legendre`, in numpy alone.
 """
 
 from __future__ import annotations
 
-from math import lgamma, pi, sqrt
+from math import pi, sqrt
 
 import numpy as np
 
@@ -26,15 +27,24 @@ def basis_degrees(L: int) -> np.ndarray:
     return np.repeat(np.arange(L + 1), 2 * np.arange(L + 1) + 1)
 
 
-def _norms(L: int) -> np.ndarray:
-    """N[l, m] = sqrt((2l+1)/(4 pi) (l-m)!/(l+m)!), times sqrt 2 for m > 0 (real pairs)."""
-    N = np.zeros((L + 1, L + 1))
-    for l in range(L + 1):
-        for m in range(l + 1):
-            N[l, m] = sqrt((2 * l + 1) / (4.0 * pi)) * np.exp(
-                0.5 * (lgamma(l - m + 1) - lgamma(l + m + 1)))
-    N[:, 1:] *= sqrt(2.0)
-    return N
+def _legendre(L: int, theta):
+    """Q[i, l, m] = N P_l^m(cos theta_i), N = sqrt((2l+1)/(4 pi) (l-m)!/(l+m)!), with the
+    Condon-Shortley phase and zeros for m > l, and d/dtheta Q, each (len(theta), L+1, L+1):
+    a product of sines on the diagonal, then the three-term recurrence in l for all m at once.
+    d/dtheta Q_l^m = (sqrt((l-m)(l+m+1)) Q_l^{m+1} - sqrt((l+m)(l-m+1)) Q_l^{m-1}) / 2, with
+    Q_l^{-1} = -Q_l^1, divides by no sin theta."""
+    x, s = np.cos(theta), np.sin(theta)
+    l, m = np.arange(L + 1)[:, None], np.arange(L + 1)
+    Q = np.zeros((x.size, L + 1, L + 2))  # a zero column m = L + 1 for the derivative
+    Q[:, m, m] = np.cumprod(np.r_[1 / sqrt(4 * pi), -np.sqrt(1 + 0.5 / m[1:])]) * s[:, None] ** m
+    for j in range(1, L + 1):
+        k2 = m[:j] ** 2
+        a, b = np.sqrt((4 * j**2 - 1) / (j**2 - k2)), np.sqrt(((j - 1) ** 2 - k2) / (4 * (j - 1) ** 2 - 1))
+        Q[:, j, :j] = a * (x[:, None] * Q[:, j - 1, :j] - b * Q[:, j - 2, :j])
+    below = np.concatenate([-Q[:, :, 1:2], Q[:, :, :L]], axis=2)  # Q_l^{m-1}
+    dQ = 0.5 * (np.sqrt(np.maximum((l - m) * (l + m + 1), 0)) * Q[:, :, 1:]
+                - np.sqrt(np.maximum((l + m) * (l - m + 1), 0)) * below)
+    return Q[:, :, : L + 1], dQ
 
 
 def _harmonic_factors(L: int, theta, phi):
@@ -43,21 +53,18 @@ def _harmonic_factors(L: int, theta, phi):
     Trig column a is the constant for a = 0, else cos(m phi) for odd a and
     sin(m phi) for even a, with m = (a + 1) // 2.  Basis function (l, a) is
     Pv[l, a] T[a] with gradient (Pt[l, a] T[a], Pp[l, a] dT[a]), where Pv, Pt,
-    Pp = N P, -N sin(theta) P', N m P / sin(theta), zero for m > l, have shape
-    (len(theta), L+1, 2L+1) and T, dT = trig, (d/dphi trig) / m have shape
-    (len(phi), 2L+1).  Also returns the flat (l, a) index of each basis function.
+    Pp = c Q, c dQ/dtheta, c m Q / sin(theta) for the tables Q of :func:`_legendre`
+    and c = sqrt 2 for m > 0 (real pairs), else 1, have shape (len(theta), L+1,
+    2L+1), and T, dT = trig, (d/dphi trig) / m have shape (len(phi), 2L+1).
+    Also returns the flat (l, a) index of each basis function.
     """
     st = np.sin(theta)
     if np.any(st <= 1e-12):
         raise ValueError("evaluation points must avoid the poles")
-    from scipy.special import assoc_legendre_p_all  # on use: importing the package loads no scipy
-    P, dP = assoc_legendre_p_all(L, L, np.cos(theta), diff_n=1)  # P[l, m, point], dP/dz
-    P, dth = P[:, : L + 1], -st * dP[:, : L + 1]
     m = np.arange(L + 1)
-    N = _norms(L)
+    P, dth = (np.where(m > 0, sqrt(2.0), 1.0) * F for F in _legendre(L, theta))
     a_m = (np.arange(2 * L + 1) + 1) // 2
-    Pv, Pt, Pp = (np.ascontiguousarray(np.moveaxis(N[..., None] * F, -1, 0)[..., a_m])
-                  for F in (P, dth, m[:, None] * P / st))
+    Pv, Pt, Pp = (np.ascontiguousarray(F[..., a_m]) for F in (P, dth, m * P / st[:, None, None]))
     cos_m, sin_m = np.cos(np.outer(phi, m)), np.sin(np.outer(phi, m))
     T, dT = (np.stack(pair, axis=-1).reshape(-1, 2 * L + 2)[:, 1:]
              for pair in ((cos_m, sin_m), (-sin_m, cos_m)))

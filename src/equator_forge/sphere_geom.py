@@ -348,12 +348,20 @@ def equator_quadrature(v: Equator, order: int, *, seed: int = 0) -> QuadratureRu
     return QuadratureRule(c @ v.basis(), weights, "equator", order, monte_carlo=True, seed=seed)
 
 
+def _gauss_jacobi(order: int, alpha: float) -> tuple:
+    """Gauss rule for the weight (1 - t^2)^alpha on [-1, 1] by Golub-Welsch (Math. Comp. 23, 1969):
+    Jacobi-matrix eigenvalues, and the weight's integral times each eigenvector's first entry squared."""
+    k = np.arange(1, order)
+    t, vectors = np.linalg.eigh(np.diag(np.sqrt(k * (k + 2 * alpha) / ((2 * k + 2 * alpha) ** 2 - 1)), -1))
+    return t, 2 ** (2 * alpha + 1) * math.gamma(alpha + 1) ** 2 / math.gamma(2 * alpha + 2) * vectors[0] ** 2
+
+
 def sphere_quadrature(n: int, order: int) -> QuadratureRule:
     """Deterministic product quadrature on all of S^n.
 
-    Built recursively from Gauss-Jacobi rules in the latitude variable, so a
-    rule of a given order integrates ambient polynomials of degree up to
-    2 * order - 1 exactly.
+    Built recursively from Golub-Welsch Gauss-Jacobi rules in the latitude
+    variable (:func:`_gauss_jacobi`), so a rule of a given order integrates
+    ambient polynomials of degree up to 2 * order - 1 exactly.
     """
     if n < 1:
         raise DimensionError("sphere quadrature requires n >= 1")
@@ -367,8 +375,7 @@ def sphere_quadrature(n: int, order: int) -> QuadratureRule:
         return QuadratureRule(nodes, weights, "sphere", order)
     inner = sphere_quadrature(n - 1, order)
     alpha = (n - 2) / 2.0
-    from scipy.special import roots_jacobi  # on use: importing the package loads no scipy
-    t, wt = roots_jacobi(order, alpha, alpha)
+    t, wt = _gauss_jacobi(order, alpha)
     st = np.sqrt(1.0 - t**2)
     nodes = np.concatenate(
         [

