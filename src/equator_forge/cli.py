@@ -263,14 +263,8 @@ def cmd_spectrum(args) -> int:
         probe = jacobi_spectrum_probe(g, v, L, null_tol=args.null_tol, galerkin=gal)
         for idx, lam in enumerate(probe.eigenvalues):
             rows.append([L, idx, float(lam)])
-        summary.append(
-            {
-                "L": L,
-                "order": probe.order,
-                "n_negative": probe.n_negative,
-                "n_null": probe.n_null,
-            }
-        )
+        summary.append({"L": L, "order": probe.order, "n_negative": probe.n_negative, "n_null": probe.n_null,
+                        "max_abs_mean_curvature": float(np.max(np.abs(gal.mesh.mean_curv)))})
     write_csv(args.out, ["L", "index", "eigenvalue"], rows)
     config = RunConfig(
         "spectrum",

@@ -14,7 +14,8 @@ F * D = 1 along the way.
 All derivative information is produced in gnomonic charts as exact jets
 (1-jets where only first derivatives are read).
 Write q = c + x E for the unnormalized chart point (centre c, frame rows e_i)
-and Q_ij(x) = R(q, e_i, q, e_j), a quadratic polynomial in x.  With
+and Q_ij(x) = R(q, e_i, q, e_j), a quadratic polynomial in x whose 2-jet comes
+from R as a form on 2-vectors, evaluated on the wedges of c and the e_i.  With
 s = 1 + |x|^2 the pulled-back Killing tensor is k = Q / s^2, and the round
 chart metric has determinant s^-(n+1), so D = det(Q)^(2/(n-1)) / s^2.  The
 powers of s cancel in
@@ -26,6 +27,8 @@ differentiation is involved.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -85,9 +88,7 @@ class MetricField(AmbientField):
         if chart.n != self.n:
             raise DimensionError("chart and metric dimensions differ")
         x = chart.check_radius(np.asarray(x, dtype=float))
-        # a batch of one: numpy's sums can round differently without a batch axis
-        jet = self._chart_jets(np.vstack([chart.center, chart.frame])[None], x[None], first_order)
-        return MatrixJet(jet.value[0], jet.grad[0], None if first_order else jet.hess[0])
+        return self._chart_jets(np.vstack([chart.center, chart.frame]), x, first_order)
 
     def F_values(self, points) -> np.ndarray:
         """Volume ratio against the round metric, det^(2/(n+1)) in a tangent frame."""
@@ -120,21 +121,38 @@ def _volume_ratio(M: np.ndarray, P: np.ndarray, power: float, what: str) -> np.n
     return dets ** power
 
 
+@lru_cache(maxsize=None)
+def _chart_table(m: int) -> np.ndarray:
+    """The map from P (flattened) to (Q0, Q1, C + C^T) of :func:`_chart_quadratic` (flattened)."""
+    a, b = np.triu_indices(m, 1)
+    I = np.eye(m)
+    X = I[a][:, :, None] * I[b][:, None, :] - I[b][:, :, None] * I[a][:, None, :]  # X[(a, b)] = e_a ^ e_b
+    # T[abcd] = (e_a ^ e_b) P (e_c ^ e_d)^T = R(b_a, b_b, b_c, b_d), as a linear function of P
+    T = (X[:, None, :, :, None, None] * X[None, :, None, None]).reshape(-1, m, m, m, m)
+    Q1 = T[..., 1:, 1:, 0, 1:] + np.swapaxes(T[..., 0, 1:, 1:, 1:], -3, -2)
+    C = np.swapaxes(T[..., 1:, 1:, 1:, 1:], -3, -2)
+    parts = (T[..., 0, 1:, 0, 1:], Q1, C + np.swapaxes(C, -4, -3))
+    table = np.concatenate([Y.reshape(len(T), -1) for Y in parts], axis=1)
+    table.flags.writeable = False
+    return table
+
+
 def _chart_quadratic(R: np.ndarray, bases: np.ndarray):
     """Quadratic coefficients of Q_ij(x) = R(q, e_i, q, e_j) along q = center + x @ frame.
 
-    ``bases`` (..., n+1, n+1) holds the rows (center, frame) of each chart.
+    ``bases`` (..., n+1, n+1) holds the rows (center, frame) of each chart.  R acts as a form R^ on
+    2-vectors, so only its part antisymmetric in each pair is read (``load_tensor`` accepts other
+    parts up to 1e-9).  P = W R^ W^T, for the 2-vectors W = b_a ^ b_b (a < b) of the rows; each
+    coefficient sums at most two signed entries of P, so a batch gives exactly the pointwise values.
     """
-    m = R.shape[0]
-    lead = bases.shape[:-2]
-    T = bases @ R.reshape(m, -1)
-    for k in range(1, 4):  # each step contracts the next slot of R with the basis
-        T = bases[..., None, :, :] @ T.reshape(*lead, m**k, m, -1)
-    T = T.reshape(*lead, m, m, m, m)
-    Q0 = T[..., 0, 1:, 0, 1:]
-    Q1 = T[..., 1:, 1:, 0, 1:] + np.swapaxes(T[..., 0, 1:, 1:, 1:], -3, -2)
-    C = np.swapaxes(T[..., 1:, 1:, 1:, 1:], -3, -2)
-    return Q0, Q1, C + np.swapaxes(C, -4, -3)
+    m, lead = R.shape[0], bases.shape[:-2]
+    a, b = np.triu_indices(m, 1)
+    half = 0.5 * (R[a, b] - R[b, a])  # antisymmetric in the first pair, then in the second
+    Ba, Bb = bases[..., a, :], bases[..., b, :]
+    W = Ba[..., a] * Bb[..., b] - Ba[..., b] * Bb[..., a]
+    P = W @ (0.5 * (half[:, a, b] - half[:, b, a])) @ np.swapaxes(W, -1, -2)
+    Q0, Q1, Q2 = np.split(P.reshape(*lead, -1) @ _chart_table(m), [(m - 1) ** 2, m * (m - 1) ** 2], axis=-1)
+    return Q0.reshape(*lead, m - 1, m - 1), Q1.reshape(*lead, *[m - 1] * 3), Q2.reshape(*lead, *[m - 1] * 4)
 
 
 def _chart_linear(R: np.ndarray, bases: np.ndarray, x) -> MatrixJet:

@@ -16,7 +16,8 @@ meshes and the public ``chart_jet`` use 2-jets.
 Jets broadcast over leading axes, so one jet can hold a whole stack of points:
 a scalar jet has value ``(...)``, grad ``(..., q)`` and hess ``(..., q, q)``;
 a matrix jet has value ``(..., m, m)``, grad ``(..., q, m, m)`` and hess
-``(..., q, q, m, m)``.  A single point is the case with no leading axes.
+``(..., q, q, m, m)``.  A single point, with no leading axes, rounds exactly as
+in a stack: the contractions are stacked matmuls and traces, not reductions.
 """
 
 from __future__ import annotations
@@ -99,8 +100,8 @@ class ScalarJet:
         return self.power(-1.0) * other
 
     def power(self, a: float) -> "ScalarJet":
-        v = self.value
-        return self._chain(v**a, a * v ** (a - 1.0), a * (a - 1.0) * v ** (a - 2.0))
+        v = self.value  # np.power rounds a 0-d value as it does a batch, unlike ``**`` on a scalar
+        return self._chain(np.power(v, a), a * np.power(v, a - 1.0), a * (a - 1.0) * np.power(v, a - 2.0))
 
     def log(self) -> "ScalarJet":
         v = self.value
@@ -160,14 +161,15 @@ class MatrixJet:
         """``(det M, grad log det M, hess log det M or None)``; requires ``M`` invertible."""
         d = np.linalg.det(self.value)
         B = np.linalg.inv(self.value)
-        # d log det = tr(B dM);  dd log det = tr(B ddM) - tr(B dM B dM)
+        # d log det = tr(B dM);  dd log det = tr(B ddM) - tr(B dM B dM), the last two as vec(X^T) . vec(Y)
         BdM = B[..., None, :, :] @ self.grad
         glog = np.einsum("...aii->...a", BdM)  # a matmul and a trace: the same sums at any batch size
         if self.hess is None:
             return d, glog, None
-        hlog = (np.einsum("...ij,...abji->...ab", B, self.hess)
-                - np.einsum("...aij,...bji->...ab", BdM, BdM))
-        return d, glog, hlog
+        m, BdMt = B.shape[-1], np.swapaxes(BdM, -1, -2).reshape(*BdM.shape[:-2], -1)
+        Bt = np.swapaxes(B, -1, -2).reshape(*B.shape[:-2], 1, m * m, 1)
+        hlog = (self.hess.reshape(*self.hess.shape[:-2], m * m) @ Bt)[..., 0]
+        return d, glog, hlog - BdM.reshape(BdMt.shape) @ np.swapaxes(BdMt, -1, -2)
 
     def det(self) -> ScalarJet:
         """Jet of ``det M`` via Jacobi's formula; requires ``M`` invertible."""
@@ -188,7 +190,9 @@ def quadratic_matrix_jet(A0: np.ndarray, A1: np.ndarray, A2: np.ndarray, x: np.n
     ``A2`` must be symmetric in its two coordinate axes (it is the constant
     second derivative of ``A``).  All arguments may carry the same leading axes.
     """
-    value = (A0 + np.einsum("...a,...aij->...ij", x, A1)
-             + 0.5 * np.einsum("...a,...b,...abij->...ij", x, x, A2))
-    grad = A1 + np.einsum("...b,...abij->...aij", x, A2)
+    xr, shape = np.asarray(x)[..., None, :], A1.shape[-2:]
+    A2x = xr[..., None, :, :] @ A2.reshape(*A2.shape[:-2], -1)  # A2x[a, 0] = sum_b x_b A2[a, b]
+    grad = A1 + A2x.reshape(*A2x.shape[:-2], *shape)
+    value = A0 + (xr @ (A1 + 0.5 * A2x.reshape(grad.shape)).reshape(*grad.shape[:-2], -1)).reshape(
+        *grad.shape[:-3], *shape)
     return MatrixJet(value, grad, A2.copy())

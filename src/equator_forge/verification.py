@@ -11,7 +11,7 @@ only used in the test suite as an independent cross-check.
 Index conventions: ``gamma[k, i, j]`` is the Christoffel symbol with upper
 index k; ``dg[a, i, j]`` is the a-derivative of g_ij; the lowered curvature
 ``riem[i, j, k, l]`` pairs slot k with the derivative direction i so that the
-round sphere has ``riem[0, 1, 0, 1] = +1`` at a chart center.
+round sphere has ``riem[0, 1, 0, 1] = +1`` at a chart center; Ricci is R^i_ijl.
 """
 
 from __future__ import annotations
@@ -95,20 +95,16 @@ class ChristoffelData:
 
 
 def _christoffel_arrays(gmat, dg, d2g):
-    """``(ginv, gamma, dgamma)`` from the metric jet, dgamma None without d2g; arrays share leading axes."""
-    ginv = np.linalg.inv(gmat)
-    S = dg + np.swapaxes(dg, -3, -2) - np.moveaxis(dg, -3, -1)
-    # S[i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
-    gamma = 0.5 * np.einsum("...kl,...ijl->...kij", ginv, S)
+    """``(ginv, gamma, dgamma)`` from the metric jet, dgamma None without d2g; arrays share leading
+    axes.  Stacked matmuls only, so a batch gives exactly the pointwise values."""
+    n, lead, ginv = gmat.shape[-1], gmat.shape[:-2], np.linalg.inv(gmat)
+    # S[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij, then its derivatives d_m S
+    S = [np.moveaxis(d, -1, -3) + np.swapaxes(d, -1, -3) - d for d in (dg, d2g) if d is not None]
+    gamma = 0.5 * (ginv @ S[0].reshape(*lead, n, n * n))  # gamma[k, (i, j)]
     if d2g is None:
-        return ginv, gamma, None
-    dginv = -(ginv[..., None, :, :] @ dg @ ginv[..., None, :, :])
-    dS = d2g + np.swapaxes(d2g, -3, -2) - np.moveaxis(d2g, -3, -1)
-    # dS[m, i, j, l] = d_m S[i, j, l]
-    dgamma = 0.5 * (
-        np.einsum("...mkl,...ijl->...mkij", dginv, S) + np.einsum("...kl,...mijl->...mkij", ginv, dS)
-    )
-    return ginv, gamma, dgamma
+        return ginv, gamma.reshape(*lead, n, n, n), None
+    X = 0.5 * S[1].reshape(*lead, n, n, n * n) - dg @ gamma[..., None, :, :]  # d_m gamma = ginv X[m]
+    return ginv, gamma.reshape(*lead, n, n, n), (ginv[..., None, :, :] @ X).reshape(*lead, n, n, n, n)
 
 
 def _centre_arrays(g: MetricField, bases: np.ndarray, first_order: bool = False):
@@ -143,13 +139,16 @@ class CurvatureData:
 
 
 def _curvature_arrays(gmat, ginv, gamma, dgamma):
-    """``(riem, ricci, scalar)`` from the Christoffel data; arrays share leading axes."""
+    """``(riem, ricci, scalar)`` from the Christoffel data; arrays share leading axes.  Stacked
+    matmuls and sums in a fixed order, so a batch gives exactly the pointwise values."""
+    n, lead = gmat.shape[-1], gmat.shape[:-2]
     A = np.swapaxes(dgamma, -4, -3)  # A[m, i, j, l] = d_i gamma[m, j, l]
-    quad = np.einsum("...mis,...sjl->...mijl", gamma, gamma)
-    rup = A - np.swapaxes(A, -3, -2) + quad - np.swapaxes(quad, -3, -2)
-    riem = np.einsum("...mijl,...mk->...ijkl", rup, gmat)
-    ricci = np.einsum("...ik,...ijkl->...jl", ginv, riem)
-    return riem, ricci, np.einsum("...jl,...jl->...", ginv, ricci)
+    X = A + (gamma.reshape(*lead, n * n, n) @ gamma.reshape(*lead, n, n * n)).reshape(A.shape)
+    rup = X - np.swapaxes(X, -3, -2)  # rup[m, i, j, l] = R^m_{ijl}
+    riem = (np.swapaxes(gmat, -1, -2) @ rup.reshape(*lead, n, n**3)).reshape(A.shape)  # riem[k, i, j, l]
+    ricci = sum(rup[..., i, i, :, :] for i in range(n))  # the trace R^i_{ijl}
+    scalar = (ginv.reshape(*lead, 1, n * n) @ ricci.reshape(*lead, n * n, 1))[..., 0, 0]
+    return np.moveaxis(riem, -4, -2), ricci, scalar
 
 
 def curvature_of_metric(g: MetricField, chart: GnomonicChart, x) -> CurvatureData:

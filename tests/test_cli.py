@@ -267,6 +267,19 @@ def test_spectrum_defaults_to_L12(tmp_path, capsys):
     assert {r[0] for r in rows[1:]} == {"12"}
 
 
+def test_spectrum_reports_the_mesh_mean_curvature(tmp_path, capsys):
+    member, bump, out = (str(tmp_path / name) for name in ("m.json", "b.json", "spec.csv"))
+    run(capsys, "gen", "random", "--n", "3", "--seed", "7", "--out", member)
+    run(capsys, "gen", "bump", "--n", "3", "--out", bump)
+    code, payload, _ = run(capsys, "spectrum", member, "--L", "8", "--L", "12", "--out", out)
+    assert code == 0
+    assert [level["max_abs_mean_curvature"] < 1e-10 for level in payload["levels"]] == [True, True]
+    # an equator through the bump centre, its normal mixing the bump direction with another axis
+    # (the default equator, normal e_0, lies a quarter circle from the bump centre e_0)
+    code, payload, _ = run(capsys, "spectrum", bump, "--L", "8", "--v", "0,1,1,0", "--out", out)
+    assert code == 0 and payload["levels"][0]["max_abs_mean_curvature"] > 1e-3
+
+
 def test_radon_constant_function(tmp_path, capsys):
     tensor = tmp_path / "round.json"
     run(capsys, "gen", "round", "--n", "3", "--out", str(tensor))

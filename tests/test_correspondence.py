@@ -13,6 +13,7 @@ from numpy.testing import assert_allclose
 
 from equator_forge.correspondence import (
     CurvatureMetric,
+    _chart_quadratic,
     curv_from_killing,
     killing_constancy_residual,
     killing_from_curv,
@@ -35,6 +36,7 @@ from equator_forge.tensor_core import (
     fubini_study,
     killing_matrices,
     random_positive,
+    symmetry_residuals,
     tensor_from_basis,
 )
 from equator_forge.verification import BumpMetric
@@ -322,3 +324,39 @@ def test_random_chart_batches_match_one_at_a_time(n, count, seed, radius):
     bases, charts, X = _charts_and_points(rng, n, count)
     X *= radius / 0.4
     _assert_same_jets(g._chart_jets(bases, X), [g.chart_jet(c, x) for c, x in zip(charts, X)])
+
+
+def _four_slot_quadratic(R, bases):
+    """Q's coefficients read off all of R(B, B, B, B), one einsum: the reference for the 2-vector route."""
+    T = np.einsum("ijkl,...ai,...bj,...ck,...dl->...abcd", R, bases, bases, bases, bases)
+    Q1 = T[..., 1:, 1:, 0, 1:] + np.swapaxes(T[..., 0, 1:, 1:, 1:], -3, -2)
+    C = np.swapaxes(T[..., 1:, 1:, 1:, 1:], -3, -2)
+    return T[..., 0, 1:, 0, 1:], Q1, C + np.swapaxes(C, -4, -3)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_chart_quadratic_matches_the_four_slot_contraction(n):
+    R = random_positive(n, seed=20 + n)[0].coeffs
+    bases, _, _ = _charts_and_points(np.random.default_rng(70 + n), n, 20)
+    for got, want in zip(_chart_quadratic(R, bases), _four_slot_quadratic(R, bases)):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_chart_quadratic_reads_only_the_pair_antisymmetric_part(n):
+    # load_tensor accepts symmetry residuals up to 1e-9: the 2-vector route drops the part of R
+    # that is not antisymmetric in each pair, which moves each value R(u, v, w, z) on the unit
+    # rows of a chart by about the residual; Q1 and C + C^T add two such values
+    rng = np.random.default_rng(80 + n)
+    R = random_positive(n, seed=20 + n)[0].coeffs + 1e-10 * rng.uniform(-1.0, 1.0, (n + 1,) * 4)
+    residual = symmetry_residuals(R).max
+    assert 1e-10 < residual < 1e-9
+    bases, _, _ = _charts_and_points(rng, n, 20)
+    got = _chart_quadratic(R, bases)
+    for coeff, want, values in zip(got, _four_slot_quadratic(R, bases), (1, 2, 2)):
+        assert np.max(np.abs(coeff - want)) <= values * residual
+    A = 0.5 * (R - R.transpose(1, 0, 2, 3))
+    A = 0.5 * (A - A.transpose(0, 1, 3, 2))
+    for coeff, want in zip(got, _four_slot_quadratic(A, bases)):
+        assert np.max(np.abs(coeff - want)) <= 1e-14 * np.max(np.abs(want))

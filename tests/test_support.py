@@ -144,8 +144,9 @@ def _openblas_loaded() -> bool:
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores")
-def test_commands_leave_no_spinning_blas_thread(tmp_path):
-    # after a threaded call, an idle OpenBLAS worker busy-waits for ~0.13 s of CPU
+def test_commands_leave_no_spinning_blas_thread(blas_counts, tmp_path):
+    # after a threaded call, an idle OpenBLAS worker busy-waits for ~0.13 s of CPU; blas_counts
+    # gives the commands a two-thread caller, as outside the test suite's one-thread guard
     if not _openblas_loaded():
         pytest.skip("no OpenBLAS loaded")
     member, s3 = str(tmp_path / "m.json"), str(tmp_path / "s3.json")

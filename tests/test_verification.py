@@ -17,7 +17,7 @@ from equator_forge.correspondence import (
     metric_from_curv,
     round_metric,
 )
-from equator_forge.sphere_geom import chart_at, random_unit
+from equator_forge.sphere_geom import _tangent_bases, chart_at, random_unit
 from equator_forge.tensor_core import (
     CurvatureTensor,
     DegenerateInputError,
@@ -29,6 +29,8 @@ from equator_forge.tensor_core import (
 )
 from equator_forge.verification import (
     BumpMetric,
+    _centre_arrays,
+    _curvature_arrays,
     antipodal_residual,
     christoffels,
     curvature_of_metric,
@@ -106,6 +108,25 @@ def test_christoffels_match_finite_differences(random_metric):
     S = dg_fd + np.transpose(dg_fd, (1, 0, 2)) - np.transpose(dg_fd, (1, 2, 0))
     gamma_fd = 0.5 * np.einsum("kl,ijl->kij", cd.ginv, S)
     assert_allclose(cd.gamma, gamma_fd, atol=1e-7)
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_batched_curvature_is_bitwise_the_pointwise_curvature(n):
+    # stacked matmuls, gathers and fixed-order sums: a batch rounds as each chart does alone
+    g = CurvatureMetric(random_positive(n, seed=13)[0])
+    P = np.random.default_rng(90 + n).standard_normal((30, n + 1))
+    bases = _tangent_bases(P / np.linalg.norm(P, axis=1, keepdims=True))
+    centre = _centre_arrays(g, bases)
+    batched = centre + _curvature_arrays(*centre)
+    for k, b in enumerate(bases):
+        one = _centre_arrays(g, b)
+        for got, want in zip(batched, one + _curvature_arrays(*one)):
+            assert np.array_equal(got[k], want)
+        # and the public pointwise route, through chart_jet
+        chart = chart_at(b[0], b[1:])
+        cd, dgamma = curvature_of_metric(g, chart, np.zeros(n)), christoffels(g, chart, np.zeros(n)).dgamma
+        for got, want in zip(batched, (cd.gmat, cd.ginv, cd.gamma, dgamma, cd.riem, cd.ricci, cd.scalar)):
+            assert np.array_equal(got[k], want)
 
 
 def test_round_curvature_is_constant(random_metric):
