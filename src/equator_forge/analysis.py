@@ -66,40 +66,55 @@ __all__ = [
 # areas and the great-sphere transform
 
 
-def _as_equator(v) -> Equator:
-    return v if isinstance(v, Equator) else Equator(np.asarray(v, dtype=float))
+_BLOCK_NODES = 8192  # nodes per density call: the Killing matrices of one block take about 1 MB at n = 3
 
 
-def _area_elements(g: MetricField, v: Equator, order: int, seed: int):
-    """Orthonormal basis U (rows: the basis u of v's hyperplane, then v), node coefficients c
-    on u, round weights and g-area densities of the equator with normal v."""
-    c, weights = _equator_nodes(v.n, order, seed)
-    U = np.vstack([v.basis(), v.normal])
-    return U, c, weights, g._equator_density(U, c)
+def _as_equators(g: MetricField, v, stack: bool = False) -> list[Equator]:
+    """The equator of the normal v, or with ``stack`` one per row of an (E, n+1) stack, for g's sphere."""
+    V = v.normal if isinstance(v, Equator) else np.asarray(v, dtype=float)
+    if V.ndim not in ((1, 2) if stack else (1,)) or V.shape[-1] != g.n + 1:
+        raise DimensionError(f"equator normals on S^{g.n} have {g.n + 1} entries, got shape {V.shape}")
+    return [v] if isinstance(v, Equator) else [Equator(row) for row in np.atleast_2d(V)]
 
 
-def equator_area(g: MetricField, v, order: int = 32, *, seed: int = 0) -> float:
-    """Area of the equator with normal v under the metric g.
+def _area_elements(g: MetricField, normals: np.ndarray, order: int, seed: int):
+    """Orthonormal bases U (E, n+1, n+1) (rows: the basis u of a normal's hyperplane, then the normal),
+    node coefficients c on u, round weights and g-area densities (E, m), in blocks of equators."""
+    c, weights = _equator_nodes(g.n, order, seed)
+    U = np.concatenate([_tangent_bases(normals)[:, 1:], normals[:, None]], axis=1)
+    step = max(_BLOCK_NODES // len(weights), 1)
+    return U, c, weights, np.concatenate([g._equator_density(U[i:i + step], c) for i in range(0, len(U), step)])
+
+
+def _equator_integrals(g: MetricField, f, v, order: int, seed: int):
+    """weights @ (f(nodes) * rho) on the equator of v or of each row of a stack; f = None integrates 1."""
+    normals = np.array([eq.normal for eq in _as_equators(g, v, stack=True)])
+    U, c, weights, rho = _area_elements(g, normals, order, seed)
+    sums = []
+    for Ue, rho_e in zip(U, rho):
+        values = np.ones_like(weights) if f is None else np.asarray(f(c @ Ue[:-1]), dtype=float)
+        if values.shape != weights.shape:
+            raise DimensionError(f"f must map the nodes {(len(c), g.n + 1)} to {weights.shape}, got {values.shape}")
+        sums.append(weights @ (values * rho_e))
+    return float(sums[0]) if isinstance(v, Equator) or np.ndim(v) == 1 else np.array(sums)
+
+
+def equator_area(g: MetricField, v, order: int = 32, *, seed: int = 0):
+    """Area under g of the equator with normal v, or an array (E,) of areas for a stack v (E, n+1).
 
     For members of the minimal-equator family on S^3 the value is independent
     of v.  Uses the deterministic product quadrature on S^3 (seeded Monte
-    Carlo elsewhere).
+    Carlo elsewhere).  The value equals ``funk_radon`` of 1 exactly.
     """
-    _, _, weights, rho = _area_elements(g, _as_equator(v), order, seed)
-    return float(weights @ rho)
+    return _equator_integrals(g, None, v, order, seed)
 
 
-def funk_radon(g: MetricField, f, v, order: int = 32, *, seed: int = 0) -> float:
-    """Integral of f over the equator with normal v, against the g-area element.
+def funk_radon(g: MetricField, f, v, order: int = 32, *, seed: int = 0):
+    """Integral of f against the g-area element of the equator with normal v, or (E,) of them for v (E, n+1).
 
-    ``f`` maps the (m, n+1) array of quadrature nodes to their m values.
+    ``f`` maps the (m, n+1) array of one equator's quadrature nodes to their m values.
     """
-    U, c, weights, rho = _area_elements(g, _as_equator(v), order, seed)
-    nodes = c @ U[:-1]
-    values = np.asarray(f(nodes), dtype=float)
-    if values.shape != weights.shape:
-        raise DimensionError(f"f must map the nodes {nodes.shape} to {weights.shape}, got {values.shape}")
-    return float(weights @ (values * rho))
+    return _equator_integrals(g, f, v, order, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +147,7 @@ def _shape_operator(gmat, hess, norm):
 
 def second_fundamental_form(g: MetricField, v, p) -> SecondFundamentalForm:
     """Second fundamental form at p of the equator with normal v, under g."""
-    eq = _as_equator(v)
+    eq = _as_equators(g, v)[0]
     v = eq.normal
     p = check_unit(p)
     if abs(p @ v) > 1e-10:
@@ -196,7 +211,7 @@ def equator_mesh(g: MetricField, v, order: int = 32) -> EquatorMesh:
     """Build the Jacobi mesh for the equator with normal v (metrics on S^3)."""
     if g.n != 3:
         raise DimensionError("Jacobi meshes are implemented for S^3")
-    eq = _as_equator(v)
+    eq = _as_equators(g, v)[0]
     vn, basis = eq.normal, eq.basis()
     c, weights, f = _equator_rule(3, order, 0)  # seed unused: S^3 has the product grid
     nodes, frames = _on_rows(c, basis), _on_rows(f, basis)

@@ -220,12 +220,10 @@ def cmd_area(args) -> int:
     _require_at_least_one(args, "equators")
     g = _metric_from_file(args.input)
     rng = np.random.default_rng(args.seed)
-    normals = [random_equator(rng, g.n).normal for _ in range(args.equators)]
-    areas = [equator_area(g, v, args.order) for v in normals]
+    normals = np.array([random_equator(rng, g.n).normal for _ in range(args.equators)])
+    areas = equator_area(g, normals, args.order)
     header = [f"v{i}" for i in range(g.n + 1)] + ["area"]
-    rows = ([float(c) for c in v] + [a] for v, a in zip(normals, areas))
-    write_csv(args.out, header, rows)
-    areas = np.asarray(areas)
+    write_csv(args.out, header, ([float(c) for c in v] + [float(a)] for v, a in zip(normals, areas)))
     mean = float(areas.mean())
     spread = float((areas.max() - areas.min()) / mean) if mean else float("inf")
     config = RunConfig(
@@ -295,10 +293,10 @@ def cmd_radon(args) -> int:
     g = _metric_from_file(args.input)
     f = _radon_function(args.f, args.f_seed, g.n + 1)
     rng = np.random.default_rng(args.seed)
-    normals = [random_equator(rng, g.n).normal for _ in range(args.equators)]
-    values = [funk_radon(g, f, v, args.order) for v in normals]
+    normals = np.array([random_equator(rng, g.n).normal for _ in range(args.equators)])
+    values = funk_radon(g, f, normals, args.order)
     header = [f"v{i}" for i in range(g.n + 1)] + ["transform"]
-    write_csv(args.out, header, ([float(c) for c in v] + [val] for v, val in zip(normals, values)))
+    write_csv(args.out, header, ([float(c) for c in v] + [float(val)] for v, val in zip(normals, values)))
     rule = sphere_quadrature(g.n, max(args.order, 16))
     reference = rule.integrate(f)
     config = RunConfig(

@@ -96,21 +96,21 @@ class MetricField(AmbientField):
         return _volume_ratio(self.ambient_matrices(P), P, 2.0 / (self.n + 1), "metric")
 
     def _equator_density(self, U: np.ndarray, c: np.ndarray) -> np.ndarray:
-        """Area density of the equator at c @ u, U = (u, v) orthonormal: see the README's Areas."""
-        P = c @ U[:-1]
-        G = U @ (self.ambient_matrices(P) + P[:, :, None] * P[:, None, :]) @ U.T
-        return np.prod(_cholesky_diagonal(G.transpose(1, 2, 0), "metric")[:, :-1], axis=1)
+        """Area densities (..., m) at c @ u of the equators of U (..., n+1, n+1) = (u, v): see README, Areas."""
+        P = c @ U[..., :-1, :]
+        A = self.ambient_matrices(P.reshape(-1, P.shape[-1])).reshape(*P.shape, -1)
+        G = U[..., None, :, :] @ (A + P[..., :, None] * P[..., None, :]) @ np.swapaxes(U, -1, -2)[..., None, :, :]
+        return np.prod(_cholesky_diagonal(np.moveaxis(G, (-2, -1), (0, 1)), "metric")[..., :-1], axis=-1)
 
 
 def _cholesky_diagonal(M: np.ndarray, what: str) -> np.ndarray:
-    """Cholesky diagonals (..., k) of M (k, k, ...), one pass per column: the positivity gate."""
-    L = np.zeros_like(M)
+    """Cholesky diagonals (..., k) of M (k, k, ...), factored in place, one pass per column: the positivity gate."""
     for j in range(M.shape[0]):
-        col = M[j:, j] - np.sum(L[j:, :j] * L[j, :j], axis=1)
+        col = M[j:, j] - np.sum(M[j:, :j] * M[j, :j], axis=1)
         if not np.all(col[0] > 0.0):
             raise PositivityError(f"{what} is not positive definite at a queried point")
-        L[j:, j] = col / np.sqrt(col[0])
-    return np.diagonal(L, axis1=0, axis2=1)
+        M[j:, j] = col / np.sqrt(col[0])
+    return np.diagonal(M, axis1=0, axis2=1)
 
 
 def _volume_ratio(M: np.ndarray, P: np.ndarray, power: float, what: str) -> np.ndarray:
@@ -190,13 +190,15 @@ class CurvatureMetric(MetricField):
     def _equator_density(self, U: np.ndarray, c: np.ndarray) -> np.ndarray:
         # g = k / D with D = det(k + pp^T)^(2/(n-1)): with l the Cholesky diagonal of k + pp^T in U,
         # the density is sqrt det(k on the equator) / det(k + pp^T) = 1 / (prod_{k<n} l_k l_n^2)
-        n, R = self.n, self.generator.coeffs
+        n, R, Ut = self.n, self.generator.coeffs.reshape(self.n + 1, -1), np.swapaxes(U, -1, -2)
         for _ in range(4):  # R'(a, b, c, d) = R(U_a, U_b, U_c, U_d), in which the point is (c, 0)
-            R = np.tensordot(R, U, axes=(0, 1))
+            R = (np.swapaxes(R, -1, -2) @ Ut).reshape(*U.shape[:-1], -1)
+        R = R.reshape(*U.shape, n + 1, n + 1)[..., :n, :, :n, :]
         cc = (c.T[:, None] * c.T[None, :]).reshape(n * n, -1)  # points last, as the gate takes them
-        K = (R[:n, :, :n, :].transpose(1, 3, 0, 2).reshape(-1, n * n) @ cc).reshape(n + 1, n + 1, -1)
-        K[:n, :n] += cc.reshape(n, n, -1)
-        return 1.0 / np.prod(_cholesky_diagonal(K, "Killing tensor") ** np.r_[np.ones(n), 2.0], axis=1)
+        K = (np.moveaxis(R, (-3, -1), (0, 1)).reshape(-1, n * n) @ cc).reshape(n + 1, n + 1, *U.shape[:-2], -1)
+        K[:n, :n] += cc.reshape(n, n, *[1] * (U.ndim - 2), -1)
+        l = _cholesky_diagonal(K, "Killing tensor")  # l_n^2 by array pow (SIMD), not a scalar 2's exact square
+        return 1.0 / (np.prod(l[..., :n], axis=-1) * l[..., n] ** np.full(l.shape[:-1], 2.0))
 
     def _chart_jets(self, bases: np.ndarray, x, first_order: bool = False) -> MatrixJet:
         R = self.generator.coeffs

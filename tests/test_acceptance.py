@@ -222,8 +222,8 @@ def test_criterion_7_equal_areas(random3_battery):
     spreads = {}
     round_err = None
     for name, g in metrics.items():
-        normals = [random_equator(rng, 3).normal for _ in range(100)]
-        areas = np.array(tmap(lambda v: equator_area(g, v, order=32), normals))
+        normals = np.array([random_equator(rng, 3).normal for _ in range(100)])
+        areas = equator_area(g, normals, order=32)
         spreads[name] = float(np.ptp(areas) / areas.mean())
         if name == "round":
             round_err = float(np.max(np.abs(areas - 4.0 * np.pi)))
@@ -277,7 +277,7 @@ def test_criterion_10_radon_average():
     g = round_metric(3)
     rule = sphere_quadrature(3, 24)
     rng_eq = np.random.default_rng(10)
-    normals = [random_equator(rng_eq, 3).normal for _ in range(1000)]
+    normals = np.array([random_equator(rng_eq, 3).normal for _ in range(1000)])
     factor = 4.0 * np.pi / (2.0 * np.pi**2)
 
     worst = 0.0
@@ -291,7 +291,7 @@ def test_criterion_10_radon_average():
         def f(P, b0=b0, C=C):
             return b0 + np.einsum("ni,ij,nj->n", P, C, P)
 
-        transforms = tmap(lambda v: funk_radon(g, f, v, order=8), normals)
+        transforms = funk_radon(g, f, normals, order=8)
         expected = factor * rule.integrate(f)
         worst = max(worst, abs(float(np.mean(transforms)) - expected) / abs(expected))
     ok = worst <= 0.01

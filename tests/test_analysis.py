@@ -13,6 +13,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from equator_forge.analysis import (
+    _BLOCK_NODES,
     _lower_inverse,
     build_jacobi_galerkin,
     equator_area,
@@ -152,11 +153,63 @@ def test_curvature_density_matches_the_ambient_default(n):
 
 
 def test_funk_radon_of_one_is_the_area():
-    rng = np.random.default_rng(8)
+    rng, stacks = np.random.default_rng(8), np.random.default_rng(9)
     for n in (3, 5):
         for g in _density_metrics(n).values():
             v = random_unit(rng, n + 1)
             assert funk_radon(g, lambda P: np.ones(P.shape[0]), v, order=12) == equator_area(g, v, order=12)
+            V = stacks.standard_normal((5, n + 1))
+            assert np.array_equal(funk_radon(g, lambda P: np.ones(P.shape[0]), V, order=12),
+                                  equator_area(g, V, order=12))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_stacked_scans_are_bitwise_the_loop(n):
+    # order 32 gives 2,048 nodes per equator for every n, so nine equators fill three density blocks
+    V = np.random.default_rng(60 + n).standard_normal((9, n + 1))
+    assert _BLOCK_NODES < 9 * 2048
+    f = lambda P: 1.0 + P[:, 0] * P[:, -1]
+    for name, g in _density_metrics(n).items():
+        areas, transforms = equator_area(g, V, order=32), funk_radon(g, f, V, order=32)
+        assert areas.shape == transforms.shape == (9,)
+        assert np.array_equal(areas, [equator_area(g, v, order=32) for v in V]), name
+        assert np.array_equal(transforms, [funk_radon(g, f, v, order=32) for v in V]), name
+        # -v names the same equator
+        assert np.array_equal(equator_area(g, -V, order=32), areas), name
+        assert np.array_equal(funk_radon(g, f, -V, order=32), transforms), name
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "zero"])
+def test_a_degenerate_row_of_a_stack_is_refused(bad):
+    g, V = round_metric(3), np.random.default_rng(3).standard_normal((4, 4))
+    if bad == "zero":
+        V[2] = 0.0
+    else:
+        V[2, 1] = float(bad)
+    for call in (lambda: equator_area(g, V, order=4), lambda: funk_radon(g, lambda P: P[:, 0], V, order=4)):
+        with pytest.raises(DegenerateInputError):
+            call()
+
+
+@pytest.mark.parametrize("entry", ["equator_area", "funk_radon", "equator_mesh", "build_jacobi_galerkin",
+                                   "second_fundamental_form"])
+def test_a_normal_of_the_wrong_dimension_is_refused(entry):
+    g, v = round_metric(3), np.ones(6) / np.sqrt(6.0)
+    calls = {
+        "equator_area": lambda v: equator_area(g, v, order=4),
+        "funk_radon": lambda v: funk_radon(g, lambda P: P[:, 0], v, order=4),
+        "equator_mesh": lambda v: equator_mesh(g, v, order=4),
+        "build_jacobi_galerkin": lambda v: build_jacobi_galerkin(g, v, L=2, order=4),
+        "second_fundamental_form": lambda v: second_fundamental_form(g, v, E0),
+    }
+    bad = [v, np.eye(3)[0], np.ones((2, 2, 4))]
+    if entry in ("equator_area", "funk_radon"):
+        bad.append(np.ones((2, 6)))
+    else:  # the single-equator entry points take one normal, not a stack
+        bad.append(np.eye(4)[:2])
+    for normal in bad:
+        with pytest.raises(DimensionError, match="entries"):
+            calls[entry](normal)
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -164,8 +217,10 @@ def test_area_of_an_indefinite_metric_is_refused(n):
     # at n = 4 the Killing tensor of curvature -1 has det > 0 with four negative eigenvalues;
     # the bump's negative rank-one term makes it indefinite through the default path
     v = random_unit(np.random.default_rng(n), n + 1)
+    V = np.stack([v, -v, np.eye(n + 1)[0]])
     for g in (CurvatureMetric(constant_curvature(n, -1.0)), BumpMetric(n, amplitude=-5.0, width=10.0)):
-        for call in (lambda: equator_area(g, v, order=4), lambda: funk_radon(g, lambda P: P[:, 0], v, order=4)):
+        for call in (lambda: equator_area(g, v, order=4), lambda: funk_radon(g, lambda P: P[:, 0], v, order=4),
+                     lambda: equator_area(g, V, order=4), lambda: funk_radon(g, lambda P: P[:, 0], V, order=4)):
             with pytest.raises(PositivityError, match="not positive definite"):
                 call()
 
@@ -478,6 +533,9 @@ def test_funk_radon_round_values():
     # f maps the node array to one value per node, or the call is refused
     with pytest.raises(DimensionError):
         funk_radon(g, lambda p: 1.0, v)
+    for f in (lambda P: P[:, :2], lambda P: np.ones(3), lambda P: 1.0):  # also on a stack of normals
+        with pytest.raises(DimensionError, match="f must map the nodes"):
+            funk_radon(g, f, np.random.default_rng(0).standard_normal((3, 4)), order=4)
     # odd functions vanish, and the normal coordinate vanishes on the equator
     w = random_unit(rng, 4)
     assert abs(funk_radon(g, lambda P: P @ w, v)) < 1e-12

@@ -297,6 +297,19 @@ def test_radon_constant_function(tmp_path, capsys):
     assert abs(float(rows[1][-1]) - 4.0 * np.pi) < 1e-9
 
 
+def test_radon_of_one_is_the_area_scan(tmp_path, capsys):
+    tensor, areas, radons = (str(tmp_path / name) for name in ("t.json", "area.csv", "radon.csv"))
+    run(capsys, "gen", "random", "--n", "3", "--seed", "7", "--out", tensor)
+    scan = ["--order", "32", "--equators", "9", "--seed", "4"]  # 9 equators of 2,048 nodes: three blocks
+    assert run(capsys, "area", tensor, *scan, "--out", areas)[0] == 0
+    assert run(capsys, "radon", tensor, "--f", "one", *scan, "--out", radons)[0] == 0
+    with open(areas, newline="") as fa, open(radons, newline="") as fr:
+        area_rows, radon_rows = list(csv.reader(fa))[1:], list(csv.reader(fr))[1:]
+    assert len(area_rows) == 9
+    assert [row[:-1] for row in area_rows] == [row[:-1] for row in radon_rows]
+    assert [row[-1] for row in area_rows] == [row[-1] for row in radon_rows]
+
+
 @pytest.mark.parametrize("option", [
     ["--v", "1,0,0,0,0"], ["--v", "1,0,0"], ["--v", "1,nan,0,0"],
     ["--null-tol", "nan"], ["--null-tol", "inf"], ["--null-tol", "-0.001"],

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from numpy.polynomial.legendre import leggauss
@@ -54,6 +56,16 @@ def test_equator_normalizes_and_canonicalizes():
     assert v.contains(np.array([1.0, 0.0, 0.0, 0.0]))
     with pytest.raises(DegenerateInputError):
         Equator(np.zeros(4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=7).filter(lambda v: np.linalg.norm(v) > 1e-6))
+def test_equator_canonicalization(v):
+    v = np.array(v)
+    normal = Equator(v).normal
+    assert abs(np.linalg.norm(normal) - 1.0) <= 1e-14
+    assert normal[np.abs(normal) > 1e-12][0] > 0.0  # the first coordinate above 1e-12 in size
+    assert np.array_equal(Equator(-v).normal, normal)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
