@@ -468,7 +468,7 @@ def left_invariant_killing(a: float, b: float, c: float) -> KillingField:
     return k
 
 
-def left_invariant_metric(a: float, b: float, c: float, *, seed: int = 0):
+def left_invariant_metric(a: float, b: float, c: float):
     """Left-invariant metric on S^3 with g(ip, ip) = a, g(jp, jp) = b, g(kp, kp) = c.
 
     Returns the metric together with its generating curvature tensor.
@@ -476,5 +476,5 @@ def left_invariant_metric(a: float, b: float, c: float, *, seed: int = 0):
     example.
     """
     k = left_invariant_killing(a, b, c)
-    R = curv_from_killing(k, seed=seed, check_constancy=False)
+    R = curv_from_killing(k, check_constancy=False)
     return CurvatureMetric(R), R

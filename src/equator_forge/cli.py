@@ -26,7 +26,7 @@ from .analysis import (
     jacobi_spectrum_probe,
     left_invariant_metric,
 )
-from .correspondence import SamplingError, metric_from_curv
+from .correspondence import metric_from_curv
 from .parallel import _one_blas_thread
 from .sphere_geom import Equator, random_equator, sphere_quadrature, tangent_frame
 from .tableio import write_csv, write_json
@@ -102,7 +102,7 @@ def cmd_gen(args) -> int:
         R = fubini_study(args.m)
         info = {"kind": "fubini-study", "m": args.m, "n": 2 * args.m + 1}
     elif args.kind == "left-invariant":
-        _, R = left_invariant_metric(args.a, args.b, args.c, seed=args.seed)
+        _, R = left_invariant_metric(args.a, args.b, args.c)
         info = {"kind": "left-invariant", "coefficients": [args.a, args.b, args.c], "n": 3}
     elif args.kind == "random":
         R, margin, eps = random_positive(args.n, args.seed, target_margin=args.margin)
@@ -416,7 +416,7 @@ def main(argv=None) -> int:
     try:
         with _one_blas_thread():  # small matrices: a second BLAS thread only spins
             return globals()[f"cmd_{args.command}"](args)
-    except (ValueError, OSError, KeyError, SamplingError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

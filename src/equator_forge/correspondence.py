@@ -7,9 +7,9 @@ orthonormal tangent frame, raised to 2/(n-1)) yields a metric g_R = k_R / D_R
 on the sphere for which every equator is a minimal hypersurface.  The reverse
 direction divides a metric by its own volume ratio F (determinant to the power
 2/(n+1)) to recover a Killing tensor, and reconstructs the generating
-curvature tensor from samples of k_p(v, v) by least squares.  The two
-directions are mutually inverse, and F_{g} * D vanishes into the identity
-F * D = 1 along the way.
+curvature tensor in closed form, by polarization of the quadratic p -> k_p.
+The two directions are mutually inverse, and F_{g} * D vanishes into the
+identity F * D = 1 along the way.
 
 All derivative information is produced in gnomonic charts as exact jets
 (1-jets where only first derivatives are read).
@@ -41,15 +41,14 @@ from .tensor_core import (
     DimensionError,
     KillingField,
     PositivityError,
-    basis_matrix,
     constant_curvature,
+    curv_dim,
+    curvature_projection,
     is_positive,
     killing_matrices,
-    tensor_from_basis,
 )
 
 __all__ = [
-    "SamplingError",
     "MetricField",
     "CurvatureMetric",
     "killing_from_curv",
@@ -60,10 +59,6 @@ __all__ = [
     "curv_from_killing",
     "metric_derivatives",
 ]
-
-
-class SamplingError(RuntimeError):
-    """Least-squares sampling stayed rank deficient after retries."""
 
 
 # ---------------------------------------------------------------------------
@@ -313,57 +308,48 @@ def curv_from_killing(
     check_constancy: bool = True,
     full_output: bool = False,
 ):
-    """Reconstruct the curvature tensor generating a Killing tensor field.
+    """Reconstruct the curvature tensor generating a Killing tensor field, in closed form.
 
-    Solves the seeded least-squares problem matching R(p, v, p, v) to k_p(v, v)
-    over random point/direction samples, expressed in the orthonormal basis of
-    curvature-tensor space.  With ``full_output=True`` also returns a dict with
-    the max solve residual, the condition number of the normal system, and the
-    sample count.
+    k_p = R(p, ., p, .) is quadratic in p.  With K(x) the tangent part of k at a unit x,
+    S_ac = 2K((e_a + e_c)/sqrt 2) - K(e_a) - K(e_c) and S_aa = 2K(e_a) polarize it to
+    S[a, c, b, d] = R_abcd + R_cbad, and the first Bianchi identity gives R_abcd =
+    (S[a, c, b, d] - S[b, c, a, d]) / 3, projected because a field outside the family need
+    not satisfy Bianchi.  ``full_output=True`` adds a dict: ``residual``, the max
+    |k_p(v, v) - R(p, v, p, v)| over ``samples`` (default 3 curv_dim(n)) seeded unit pairs
+    v orthogonal to p, ``samples`` and ``seed``.
 
     Raises
     ------
     DegenerateInputError
-        If the field fails the great-circle constancy pre-check.
-    SamplingError
-        If the normal system stays ill conditioned (> 1e10) after retries.
+        If ``samples`` is below 1 or the field fails the great-circle constancy pre-check.
     """
-    n = k.n
-    B = basis_matrix(n)
-    N = B.shape[0]
-    count = samples if samples is not None else 3 * N
-
+    m = k.n + 1
+    count = samples if samples is not None else 3 * curv_dim(k.n)
+    if count < 1:
+        raise DegenerateInputError(f"samples must be at least 1, got {count}")
     if check_constancy:
         resid = killing_constancy_residual(k, circles=20, samples=60, seed=seed + 101)
-        if resid > 1e-8:
-            raise DegenerateInputError(
-                f"field is not constant along great circles (residual {resid:.3g} > 1e-8)"
-            )
+        if not resid <= 1e-8:  # a NaN residual fails too
+            raise DegenerateInputError(f"field is not constant along great circles (residual {resid:.3g} > 1e-8)")
 
-    attempt_seed = seed
-    for attempt in range(3):
-        rng = np.random.default_rng(attempt_seed)
-        P = rng.standard_normal((count, n + 1))
-        P /= np.linalg.norm(P, axis=1, keepdims=True)
-        V = rng.standard_normal((count, n + 1))
-        V -= np.einsum("ni,ni->n", V, P)[:, None] * P
-        V /= np.linalg.norm(V, axis=1, keepdims=True)
-        W = np.einsum("na,nb,nc,nd->nabcd", P, V, P, V).reshape(count, -1)
-        A = W @ B.T
-        bvec = np.einsum("nij,ni,nj->n", k.ambient_matrices(P), V, V)
-        sv = np.linalg.svd(A, compute_uv=False)
-        cond = float((sv[0] / sv[-1]) ** 2) if sv[-1] > 0 else np.inf
-        if cond <= 1e10:
-            coeffs, *_ = np.linalg.lstsq(A, bvec, rcond=None)
-            residual = float(np.max(np.abs(A @ coeffs - bvec)))
-            R = tensor_from_basis(n, coeffs)
-            if full_output:
-                info = {"condition": cond, "residual": residual, "samples": count, "seed": attempt_seed}
-                return R, info
-            return R
-        count *= 2
-        attempt_seed += 1000
-    raise SamplingError(f"normal system condition stayed above 1e10 after {attempt + 1} attempts")
+    I, (a, c) = np.eye(m), np.triu_indices(m, 1)
+    X = np.vstack([I, (I[a] + I[c]) / np.sqrt(2.0)])  # the (n+1)(n+2)/2 polarization points
+    Pi = I - X[:, :, None] * X[:, None, :]
+    K = Pi @ k.ambient_matrices(X) @ Pi
+    S = np.empty((m, m, m, m))
+    S[np.arange(m), np.arange(m)] = 2.0 * K[:m]
+    S[a, c] = S[c, a] = 2.0 * K[m:] - K[a] - K[c]
+    S = S.transpose(0, 2, 1, 3)  # S[a, b, c, d] = R_abcd + R_cbad
+    R = CurvatureTensor(curvature_projection((S - S.transpose(1, 0, 2, 3)) / 3.0))
+    if not full_output:
+        return R
+
+    P, V = np.random.default_rng(seed).standard_normal((2, count, m))
+    P /= np.linalg.norm(P, axis=1, keepdims=True)
+    V -= np.einsum("ni,ni->n", V, P)[:, None] * P
+    V /= np.linalg.norm(V, axis=1, keepdims=True)
+    diff = np.einsum("nij,ni,nj->n", k.ambient_matrices(P) - killing_matrices(R, P), V, V)
+    return R, {"residual": float(np.max(np.abs(diff))), "samples": count, "seed": seed}
 
 
 def metric_derivatives(g: MetricField, chart: GnomonicChart, x):

@@ -15,6 +15,7 @@ from equator_forge.correspondence import metric_from_curv
 from equator_forge.tableio import write_json
 from equator_forge.tensor_core import (
     CurvatureTensor,
+    DegenerateInputError,
     DimensionError,
     GroupElement,
     PositivityError,
@@ -358,12 +359,12 @@ def test_a_failed_roundtrip_solve_is_an_input_error(tmp_path, capsys, monkeypatc
     run(capsys, "gen", "random", "--n", "3", "--out", str(tensor))
 
     def fail(*args, **kwargs):
-        raise correspondence.SamplingError("normal system condition stayed above 1e10")
+        raise DegenerateInputError("field is not constant along great circles")
 
     monkeypatch.setattr(verification, "curv_from_killing", fail)
     code, payload, err = run(capsys, "verify", str(tensor))
     assert code == 2 and payload is None
-    assert "error: normal system condition" in err and "Traceback" not in err
+    assert "error: field is not constant" in err and "Traceback" not in err
 
 
 def test_size_guard_arithmetic(monkeypatch):
