@@ -81,9 +81,10 @@ def _area_elements(g: MetricField, normals: np.ndarray, order: int, seed: int):
     """Orthonormal bases U (E, n+1, n+1) (rows: the basis u of a normal's hyperplane, then the normal),
     node coefficients c on u, round weights and g-area densities (E, m), in blocks of equators."""
     c, weights = _equator_nodes(g.n, order, seed)
+    cc = (c.T[:, None] * c.T[None, :]).reshape(g.n**2, -1)  # points last, as the Cholesky gate takes them
     U = np.concatenate([_tangent_bases(normals)[:, 1:], normals[:, None]], axis=1)
     step = max(_BLOCK_NODES // len(weights), 1)
-    return U, c, weights, np.concatenate([g._equator_density(U[i:i + step], c) for i in range(0, len(U), step)])
+    return U, c, weights, np.concatenate([g._equator_density(U[i:i + step], c, cc) for i in range(0, len(U), step)])
 
 
 def _equator_integrals(g: MetricField, f, v, order: int, seed: int):
@@ -133,7 +134,8 @@ class SecondFundamentalForm:
 
 
 def _shape_operator(gmat, hess, norm):
-    """A = hess / |grad h|, the induced metric G, its inverse and |A|^2 (leading axes allowed).
+    """A = hess / |grad h|, the induced metric G, its inverse and determinant, and |A|^2 (leading axes
+    allowed); a 2 x 2 G, on S^3, is inverted by its adjugate.
 
     The chart's last frame vector is the equator normal, so its first n - 1
     axes span the tangent space of the equator at the chart centre.
@@ -141,8 +143,10 @@ def _shape_operator(gmat, hess, norm):
     k = gmat.shape[-1] - 1
     A = hess[..., :k, :k] / norm[..., None, None]
     G = gmat[..., :k, :k]
-    Ginv = np.linalg.inv(G)
-    return A, G, Ginv, np.einsum("...ac,...bd,...ab,...cd->...", Ginv, Ginv, A, A)
+    det = G[..., 0, 0] * G[..., 1, 1] - G[..., 0, 1] * G[..., 1, 0] if k == 2 else np.linalg.det(G)
+    Ginv = (np.swapaxes(G[..., ::-1, ::-1], -1, -2) * [[1.0, -1.0], [-1.0, 1.0]] / det[..., None, None]
+            if k == 2 else np.linalg.inv(G))
+    return A, G, Ginv, det, np.einsum("...ac,...bd,...ab,...cd->...", Ginv, Ginv, A, A)
 
 
 def second_fundamental_form(g: MetricField, v, p) -> SecondFundamentalForm:
@@ -157,7 +161,7 @@ def second_fundamental_form(g: MetricField, v, p) -> SecondFundamentalForm:
     bases = np.vstack([p, sigma_frame, v])
     gmat, ginv, gamma, _ = _centre_arrays(g, bases, first_order=True)
     _, _, hess, norm, _ = _height_hessian(bases, ginv, gamma, v)
-    A, G, Ginv, norm2 = _shape_operator(gmat, hess, norm)
+    A, G, Ginv, _, norm2 = _shape_operator(gmat, hess, norm)
     H = float(np.einsum("ab,ab", Ginv, A))
     return SecondFundamentalForm(A, sigma_frame, H, float(norm2), G)
 
@@ -221,16 +225,15 @@ def equator_mesh(g: MetricField, v, order: int = 32) -> EquatorMesh:
         gmat, ginv, gamma, dgamma = _centre_arrays(g, bases[sl])
         _, ricci, _ = _curvature_arrays(gmat, ginv, gamma, dgamma)
         _, _, hess, norm, normal = _height_hessian(bases[sl], ginv, gamma, vn)
-        _, G, _, a2 = _shape_operator(gmat, hess, norm)
+        _, G, Ginv, det, a2 = _shape_operator(gmat, hess, norm)
         ric_nn = np.einsum("...i,...ij,...j->...", normal, ricci, normal)
         normal_ambient = np.einsum("...i,...ij->...j", normal, bases[sl, 1:])
-        return normal_ambient, _mean_curvature(ginv, hess, norm, normal), ric_nn + a2, G
+        return normal_ambient, _mean_curvature(ginv, hess, norm, normal), ric_nn + a2, G, Ginv, det
 
-    normal_ambient, mean_curv, potential, induced = _node_blocks(node_block, nodes.shape[0])
+    normal_ambient, mean_curv, potential, induced, induced_inv, det = _node_blocks(node_block, nodes.shape[0])
     theta, phi = _reference_grid(order)[:2]
-    return EquatorMesh(eq, order, basis, theta, phi, nodes, weights, frames, induced,
-                       np.linalg.inv(induced), np.sqrt(np.linalg.det(induced)), normal_ambient,
-                       mean_curv, potential)
+    return EquatorMesh(eq, order, basis, theta, phi, nodes, weights, frames, induced, induced_inv,
+                       np.sqrt(det), normal_ambient, mean_curv, potential)
 
 
 # ---------------------------------------------------------------------------
@@ -301,12 +304,12 @@ def _lower_inverse(C) -> np.ndarray:
 def _factor_gram(terms, index) -> np.ndarray:
     """Symmetrised sum over terms (U, X, field, V, Y) of the grid pairings
     S[(l, a), (k, b)] = sum_ij field[i, j] U[i, l, a] X[j, a] V[i, k, b] Y[j, b],
-    summed over phi j first, then theta i; gathered to basis order by ``index``."""
+    summed over phi j first, then theta i, for the basis columns (k, b) of ``index``, then its rows."""
     S = 0.0
-    for U, X, field, V, Y in terms:
-        VF = V * ((X.T[:, None, :] * field) @ Y)[:, :, None, :]  # phi sum, times V: (a, theta, k, b)
-        S = S + U.transpose(2, 1, 0) @ VF.reshape(*VF.shape[:2], -1)  # (a, l, (k, b))
-    S = S.transpose(1, 0, 2).reshape(S.shape[0] * S.shape[1], -1)[np.ix_(index, index)]
+    for U, X, field, V, Y in terms:  # phi sum, times V at the basis columns, whose trig index is index % 2L+1
+        VF = V.reshape(V.shape[0], -1)[:, index] * ((X.T[:, None, :] * field) @ Y)[:, :, index % Y.shape[1]]
+        S = S + U.transpose(2, 1, 0) @ VF  # (a, l, basis)
+    S = S.transpose(1, 0, 2).reshape(-1, S.shape[-1])[index]
     return 0.5 * (S + S.T)
 
 
@@ -417,7 +420,7 @@ def so4_jacobi_data(g: MetricField, mesh: EquatorMesh):
 
     def node_block(sl):
         jet = g._chart_jets(bases[sl], np.zeros(3), first_order=True)
-        row = np.linalg.inv(jet.value)[:, 2]
+        row = jet.inverse[:, 2]
         B2 = row[:, 2]  # B = sqrt(ginv[2, 2]) and its chart derivatives along e_theta, e_phi
         B = np.sqrt(B2)[:, None]
         dB = -np.einsum("nk,nakl,nl->na", row, jet.grad[:, :2], row) / (2.0 * B)

@@ -32,6 +32,7 @@ from .sphere_geom import Equator, random_equator, sphere_quadrature, tangent_fra
 from .tableio import write_csv, write_json
 from .tensor_core import (
     _file_dimension,
+    _require_array,
     _require_memory,
     act,
     constant_curvature,
@@ -176,6 +177,8 @@ def cmd_verify(args) -> int:
                 raise ValueError(f"--tol-{name.replace('_', '-')} must be finite, got {val}")
             tolerances[name] = val
     kind, subject = _load_subject(args.input)
+    _require_array(f"--equators {args.equators} --points {args.points}",  # the sweep's R contracted with q
+                   args.equators * args.points * (subject.n + 1) ** 3)
     config = RunConfig(
         "verify",
         seed=args.seed,
@@ -216,11 +219,18 @@ def _metric_from_file(path: str):
     return subject
 
 
-def cmd_area(args) -> int:
-    _require_at_least_one(args, "equators")
-    g = _metric_from_file(args.input)
+def _scan_normals(args, g) -> np.ndarray:
+    """A scan's seeded equator normals, once its bases and node blocks are known to fit in memory."""
+    _require_array(f"--equators {args.equators} --order {args.order}",
+                   max(args.equators, 2 * args.order**2) * (g.n + 1) ** 2)
     rng = np.random.default_rng(args.seed)
-    normals = np.array([random_equator(rng, g.n).normal for _ in range(args.equators)])
+    return np.array([random_equator(rng, g.n).normal for _ in range(args.equators)])
+
+
+def cmd_area(args) -> int:
+    _require_at_least_one(args, "equators", "order")
+    g = _metric_from_file(args.input)
+    normals = _scan_normals(args, g)
     areas = equator_area(g, normals, args.order)
     header = [f"v{i}" for i in range(g.n + 1)] + ["area"]
     write_csv(args.out, header, ([float(c) for c in v] + [float(a)] for v, a in zip(normals, areas)))
@@ -245,6 +255,13 @@ def cmd_area(args) -> int:
 def cmd_spectrum(args) -> int:
     if not (np.isfinite(args.null_tol) and args.null_tol >= 0.0):
         raise ValueError(f"--null-tol must be finite and >= 0, got {args.null_tol}")
+    levels = args.L or [12]
+    orders = [max(2 * L + 8, 24) if args.order is None else args.order for L in levels]  # as build_jacobi_galerkin
+    for L, order in zip(levels, orders):  # the mesh's chart bases, the Galerkin factor and matrices
+        if L < 0:
+            raise ValueError(f"--L must be at least 0, got {L}")
+        _require_array(f"--L {L} --order {order}",
+                       max(32 * order**2, (2 * L + 1) * order * (L + 1) ** 2, (L + 1) ** 4))
     g = _metric_from_file(args.input)
     if args.v:
         v = np.asarray([float(t) for t in args.v.split(",")])
@@ -253,11 +270,10 @@ def cmd_spectrum(args) -> int:
         v = Equator(v)
     else:
         v = Equator(np.eye(g.n + 1)[0])
-    levels = args.L or [12]
     rows = []
     summary = []
-    for L in levels:
-        gal = build_jacobi_galerkin(g, v, L, order=args.order)
+    for L, order in zip(levels, orders):
+        gal = build_jacobi_galerkin(g, v, L, order=order)
         probe = jacobi_spectrum_probe(g, v, L, null_tol=args.null_tol, galerkin=gal)
         for idx, lam in enumerate(probe.eigenvalues):
             rows.append([L, idx, float(lam)])
@@ -289,11 +305,11 @@ def _radon_function(kind: str, seed: int, dim: int):
 
 
 def cmd_radon(args) -> int:
-    _require_at_least_one(args, "equators")
+    _require_at_least_one(args, "equators", "order")
     g = _metric_from_file(args.input)
+    _require_array(f"--order {args.order}", 2 * max(args.order, 16) ** g.n * (g.n + 1))  # the sphere rule's nodes
     f = _radon_function(args.f, args.f_seed, g.n + 1)
-    rng = np.random.default_rng(args.seed)
-    normals = np.array([random_equator(rng, g.n).normal for _ in range(args.equators)])
+    normals = _scan_normals(args, g)
     values = funk_radon(g, f, normals, args.order)
     header = [f"v{i}" for i in range(g.n + 1)] + ["transform"]
     write_csv(args.out, header, ([float(c) for c in v] + [float(val)] for v, val in zip(normals, values)))

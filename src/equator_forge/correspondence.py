@@ -33,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .jets import MatrixJet, quadratic_matrix_jet
-from .sphere_geom import GnomonicChart, random_unit
+from .sphere_geom import GnomonicChart, _unit_rows
 from .tensor_core import (
     AmbientField,
     CurvatureTensor,
@@ -90,8 +90,9 @@ class MetricField(AmbientField):
         P = np.atleast_2d(np.asarray(points, dtype=float))
         return _volume_ratio(self.ambient_matrices(P), P, 2.0 / (self.n + 1), "metric")
 
-    def _equator_density(self, U: np.ndarray, c: np.ndarray) -> np.ndarray:
-        """Area densities (..., m) at c @ u of the equators of U (..., n+1, n+1) = (u, v): see README, Areas."""
+    def _equator_density(self, U: np.ndarray, c: np.ndarray, cc: np.ndarray) -> np.ndarray:
+        """Area densities (..., m) at c @ u of the equators of U (..., n+1, n+1) = (u, v): see README, Areas.
+        ``cc`` (n^2, m) holds the node products c_i c_k, built once per scan for the overrides that read them."""
         P = c @ U[..., :-1, :]
         A = self.ambient_matrices(P.reshape(-1, P.shape[-1])).reshape(*P.shape, -1)
         G = U[..., None, :, :] @ (A + P[..., :, None] * P[..., None, :]) @ np.swapaxes(U, -1, -2)[..., None, :, :]
@@ -182,14 +183,13 @@ class CurvatureMetric(MetricField):
         K = killing_matrices(self.generator, P)
         return K / _volume_ratio(K, P, 2.0 / (self.n - 1), "Killing tensor")[:, None, None]
 
-    def _equator_density(self, U: np.ndarray, c: np.ndarray) -> np.ndarray:
+    def _equator_density(self, U: np.ndarray, c: np.ndarray, cc: np.ndarray) -> np.ndarray:
         # g = k / D with D = det(k + pp^T)^(2/(n-1)): with l the Cholesky diagonal of k + pp^T in U,
         # the density is sqrt det(k on the equator) / det(k + pp^T) = 1 / (prod_{k<n} l_k l_n^2)
         n, R, Ut = self.n, self.generator.coeffs.reshape(self.n + 1, -1), np.swapaxes(U, -1, -2)
         for _ in range(4):  # R'(a, b, c, d) = R(U_a, U_b, U_c, U_d), in which the point is (c, 0)
             R = (np.swapaxes(R, -1, -2) @ Ut).reshape(*U.shape[:-1], -1)
         R = R.reshape(*U.shape, n + 1, n + 1)[..., :n, :, :n, :]
-        cc = (c.T[:, None] * c.T[None, :]).reshape(n * n, -1)  # points last, as the gate takes them
         K = (np.moveaxis(R, (-3, -1), (0, 1)).reshape(-1, n * n) @ cc).reshape(n + 1, n + 1, *U.shape[:-2], -1)
         K[:n, :n] += cc.reshape(n, n, *[1] * (U.ndim - 2), -1)
         l = _cholesky_diagonal(K, "Killing tensor")  # l_n^2 by array pow (SIMD), not a scalar 2's exact square
@@ -199,6 +199,7 @@ class CurvatureMetric(MetricField):
         R = self.generator.coeffs
         Q = (_chart_linear(R, bases, x) if first_order
              else quadratic_matrix_jet(*_chart_quadratic(R, bases), x))
+        Q = MatrixJet(Q.value, Q.grad, Q.hess, np.linalg.inv(Q.value))  # det and g^-1 = Q^-1 / s read it
         return Q.scaled(Q.det().power(-2.0 / (self.n - 1.0)))
 
 
@@ -244,17 +245,12 @@ def killing_constancy_residual(
     seed: int = 0,
 ) -> float:
     """Largest variation of k(gamma', gamma') along seeded random great circles."""
-    rng = np.random.default_rng(seed)
     dim = k.n + 1
     if circles <= 0:
         return 0.0
-    frames = []
-    for _ in range(circles):  # the draws of one circle after another
-        p = random_unit(rng, dim)
-        u = rng.standard_normal(dim)
-        u -= (u @ p) * p
-        frames.append((p, u / np.linalg.norm(u)))
-    p, u = (np.array(f)[:, None, :] for f in zip(*frames))
+    X = np.random.default_rng(seed).standard_normal((circles, 2, dim))  # p, then u, circle by circle
+    p = _unit_rows(X[:, :1])
+    u = _unit_rows(X[:, 1:] - np.vecdot(X[:, 1:], p)[..., None] * p)
     t = 2.0 * np.pi * np.arange(samples) / samples
     c, s = np.cos(t)[:, None], np.sin(t)[:, None]
     pts, vel = (c * p + s * u).reshape(-1, dim), (-s * p + c * u).reshape(-1, dim)
@@ -292,8 +288,9 @@ def killing_from_metric(
     exactly when g belongs to the minimal-equator family).
     """
 
-    def batch(P):
-        return g.ambient_matrices(P) / g.F_values(P)[:, None, None]
+    def batch(P):  # F of the same matrices: one ambient pass
+        A = g.ambient_matrices(P)
+        return A / _volume_ratio(A, P, 2.0 / (g.n + 1), "metric")[:, None, None]
 
     k = KillingField(g.n, batch)
     k.constancy_residual = killing_constancy_residual(k, circles=constancy_circles, samples=60, seed=seed)

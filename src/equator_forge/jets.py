@@ -137,30 +137,35 @@ class MatrixJet:
     value: np.ndarray
     grad: np.ndarray
     hess: np.ndarray | None
+    inv: np.ndarray | None = None  # the value's inverse, where the field's construction gives it
+
+    @property
+    def inverse(self) -> np.ndarray:  # the carried inverse, or one np.linalg.inv
+        return np.linalg.inv(self.value) if self.inv is None else self.inv
 
     def __add__(self, other: "MatrixJet") -> "MatrixJet":
         hess = _opt(np.add, self.hess, other.hess)
         return MatrixJet(self.value + other.value, self.grad + other.grad, hess)
 
     def scaled(self, s: ScalarJet) -> "MatrixJet":
-        """Jet of ``s(x) * M(x)`` for a scalar jet ``s``."""
+        """Jet of ``s(x) * M(x)`` for a scalar jet ``s``; a carried inverse is divided by s."""
         sg = s.grad[..., None, None]
         value = _lift(s.value, 2) * self.value
         grad = _lift(s.value, 3) * self.grad + sg * self.value[..., None, :, :]
+        inv = _opt(lambda B: B / _lift(s.value, 2), self.inv)
         if self.hess is None or s.hess is None:
-            return MatrixJet(value, grad, None)
+            return MatrixJet(value, grad, None, inv)
         hess = (
             _lift(s.value, 4) * self.hess
             + s.hess[..., None, None] * self.value[..., None, None, :, :]
             + sg[..., :, None, :, :] * self.grad[..., None, :, :, :]
             + sg[..., None, :, :, :] * self.grad[..., :, None, :, :]
         )
-        return MatrixJet(value, grad, hess)
+        return MatrixJet(value, grad, hess, inv)
 
     def _logdet_parts(self):
         """``(det M, grad log det M, hess log det M or None)``; requires ``M`` invertible."""
-        d = np.linalg.det(self.value)
-        B = np.linalg.inv(self.value)
+        d, B = np.linalg.det(self.value), self.inverse
         # d log det = tr(B dM);  dd log det = tr(B ddM) - tr(B dM B dM), the last two as vec(X^T) . vec(Y)
         BdM = B[..., None, :, :] @ self.grad
         glog = np.einsum("...aii->...a", BdM)  # a matmul and a trace: the same sums at any batch size

@@ -62,6 +62,10 @@ def random_unit(rng, dim: int) -> np.ndarray:
             return v / norm
 
 
+def _unit_rows(X) -> np.ndarray:  # rows over their norms: random_unit's bits when X holds its draws
+    return X / np.sqrt(np.vecdot(X, X))[..., None]
+
+
 def _gram_schmidt(A) -> np.ndarray:
     """Gram-Schmidt of the rows of A, batched over its leading axes."""
     rows = []

@@ -247,17 +247,20 @@ def _physical_memory() -> int | None:
         return None
 
 
+def _require_array(what: str, doubles: int) -> None:
+    """Refuse ``what`` if its largest array, of ``doubles`` float64 numbers, exceeds physical memory."""
+    need, have = 8 * doubles, _physical_memory()
+    if have is not None and need > have:
+        raise DimensionError(f"{what} needs an array of {need / 2**30:.3g} GiB, "
+                             f"more than the {have / 2**30:.3g} GiB of physical memory")
+
+
 def _require_memory(n: int, rows: int = 1) -> None:
     """Refuse dimension ``n`` if ``rows`` x (n+1)^4 doubles exceed physical memory.
 
     One row is a tensor's coefficients; :func:`basis_matrix` has ``curv_dim(n)``.
     """
-    need, have = 8 * rows * (n + 1) ** 4, _physical_memory()
-    if have is not None and need > have:
-        raise DimensionError(
-            f"n={n} needs an array of {need / 2**30:.3g} GiB, "
-            f"more than the {have / 2**30:.3g} GiB of physical memory"
-        )
+    _require_array(f"n={n}", rows * (n + 1) ** 4)
 
 
 @lru_cache(maxsize=None)

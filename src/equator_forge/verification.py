@@ -26,7 +26,6 @@ from .correspondence import (
     MetricField,
     curv_from_killing,
     killing_from_metric,
-    metric_derivatives,
     metric_from_curv,
     round_metric,
 )
@@ -34,6 +33,7 @@ from .jets import MatrixJet, ScalarJet
 from .sphere_geom import (
     GnomonicChart,
     _tangent_bases,
+    _unit_rows,
     chart_at,
     dphi_T,
     phi_T,
@@ -92,10 +92,10 @@ class ChristoffelData:
     dgamma: np.ndarray  # dgamma[m, k, i, j] = d_m gamma[k, i, j]
 
 
-def _christoffel_arrays(gmat, dg, d2g):
-    """``(ginv, gamma, dgamma)`` from the metric jet, dgamma None without d2g; arrays share leading
-    axes.  Stacked matmuls only, so a batch gives exactly the pointwise values."""
-    n, lead, ginv = gmat.shape[-1], gmat.shape[:-2], np.linalg.inv(gmat)
+def _christoffel_arrays(jet: MatrixJet):
+    """``(ginv, gamma, dgamma)`` from the metric jet and its inverse, dgamma None for a 1-jet; arrays
+    share leading axes.  Stacked matmuls only, so a batch gives exactly the pointwise values."""
+    dg, d2g, ginv, n, lead = jet.grad, jet.hess, jet.inverse, jet.value.shape[-1], jet.value.shape[:-2]
     # S[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij, then its derivatives d_m S
     S = [np.moveaxis(d, -1, -3) + np.swapaxes(d, -1, -3) - d for d in (dg, d2g) if d is not None]
     gamma = 0.5 * (ginv @ S[0].reshape(*lead, n, n * n))  # gamma[k, (i, j)]
@@ -111,15 +111,14 @@ def _centre_arrays(g: MetricField, bases: np.ndarray, first_order: bool = False)
     if bases.shape[-1] != g.n + 1:
         raise DimensionError("chart and metric dimensions differ")
     jet = g._chart_jets(bases, np.zeros(g.n), first_order)
-    return (jet.value, *_christoffel_arrays(jet.value, jet.grad, jet.hess))
+    return (jet.value, *_christoffel_arrays(jet))
 
 
 def christoffels(g: MetricField, chart: GnomonicChart, x) -> ChristoffelData:
     """Christoffel symbols (and their first derivatives) of g at chart point x."""
     x = np.asarray(x, dtype=float)
-    gmat, dg, d2g = metric_derivatives(g, chart, x)
-    ginv, gamma, dgamma = _christoffel_arrays(gmat, dg, d2g)
-    return ChristoffelData(chart, x, gmat, ginv, gamma, dgamma)
+    jet = g.chart_jet(chart, x)
+    return ChristoffelData(chart, x, jet.value, *_christoffel_arrays(jet))
 
 
 @dataclass(frozen=True)
@@ -322,8 +321,7 @@ def equivariance_residual(
     """Residual of pullback(phi_T) g_R = g_{R . T} at seeded sample points."""
     gR = CurvatureMetric(R)
     gRT = CurvatureMetric(act(R, T))
-    rng = np.random.default_rng(seed)
-    P = np.array([random_unit(rng, R.n + 1) for _ in range(samples)])
+    P = _unit_rows(np.random.default_rng(seed).standard_normal((samples, R.n + 1)))
     E = _tangent_bases(P)[:, 1:]
     direct = E @ gRT.ambient_matrices(P) @ np.swapaxes(E, 1, 2)
     dE = dphi_T(T, P[:, None, :], E)
@@ -338,8 +336,7 @@ def stabilizer_residual(R: CurvatureTensor, T: GroupElement) -> float:
 
 def antipodal_residual(g: MetricField, *, samples: int = 50, seed: int = 0) -> float:
     """Deviation of the antipodal map from being an isometry of g."""
-    rng = np.random.default_rng(seed)
-    P = np.array([random_unit(rng, g.n + 1) for _ in range(samples)])
+    P = _unit_rows(np.random.default_rng(seed).standard_normal((samples, g.n + 1)))
     E = _tangent_bases(P)[:, 1:]
     # the differential of p -> -p maps the frame E to -E, and the signs cancel
     M = E @ (g.ambient_matrices(P) - g.ambient_matrices(-P)) @ np.swapaxes(E, 1, 2)

@@ -148,8 +148,10 @@ def test_curvature_density_matches_the_ambient_default(n):
     v = Equator(random_unit(np.random.default_rng(n), n + 1))
     U = np.vstack([v.basis(), v.normal])
     c, _, _ = _equator_rule(n, 6, 0)
+    cc = (c.T[:, None] * c.T[None, :]).reshape(n * n, -1)
     for name, g in _density_metrics(n).items():
-        assert_allclose(g._equator_density(U, c), MetricField._equator_density(g, U, c), rtol=1e-13, err_msg=name)
+        assert_allclose(g._equator_density(U, c, cc), MetricField._equator_density(g, U, c, cc), rtol=1e-13,
+                        err_msg=name)
 
 
 def test_funk_radon_of_one_is_the_area():
@@ -547,3 +549,39 @@ def test_funk_radon_weights_by_metric_area(berger):
     rng = np.random.default_rng(8)
     v = random_unit(rng, 4)
     assert_allclose(funk_radon(g, lambda P: np.ones(P.shape[0]), v), equator_area(g, v), atol=1e-12)
+
+
+def test_mesh_induced_inverse_and_density_are_the_closed_forms(berger):
+    # the 2 x 2 adjugate over the determinant, and rho from that determinant
+    v = np.array([0.3, -0.5, 0.2, 0.9])
+    for g in (berger[0], metric_from_curv(random_positive(3, seed=2)[0]), BumpMetric(amplitude=0.5, width=0.3)):
+        mesh = equator_mesh(g, v, order=16)
+        assert np.max(np.abs(mesh.induced_inv @ mesh.induced - np.eye(2))) <= 1e-14
+        det = np.linalg.det(mesh.induced)
+        assert np.max(np.abs(mesh.rho**2 - det) / det) <= 1e-14
+
+
+def _full_grid_gram(terms, index):
+    """Every Legendre x trig pair (l, a) x (k, b), then the basis rows and columns: the reference."""
+    S = 0.0
+    for U, X, field, V, Y in terms:
+        VF = V * ((X.T[:, None, :] * field) @ Y)[:, :, None, :]
+        S = S + U.transpose(2, 1, 0) @ VF.reshape(*VF.shape[:2], -1)
+    S = S.transpose(1, 0, 2).reshape(S.shape[0] * S.shape[1], -1)[np.ix_(index, index)]
+    return 0.5 * (S + S.T)
+
+
+@pytest.mark.parametrize("L", [0, 3, 12])
+def test_galerkin_pairs_only_the_basis_columns(berger, monkeypatch, L):
+    import equator_forge.analysis as analysis
+
+    errors, original = [], analysis._factor_gram
+
+    def checked(terms, index):
+        got, want = original(terms, index), _full_grid_gram(terms, index)
+        errors.append(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+        return got
+
+    monkeypatch.setattr(analysis, "_factor_gram", checked)
+    build_jacobi_galerkin(berger[0], np.array([0.3, -0.5, 0.2, 0.9]), L)
+    assert len(errors) == 2 and max(errors) <= 1e-14

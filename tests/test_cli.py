@@ -622,3 +622,39 @@ def test_every_command_runs_without_scipy(tmp_path):
     proc = _run_fresh(script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "scipy modules: []"
+
+
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "TENSOR", "--L", "100000"),
+    ("spectrum", "TENSOR", "--L", "12", "--order", "100000"),
+    ("area", "TENSOR", "--order", "1000000"),
+    ("area", "TENSOR", "--equators", "100000000000"),
+    ("radon", "TENSOR", "--order", "1000000"),
+    ("radon", "TENSOR", "--equators", "100000000000"),
+    ("verify", "TENSOR", "--points", "100000000000"),
+])
+def test_a_count_whose_largest_array_exceeds_memory_exits_2(tmp_path, capsys, monkeypatch, argv):
+    # every count is far past 8 GiB, so the guard refuses it before anything is allocated
+    tensor, out = tmp_path / "t.json", tmp_path / "out"
+    run(capsys, "gen", "round", "--n", "3", "--out", str(tensor))
+    monkeypatch.setattr(tensor_core, "_physical_memory", lambda: 8 * 2**30)
+    argv = [str(tensor) if a == "TENSOR" else a for a in argv]
+    code, payload, err = run(capsys, *argv, "--out", str(out))
+    assert code == 2 and payload is None
+    assert "needs an array of" in err and "physical memory" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "TENSOR", "--L", "-1"),
+    ("spectrum", "TENSOR", "--L", "8", "--L", "-3"),
+    ("area", "TENSOR", "--order", "0"),
+    ("radon", "TENSOR", "--order", "-2"),
+])
+def test_a_negative_degree_or_order_is_refused_before_any_io(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    argv = [str(tmp_path / "missing.json") if a == "TENSOR" else a for a in argv]  # never read
+    code, payload, err = run(capsys, *argv, "--out", str(out))
+    assert code == 2 and payload is None
+    assert f"error: {argv[-2]} must be at least" in err and "Traceback" not in err
+    assert not out.exists()

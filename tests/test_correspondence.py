@@ -416,3 +416,35 @@ def test_chart_quadratic_reads_only_the_pair_antisymmetric_part(n):
     A = 0.5 * (A - A.transpose(0, 1, 3, 2))
     for coeff, want in zip(got, _four_slot_quadratic(A, bases)):
         assert np.max(np.abs(coeff - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_a_curvature_metric_jet_carries_its_inverse(n):
+    # g^-1 = Q^-1 det(Q)^(2/(n-1)) rides on the jet, so the Christoffel symbols invert nothing
+    rng = np.random.default_rng(90 + n)
+    bases, _, X = _charts_and_points(rng, n, 12)
+    for g in (_member(n), round_metric(n)):
+        for first_order in (True, False):
+            jet = g._chart_jets(bases, X, first_order)
+            want = np.linalg.inv(jet.value)
+            assert np.max(np.abs(jet.inverse - want)) <= 1e-13 * np.max(np.abs(want))
+    bump = BumpMetric(n, amplitude=0.3, width=0.2)  # a sum of jets carries none: it inverts its value
+    jet = bump._chart_jets(bases, X)
+    assert jet.inv is None and np.array_equal(jet.inverse, np.linalg.inv(jet.value))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_killing_from_metric_makes_one_ambient_pass(n, monkeypatch):
+    # k = g / F divides the metric's matrices by F of the same matrices
+    P = np.random.default_rng(100 + n).standard_normal((40, n + 1))
+    P /= np.linalg.norm(P, axis=1, keepdims=True)
+    for g in (_member(n), round_metric(n), BumpMetric(n, amplitude=0.3, width=0.2)):
+        want = g.ambient_matrices(P) / g.F_values(P)[:, None, None]
+        k = killing_from_metric(g, constancy_circles=0)
+        calls = []
+        original = type(g).ambient_matrices
+        monkeypatch.setattr(type(g), "ambient_matrices", lambda self, Y: calls.append(len(Y)) or original(self, Y))
+        got = k.ambient_matrices(P)
+        monkeypatch.undo()
+        assert calls == [len(P)]
+        assert np.array_equal(got, want)

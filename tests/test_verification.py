@@ -408,3 +408,22 @@ def test_verify_metric_flags_bump():
     assert not report.checks["mean_curvature"].passed
     assert not report.checks["metric_equation"].passed
     assert not report.checks["antipodal"].passed
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_equivariance_and_antipodal_samples_are_the_random_unit_draws(n, monkeypatch):
+    # one standard_normal draw over its row norms: bitwise a loop of random_unit calls
+    import equator_forge.verification as verification
+
+    R = random_positive(n, seed=3)[0]
+    T = GroupElement(np.eye(n + 1) + 0.1 * np.random.default_rng(n).standard_normal((n + 1, n + 1)))
+    seen = []
+    original = verification._tangent_bases
+    monkeypatch.setattr(verification, "_tangent_bases", lambda P: seen.append(P) or original(P))
+    for seed, samples in [(0, 1), (n, 8), (7, 200)]:
+        rng = np.random.default_rng(seed)
+        want = np.array([random_unit(rng, n + 1) for _ in range(samples)])
+        seen.clear()
+        equivariance_residual(R, T, samples=samples, seed=seed)
+        antipodal_residual(CurvatureMetric(R), samples=samples, seed=seed)
+        assert len(seen) == 2 and all(np.array_equal(P, want) for P in seen)
