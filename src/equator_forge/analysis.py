@@ -25,7 +25,7 @@ import numpy as np
 
 from .correspondence import CurvatureMetric, MetricField, curv_from_killing
 from .harmonics import _harmonic_factors, basis_degrees, real_harmonic_basis
-from .parallel import thread_count, tmap
+from .parallel import tmap
 from .sphere_geom import (Equator, _equator_nodes, _equator_rule, _on_rows, _reference_grid,
                           _tangent_bases, check_unit)
 from .tensor_core import (
@@ -194,14 +194,12 @@ class EquatorMesh:
         return float(self.weights @ self.rho)
 
 
-def _node_blocks(fn, m: int) -> list[np.ndarray]:
-    """Outputs of ``fn(slice)`` over thread_count() contiguous blocks of m nodes, joined.
+_NODE_BLOCK = 256  # the fastest block size measured on one thread; a whole mesh is slower
 
-    Blocks hold at most 256 nodes: a worker thread's heap keeps the temporaries
-    of the largest block it ran, and larger blocks save little time.
-    """
-    count = min(max(thread_count(), -(-m // 256)), m)
-    edges = np.linspace(0, m, count + 1).astype(int)
+
+def _node_blocks(fn, m: int) -> list[np.ndarray]:
+    """Outputs of ``fn(slice)`` over contiguous blocks of at most _NODE_BLOCK of m nodes, joined."""
+    edges = np.linspace(0, m, -(-m // _NODE_BLOCK) + 1).astype(int)
     parts = tmap(fn, [slice(a, b) for a, b in zip(edges[:-1], edges[1:])])
     return [np.concatenate(field) for field in zip(*parts)]
 

@@ -1,21 +1,17 @@
-"""Worker-count control for embarrassingly parallel sweeps and for BLAS.
+"""The ordered map of the equator meshes, and BLAS thread control.
 
-The worker count comes from the ``EQUATOR_FORGE_THREADS`` environment variable
-(default: all cores).  Sweeps must reduce their results in input order so that
-the output is identical for any worker count; :func:`tmap` guarantees exactly
-that.  :func:`_one_blas_thread` runs dense linear algebra on one OpenBLAS
-thread: at the package's matrix sizes a second BLAS thread saves no wall time,
-and after each call its worker busy-waits for about 0.13 s of CPU.
+:func:`tmap` maps on the calling thread.  :func:`_one_blas_thread` runs dense
+linear algebra on one OpenBLAS thread: at the package's matrix sizes a second
+BLAS thread saves no wall time, and after each call its worker busy-waits for
+about 0.13 s of CPU.
 """
 
 from __future__ import annotations
 
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
-__all__ = ["thread_count", "tmap"]
+__all__ = ["tmap"]
 
 # symbol patterns of OpenBLAS builds: plain, scipy's, and numpy's 64-bit-int one
 _OPENBLAS_SYMBOLS = ("openblas_{}", "scipy_openblas_{}", "scipy_openblas_{}64_")
@@ -23,25 +19,13 @@ _OPENBLAS_SYMBOLS = ("openblas_{}", "scipy_openblas_{}", "scipy_openblas_{}64_")
 _blas_controls: list = [None, []]
 
 
-def thread_count() -> int:
-    raw = os.environ.get("EQUATOR_FORGE_THREADS", "")
-    try:
-        count = int(raw)
-    except ValueError:
-        count = 0
-    if count < 1:
-        count = os.cpu_count() or 1
-    return count
-
-
 def tmap(fn, items) -> list:
-    """Map ``fn`` over ``items``, preserving order, on the configured workers."""
-    items = list(items)
-    workers = thread_count()
-    if workers == 1 or len(items) < 2:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    """``[fn(x) for x in items]`` on the calling thread.
+
+    Kept only as the seam that the benchmark tracer patches by name
+    (``analysis.tmap``); the benchmark's next revision deletes it (ROADMAP item 3).
+    """
+    return [fn(item) for item in items]
 
 
 def _openblas_paths() -> list:

@@ -142,6 +142,13 @@ def random_equator(rng, n: int) -> Equator:
     return Equator(random_unit(rng, n + 1))
 
 
+def _random_normals(rng, n: int, count: int) -> np.ndarray:
+    """``count`` seeded equator normals from one draw: the random_equator loop's bits, row by row."""
+    V = _unit_rows(_unit_rows(rng.standard_normal((count, n + 1))))  # random_unit's scaling, then Equator's
+    first = np.argmax(np.abs(V) > 1e-12, axis=1)  # Equator's canonical sign
+    return np.where(V[np.arange(count), first][:, None] < 0, -V, V)
+
+
 def great_circle(p, u, t):
     """Arc-length great circle cos(t) p + sin(t) u; u must be unit and tangent at p."""
     p = check_unit(p)

@@ -32,12 +32,12 @@ from .correspondence import (
 from .jets import MatrixJet, ScalarJet
 from .sphere_geom import (
     GnomonicChart,
+    _random_normals,
     _tangent_bases,
     _unit_rows,
     chart_at,
     dphi_T,
     phi_T,
-    random_equator,
     random_unit,
 )
 from .tensor_core import (
@@ -437,11 +437,11 @@ class BumpMetric(MetricField):
 # sweeps and the verification report
 
 
-def _equator_points(rng, v, count: int) -> np.ndarray:
-    """Seeded points on the equator with normal v."""
-    W = rng.standard_normal((count, v.shape[0]))
-    W -= np.outer(W @ v, v)
-    return W / np.linalg.norm(W, axis=1, keepdims=True)
+def _equator_points(rng, V, count: int) -> np.ndarray:
+    """Seeded points (E, count, n+1) on the equators with normals V (E, n+1): the per-normal draws' bits."""
+    W = rng.standard_normal((V.shape[0], count, V.shape[1]))
+    W -= (W @ V[..., None]) * V[:, None]
+    return W / np.linalg.norm(W, axis=2, keepdims=True)
 
 
 def mean_curvature_sweep(
@@ -459,8 +459,8 @@ def mean_curvature_sweep(
     points are evaluated in one batched pass.
     """
     rng = np.random.default_rng(seed)
-    normals = [random_equator(rng, g.n).normal for _ in range(equators)]
-    jobs = [(v, _equator_points(rng, v, points)) for v in normals]
+    normals = _random_normals(rng, g.n, equators)
+    jobs = list(zip(normals, _equator_points(rng, normals, points)))  # per equator: V's layout and bits
     jobs += [(np.asarray(v, float), np.asarray(pts, float)) for v, pts in extra_pairs]
     V = np.concatenate([np.broadcast_to(v, pts.shape) for v, pts in jobs])
     P = np.concatenate([pts for _, pts in jobs])

@@ -29,7 +29,6 @@ from equator_forge.correspondence import (
     metric_from_curv,
     round_metric,
 )
-from equator_forge.parallel import tmap
 from equator_forge.sphere_geom import chart_at, random_equator, random_unit, sphere_quadrature
 from equator_forge.tensor_core import (
     CurvatureTensor,
@@ -112,7 +111,7 @@ def test_criterion_3_minimality_and_negative_control(random3_battery):
         g = metric_from_curv(R, override=True)
         return mean_curvature_sweep(g, equators=50, points=20, seed=idx)
 
-    member_worst = max(tmap(sweep, list(enumerate(random3_battery))))
+    member_worst = max([sweep(item) for item in enumerate(random3_battery)])
     bump = BumpMetric()
     control = mean_curvature_sweep(
         bump, equators=10, points=10, seed=0, extra_pairs=_bump_probe_pairs(bump)
@@ -204,7 +203,7 @@ def test_criterion_6_killing_constancy(random3_battery):
         k = killing_from_curv(R, override=True)
         return killing_constancy_residual(k, circles=100, samples=100, seed=600 + i)
 
-    worst = max(tmap(residual, list(enumerate(battery))))
+    worst = max([residual(item) for item in enumerate(battery)])
     ok = worst <= 1e-10
     assert _report(6, ok, f"max deviation {worst:.2e} along 100 circles per tensor ({len(battery)} tensors)")
 
@@ -347,9 +346,9 @@ def test_criterion_11_obata_and_fundamental_tensor():
         return worst
 
     jobs = [(i, metrics[i % 2]) for i in range(500)]
-    for p1, p2, p3 in tmap(chart_sample, jobs):
-        prop_worst[:3] = np.maximum(prop_worst[:3], [p1, p2, p3])
-    prop_worst[3] = max(tmap(equator_sample, jobs))
+    for job in jobs:
+        prop_worst[:3] = np.maximum(prop_worst[:3], chart_sample(job))
+    prop_worst[3] = max([equator_sample(job) for job in jobs])
 
     ok = (
         obata_worst <= 1e-10

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from equator_forge import analysis
 from equator_forge.analysis import (
     _BLOCK_NODES,
     _lower_inverse,
@@ -318,15 +319,18 @@ def test_member_mesh_matches_pointwise_height_data():
         assert_allclose(mesh.normal_ambient[i], hd.normal_ambient, atol=1e-12)
 
 
-def test_mesh_fields_do_not_depend_on_thread_count(monkeypatch):
+def test_mesh_fields_do_not_depend_on_the_block_size(monkeypatch):
     g = metric_from_curv(random_positive(3, seed=2)[0])
     v = np.array([0.3, -0.5, 0.2, 0.9])
     meshes = []
     rotations = []
-    for threads in ("1", "2", "3"):  # 128 nodes in one, two and three blocks
-        monkeypatch.setenv("EQUATOR_FORGE_THREADS", threads)
+    counts = []
+    monkeypatch.setattr(analysis, "tmap", lambda fn, items: counts.append(len(items)) or [fn(x) for x in items])
+    for block in (128, 64, 43):  # 128 nodes in one, two and three blocks
+        monkeypatch.setattr(analysis, "_NODE_BLOCK", block)
         meshes.append(equator_mesh(g, v, order=8))
         rotations.append(so4_jacobi_data(g, meshes[-1])[:2])
+    assert counts == [1, 1, 2, 2, 3, 3]
     for mesh, rot in zip(meshes[1:], rotations[1:]):
         for name in ("normal_ambient", "mean_curv", "potential", "induced", "induced_inv", "rho"):
             assert np.array_equal(getattr(mesh, name), getattr(meshes[0], name)), name

@@ -298,6 +298,20 @@ def test_radon_constant_function(tmp_path, capsys):
     assert abs(float(rows[1][-1]) - 4.0 * np.pi) < 1e-9
 
 
+def test_radon_sphere_integral_of_a_quadratic_on_s5_is_exact(tmp_path, capsys):
+    # the integral comes from a fixed low-order rule: exact for degree <= 3, and cheap on S^5
+    tensor, out = str(tmp_path / "t.json"), str(tmp_path / "radon.csv")
+    run(capsys, "gen", "round", "--n", "5", "--out", tensor)
+    code, payload, _ = run(capsys, "radon", tensor, "--f", "poly", "--f-seed", "3", "--order", "16",
+                           "--equators", "2", "--out", out)
+    assert code == 0
+    rng = np.random.default_rng(3)  # poly's draws: c0, c1, then c2
+    c0, _, c2 = rng.standard_normal(), rng.standard_normal(6), rng.standard_normal((6, 6))
+    volume = np.pi**3  # |S^5|
+    exact = c0 * volume + np.trace(c2) * volume / 6
+    assert abs(payload["sphere_integral"] - exact) <= 1e-12 * abs(exact)
+
+
 def test_radon_of_one_is_the_area_scan(tmp_path, capsys):
     tensor, areas, radons = (str(tmp_path / name) for name in ("t.json", "area.csv", "radon.csv"))
     run(capsys, "gen", "random", "--n", "3", "--seed", "7", "--out", tensor)

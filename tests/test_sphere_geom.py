@@ -30,6 +30,7 @@ from equator_forge.sphere_geom import (
     _equator_rule,
     _gauss_jacobi,
     _on_rows,
+    _random_normals,
     _reference_grid,
 )
 from equator_forge.tensor_core import DegenerateInputError, GroupElement
@@ -66,6 +67,14 @@ def test_equator_canonicalization(v):
     assert abs(np.linalg.norm(normal) - 1.0) <= 1e-14
     assert normal[np.abs(normal) > 1e-12][0] > 0.0  # the first coordinate above 1e-12 in size
     assert np.array_equal(Equator(-v).normal, normal)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_random_normals_are_the_random_equator_loop(n):
+    for seed, count in [(0, 0), (1, 1), (n, 7), (12, 50), (99, 200)]:
+        rng = np.random.default_rng(seed)
+        loop = np.array([random_equator(rng, n).normal for _ in range(count)]).reshape(count, n + 1)
+        assert np.array_equal(_random_normals(np.random.default_rng(seed), n, count), loop)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import os
+import threading
 import time
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from equator_forge import cli, parallel
 from equator_forge.analysis import build_jacobi_galerkin
 from equator_forge.correspondence import metric_from_curv
-from equator_forge.parallel import _one_blas_thread, thread_count, tmap
+from equator_forge.parallel import _one_blas_thread, tmap
 from equator_forge.sphere_geom import Equator
 from equator_forge.tensor_core import constant_curvature
 from equator_forge.tableio import write_csv, write_json
@@ -45,24 +46,20 @@ def test_write_overwrites_atomically(tmp_path):
         assert json.load(fh) == {"v": 2}
 
 
-def test_thread_count_env_override(monkeypatch):
-    monkeypatch.setenv("EQUATOR_FORGE_THREADS", "3")
-    assert thread_count() == 3
-    monkeypatch.setenv("EQUATOR_FORGE_THREADS", "not-a-number")
-    assert thread_count() >= 1
-    monkeypatch.setenv("EQUATOR_FORGE_THREADS", "-2")
-    assert thread_count() >= 1
-
-
-def test_tmap_preserves_order(monkeypatch):
-    items = list(range(40))
-    expected = [i * i for i in items]
-    assert tmap(lambda i: i * i, items) == expected
-    monkeypatch.setenv("EQUATOR_FORGE_THREADS", "1")
-    assert tmap(lambda i: i * i, items) == expected
-    monkeypatch.setenv("EQUATOR_FORGE_THREADS", "7")
-    assert tmap(lambda i: i * i, items) == expected
+def test_tmap_preserves_order():
+    assert tmap(lambda i: i * i, range(40)) == [i * i for i in range(40)]
     assert tmap(np.sqrt, []) == []
+
+
+def test_spectrum_starts_no_thread(monkeypatch, tmp_path):
+    tensor = str(tmp_path / "t.json")
+    assert _main("gen", "random", "--n", "3", "--seed", "1", "--out", tensor) == 0
+
+    def refuse(self):
+        raise AssertionError(f"thread {self.name} started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    assert _main("spectrum", tensor, "--L", "4", "--L", "6", "--out", str(tmp_path / "s.csv")) == 0
 
 
 @pytest.fixture

@@ -17,7 +17,7 @@ from equator_forge.correspondence import (
     metric_from_curv,
     round_metric,
 )
-from equator_forge.sphere_geom import _tangent_bases, chart_at, random_unit
+from equator_forge.sphere_geom import _tangent_bases, chart_at, random_equator, random_unit
 from equator_forge.tensor_core import (
     CurvatureTensor,
     DegenerateInputError,
@@ -427,3 +427,29 @@ def test_equivariance_and_antipodal_samples_are_the_random_unit_draws(n, monkeyp
         equivariance_residual(R, T, samples=samples, seed=seed)
         antipodal_residual(CurvatureMetric(R), samples=samples, seed=seed)
         assert len(seen) == 2 and all(np.array_equal(P, want) for P in seen)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_sweep_samples_are_the_per_equator_draws(n, monkeypatch):
+    # one draw of normals and one of points: bitwise the random_equator loop and per-normal points
+    import equator_forge.verification as verification
+
+    g = CurvatureMetric(random_positive(n, seed=3)[0])
+    seen = []
+    original = verification._equator_mean_curvatures
+    monkeypatch.setattr(verification, "_equator_mean_curvatures",
+                        lambda g, V, P: seen.append((V, P)) or original(g, V, P))
+    for seed, equators, points in [(0, 1, 1), (n, 5, 7), (11, 20, 10)]:
+        rng = np.random.default_rng(seed)
+        normals = [random_equator(rng, n).normal for _ in range(equators)]
+        V, P = [], []
+        for v in normals:
+            W = rng.standard_normal((points, n + 1))
+            W -= np.outer(W @ v, v)
+            V.append(np.broadcast_to(v, W.shape))
+            P.append(W / np.linalg.norm(W, axis=1, keepdims=True))
+        V, P = np.concatenate(V), np.concatenate(P)
+        seen.clear()
+        worst = mean_curvature_sweep(g, equators=equators, points=points, seed=seed)
+        assert np.array_equal(seen[0][0], V) and np.array_equal(seen[0][1], P)
+        assert worst == np.max(np.abs(original(g, V, P)))  # the curvatures' bits follow V's layout too
