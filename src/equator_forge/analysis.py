@@ -26,8 +26,7 @@ import numpy as np
 from .correspondence import CurvatureMetric, MetricField, curv_from_killing
 from .harmonics import _harmonic_factors, basis_degrees, real_harmonic_basis
 from .parallel import tmap
-from .sphere_geom import (Equator, _equator_nodes, _equator_rule, _on_rows, _reference_grid,
-                          _tangent_bases, check_unit)
+from .sphere_geom import Equator, _equator_nodes, _on_rows, _reference_grid, _tangent_bases, check_unit
 from .tensor_core import (
     DegenerateInputError,
     DimensionError,
@@ -77,20 +76,20 @@ def _as_equators(g: MetricField, v, stack: bool = False) -> list[Equator]:
     return [v] if isinstance(v, Equator) else [Equator(row) for row in np.atleast_2d(V)]
 
 
-def _area_elements(g: MetricField, normals: np.ndarray, order: int, seed: int):
+def _area_elements(g: MetricField, normals: np.ndarray, order: int):
     """Orthonormal bases U (E, n+1, n+1) (rows: the basis u of a normal's hyperplane, then the normal),
     node coefficients c on u, round weights and g-area densities (E, m), in blocks of equators."""
-    c, weights = _equator_nodes(g.n, order, seed)
+    c, weights = _equator_nodes(g.n, order)
     cc = (c.T[:, None] * c.T[None, :]).reshape(g.n**2, -1)  # points last, as the Cholesky gate takes them
     U = np.concatenate([_tangent_bases(normals)[:, 1:], normals[:, None]], axis=1)
     step = max(_BLOCK_NODES // len(weights), 1)
     return U, c, weights, np.concatenate([g._equator_density(U[i:i + step], c, cc) for i in range(0, len(U), step)])
 
 
-def _equator_integrals(g: MetricField, f, v, order: int, seed: int):
+def _equator_integrals(g: MetricField, f, v, order: int):
     """weights @ (f(nodes) * rho) on the equator of v or of each row of a stack; f = None integrates 1."""
     normals = np.array([eq.normal for eq in _as_equators(g, v, stack=True)])
-    U, c, weights, rho = _area_elements(g, normals, order, seed)
+    U, c, weights, rho = _area_elements(g, normals, order)
     sums = []
     for Ue, rho_e in zip(U, rho):
         values = np.ones_like(weights) if f is None else np.asarray(f(c @ Ue[:-1]), dtype=float)
@@ -100,22 +99,22 @@ def _equator_integrals(g: MetricField, f, v, order: int, seed: int):
     return float(sums[0]) if isinstance(v, Equator) or np.ndim(v) == 1 else np.array(sums)
 
 
-def equator_area(g: MetricField, v, order: int = 32, *, seed: int = 0):
+def equator_area(g: MetricField, v, order: int = 32):
     """Area under g of the equator with normal v, or an array (E,) of areas for a stack v (E, n+1).
 
-    For members of the minimal-equator family on S^3 the value is independent
-    of v.  Uses the deterministic product quadrature on S^3 (seeded Monte
-    Carlo elsewhere).  The value equals ``funk_radon`` of 1 exactly.
+    For members of the minimal-equator family the value is independent of v.
+    Every n uses the Gauss product rule of :func:`_equator_nodes`, with at
+    most 2 order^2 nodes.  The value equals ``funk_radon`` of 1 exactly.
     """
-    return _equator_integrals(g, None, v, order, seed)
+    return _equator_integrals(g, None, v, order)
 
 
-def funk_radon(g: MetricField, f, v, order: int = 32, *, seed: int = 0):
+def funk_radon(g: MetricField, f, v, order: int = 32):
     """Integral of f against the g-area element of the equator with normal v, or (E,) of them for v (E, n+1).
 
     ``f`` maps the (m, n+1) array of one equator's quadrature nodes to their m values.
     """
-    return _equator_integrals(g, f, v, order, seed)
+    return _equator_integrals(g, f, v, order)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +214,7 @@ def equator_mesh(g: MetricField, v, order: int = 32) -> EquatorMesh:
         raise DimensionError("Jacobi meshes are implemented for S^3")
     eq = _as_equators(g, v)[0]
     vn, basis = eq.normal, eq.basis()
-    c, weights, f = _equator_rule(3, order, 0)  # seed unused: S^3 has the product grid
+    theta, phi, c, weights, f = _reference_grid(order)
     nodes, frames = _on_rows(c, basis), _on_rows(f, basis)
     bases = _mesh_bases(nodes, frames, vn)
 
@@ -229,7 +228,6 @@ def equator_mesh(g: MetricField, v, order: int = 32) -> EquatorMesh:
         return normal_ambient, _mean_curvature(ginv, hess, norm, normal), ric_nn + a2, G, Ginv, det
 
     normal_ambient, mean_curv, potential, induced, induced_inv, det = _node_blocks(node_block, nodes.shape[0])
-    theta, phi = _reference_grid(order)[:2]
     return EquatorMesh(eq, order, basis, theta, phi, nodes, weights, frames, induced, induced_inv,
                        np.sqrt(det), normal_ambient, mean_curv, potential)
 

@@ -17,9 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
-from .tableio import write_csv
 from .tensor_core import DegenerateInputError, DimensionError, GroupElement
 
 __all__ = [
@@ -280,8 +278,6 @@ class QuadratureRule:
     weights: np.ndarray
     domain: str
     order: int
-    monte_carlo: bool = False
-    seed: int | None = None
 
     @property
     def total(self) -> float:
@@ -294,15 +290,6 @@ class QuadratureRule:
             raise DimensionError("values do not match the quadrature nodes")
         return float(values @ self.weights)
 
-    def to_csv(self, path: str) -> None:
-        dim = self.nodes.shape[1]
-        header = [f"x{i}" for i in range(dim)] + ["weight"]
-        rows = (
-            [float(c) for c in node] + [float(w)]
-            for node, w in zip(self.nodes, self.weights)
-        )
-        write_csv(path, header, rows)
-
 
 def sphere_volume(k: int) -> float:
     """Volume of the unit sphere S^k."""
@@ -311,15 +298,15 @@ def sphere_volume(k: int) -> float:
 
 @lru_cache(maxsize=16)
 def _reference_grid(order: int) -> tuple:
-    """Read-only angles, the coefficients of the nodes (m, 3) on the basis rows of an equator, weights,
-    and the coefficients of (e_theta, e_phi) (m, 2, 3): the part of the grid v does not change."""
-    z, wz = leggauss(order)
-    nphi = 2 * order
-    ct, pp = (a.reshape(-1) for a in np.meshgrid(z, 2.0 * math.pi * np.arange(nphi) / nphi, indexing="ij"))
+    """Read-only angles (theta, phi), node coefficients (m, 3) on the basis rows of an equator and weights,
+    both ``sphere_quadrature(2, order)``'s, and coefficients (m, 2, 3) of (e_theta, e_phi): the part of the
+    S^3 Jacobi mesh that v does not change."""
+    rule = sphere_quadrature(2, order)
+    ct, nphi = rule.nodes[:, 2], 2 * order  # by rows: latitude cos(theta), then longitude 2 pi j / nphi
+    pp = np.tile(2.0 * math.pi * np.arange(nphi) / nphi, order)
     st, cp, sp = np.sqrt(1.0 - ct**2), np.cos(pp), np.sin(pp)
     frames = np.stack([np.stack([ct * cp, ct * sp, -st], -1), np.stack([-sp, cp, np.zeros_like(sp)], -1)], 1)
-    arrays = (np.arccos(np.clip(ct, -1.0, 1.0)), pp, np.stack([st * cp, st * sp, ct], axis=-1),
-              np.repeat(wz, nphi) * (2.0 * math.pi / nphi), frames)
+    arrays = (np.arccos(np.clip(ct, -1.0, 1.0)), pp, rule.nodes, rule.weights, frames)
     for array in arrays:
         array.flags.writeable = False
     return arrays
@@ -330,33 +317,26 @@ def _on_rows(coeffs, u) -> np.ndarray:
     return reduce(np.add, (coeffs[..., k, None] * row for k, row in enumerate(u)))
 
 
-def _equator_nodes(n: int, order: int, seed: int) -> tuple:
-    """Node coefficients (m, n) on an equator's basis rows, and weights: the S^3 grid, else Monte Carlo."""
+def _equator_nodes(n: int, order: int) -> tuple:
+    """Node coefficients (m, n) on an equator's basis rows, and weights: ``sphere_quadrature(n - 1, k)``
+    with k the largest integer with k^(n-1) <= order^2, so m = 2 k^(n-1) <= 2 order^2 (k = order on S^3)."""
+    if n < 2:
+        raise DimensionError("equator quadrature requires n >= 2")
     if order < 1:
         raise DegenerateInputError("quadrature order must be positive")
-    if n == 3:
-        return _reference_grid(order)[2:4]
-    count = max(2 * order * order, 64)
-    raw = np.random.default_rng(seed).standard_normal((count, n))
-    raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-    return raw, np.full(count, sphere_volume(n - 1) / count)
+    k = round(order ** (2 / (n - 1)))
+    k -= k ** (n - 1) > order**2  # the float root is off by less than 1/2: one exact integer correction
+    rule = sphere_quadrature(n - 1, k)
+    return rule.nodes, rule.weights
 
 
-def _equator_rule(n: int, order: int, seed: int) -> tuple:
-    """:func:`_equator_nodes` and coefficients f (m, n-1, n) on u of round orthonormal tangent frames."""
-    c, weights = _equator_nodes(n, order, seed)
-    return c, weights, _reference_grid(order)[4] if n == 3 else _tangent_bases(c)[:, 1:]
-
-
-def equator_quadrature(v: Equator, order: int, *, seed: int = 0) -> QuadratureRule:
-    """Quadrature on the round equator with normal v: the nodes of
-    :func:`_equator_nodes` mapped by the basis rows of v, flagged as Monte Carlo off S^3."""
+def equator_quadrature(v: Equator, order: int) -> QuadratureRule:
+    """Quadrature on the round equator with normal v: the nodes of :func:`_equator_nodes` mapped by
+    the basis rows of v, summed over the rows like the Jacobi mesh, so on S^3 they are bitwise the mesh's."""
     if not isinstance(v, Equator):
         v = Equator(np.asarray(v, dtype=float))
-    c, weights = _equator_nodes(v.n, order, seed)
-    if v.n == 3:  # summed over the rows like the Jacobi mesh, so the nodes are bitwise the mesh's
-        return QuadratureRule(_on_rows(c, v.basis()), weights, "equator", order)
-    return QuadratureRule(c @ v.basis(), weights, "equator", order, monte_carlo=True, seed=seed)
+    c, weights = _equator_nodes(v.n, order)
+    return QuadratureRule(_on_rows(c, v.basis()), weights, "equator", order)
 
 
 def _gauss_jacobi(order: int, alpha: float) -> tuple:

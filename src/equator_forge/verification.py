@@ -200,7 +200,9 @@ def _mean_curvature(ginv, hess, norm, normal):
 
 
 def _equator_mean_curvatures(g: MetricField, v, p):
-    """Mean curvature at points p (..., n+1) of the equators with normals v (same axes)."""
+    """Mean curvature at points p (..., n+1) of the equators with normals v (same axes), in C order:
+    the last bits would otherwise follow the memory layout of v and p."""
+    v, p = np.ascontiguousarray(v), np.ascontiguousarray(p)
     if np.any(np.abs(np.sum(p * v, axis=-1)) > 1e-10):
         raise DegenerateInputError("p does not lie on the equator of v")
     bases = _tangent_bases(p)
@@ -460,10 +462,10 @@ def mean_curvature_sweep(
     """
     rng = np.random.default_rng(seed)
     normals = _random_normals(rng, g.n, equators)
-    jobs = list(zip(normals, _equator_points(rng, normals, points)))  # per equator: V's layout and bits
-    jobs += [(np.asarray(v, float), np.asarray(pts, float)) for v, pts in extra_pairs]
-    V = np.concatenate([np.broadcast_to(v, pts.shape) for v, pts in jobs])
-    P = np.concatenate([pts for _, pts in jobs])
+    drawn = _equator_points(rng, normals, points).reshape(-1, g.n + 1)
+    extra = [(np.asarray(v, float), np.asarray(pts, float)) for v, pts in extra_pairs]
+    V = np.concatenate([np.repeat(normals, points, axis=0)] + [np.broadcast_to(v, pts.shape) for v, pts in extra])
+    P = np.concatenate([drawn] + [pts for _, pts in extra])
     return float(np.max(np.abs(_equator_mean_curvatures(g, V, P))))
 
 

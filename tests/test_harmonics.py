@@ -8,13 +8,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from equator_forge.harmonics import _legendre, basis_degrees, basis_size, real_harmonic_basis
-from equator_forge.sphere_geom import _equator_rule, _reference_grid
+from equator_forge.sphere_geom import _reference_grid
 
 
 @pytest.fixture(scope="module")
 def grid():
-    theta, phi = _reference_grid(24)[:2]
-    _, weights, _ = _equator_rule(3, 24, 0)
+    theta, phi, _, weights, _ = _reference_grid(24)
     return {"theta": theta, "phi": phi, "weights": weights}
 
 

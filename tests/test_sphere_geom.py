@@ -1,5 +1,6 @@
 """Sphere primitives: frames, charts, the projective action, quadrature."""
 
+import itertools
 import math
 
 import numpy as np
@@ -10,6 +11,8 @@ from numpy.testing import assert_allclose
 
 from numpy.polynomial.legendre import leggauss
 
+from equator_forge.analysis import equator_area, equator_mesh
+from equator_forge.correspondence import CurvatureMetric, round_metric
 from equator_forge.sphere_geom import (
     CHART_RADIUS,
     Equator,
@@ -27,13 +30,14 @@ from equator_forge.sphere_geom import (
     sphere_quadrature,
     sphere_volume,
     tangent_frame,
-    _equator_rule,
+    _equator_nodes,
     _gauss_jacobi,
     _on_rows,
     _random_normals,
     _reference_grid,
+    _tangent_bases,
 )
-from equator_forge.tensor_core import DegenerateInputError, GroupElement
+from equator_forge.tensor_core import DegenerateInputError, DimensionError, GroupElement, random_positive
 
 
 def test_tangent_frame_is_orthonormal_and_deterministic():
@@ -182,7 +186,6 @@ def test_great_circle_speed_and_period():
 def test_equator_quadrature_weights_and_polynomials():
     v = Equator(np.array([0.0, 0.0, 0.0, 1.0]))
     rule = equator_quadrature(v, 16)
-    assert not rule.monte_carlo
     assert_allclose(rule.total, 4.0 * math.pi, atol=1e-12)
     # exact low-degree moments on the round 2-sphere x^2 -> 4pi/3
     vals = rule.nodes[:, 0] ** 2
@@ -194,7 +197,8 @@ def test_equator_quadrature_weights_and_polynomials():
 
 
 def _fresh_equator_grid(v, order):
-    """The S^3 grid built afresh for one equator: the reference for the cached grid."""
+    """The S^3 grid built afresh for one equator from numpy's Gauss-Legendre rule: an independent
+    reference for the cached grid, whose latitudes come from the Golub-Welsch rule of sphere_quadrature."""
     u = v.basis()
     z, wz = leggauss(order)
     nphi = 2 * order
@@ -212,13 +216,16 @@ def _fresh_equator_grid(v, order):
 
 
 def test_cached_equator_grid_is_read_only_and_unchanged():
+    # measured against leggauss at these orders: 6.8e-15 in the nodes, 6.7e-15 in theta and e_theta,
+    # 3.3e-16 in the weights, and phi and e_phi bitwise
     rng = np.random.default_rng(7)
     for order in (1, 5, 24):
+        theta, phi, c, weights, f = _reference_grid(order)
+        rule = sphere_quadrature(2, order)
+        assert c.tobytes() == rule.nodes.tobytes() and weights.tobytes() == rule.weights.tobytes()
         for _ in range(3):
             v = random_equator(rng, 3)
-            c, weights, f = _equator_rule(3, order, 0)
             nodes, frames = _on_rows(c, v.basis()), _on_rows(f, v.basis())  # as the Jacobi mesh maps them
-            theta, phi = _reference_grid(order)[:2]
             fresh = _fresh_equator_grid(v, order)
             grid = {"basis": v.basis(), "theta": theta, "phi": phi, "nodes": nodes, "weights": weights,
                     "e_theta": frames[:, 0], "e_phi": frames[:, 1]}
@@ -227,7 +234,7 @@ def test_cached_equator_grid_is_read_only_and_unchanged():
             assert frames.shape == (nodes.shape[0], 2, 4)
             assert grid.keys() == fresh.keys()
             for name in grid:
-                assert grid[name].tobytes() == fresh[name].tobytes(), name
+                assert_allclose(grid[name], fresh[name], rtol=0, atol=1e-13, err_msg=name)
         for array in _reference_grid(order):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
@@ -238,8 +245,10 @@ def test_cached_equator_grid_is_read_only_and_unchanged():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_equator_rule_frames_are_orthonormal_and_tangent(n):
+    # the Jacobi mesh's (e_theta, e_phi) on S^3; elsewhere the frames _tangent_bases gives the nodes
     v = random_equator(np.random.default_rng(n), n)
-    c, weights, f = _equator_rule(n, 6, 1)
+    c, weights = _equator_nodes(n, 6)
+    f = _reference_grid(6)[4] if n == 3 else _tangent_bases(c)[:, 1:]
     assert c.shape == (weights.shape[0], n)
     assert f.shape == (weights.shape[0], n - 1, n)
     nodes, frames = c @ v.basis(), f @ v.basis()
@@ -253,30 +262,75 @@ def test_equator_rule_frames_are_orthonormal_and_tangent(n):
     assert_allclose(weights.sum(), sphere_volume(n - 1), rtol=1e-12)
 
 
+def _budget_k(n, order):
+    """The largest k with k^(n-1) <= order^2, counted up from 1."""
+    k = 1
+    while (k + 1) ** (n - 1) <= order**2:
+        k += 1
+    return k
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_equator_quadrature_nodes_are_bitwise_the_mapped_rule(n):
-    # references: the S^3 grid built afresh, and elsewhere the seeded draw times the basis
+    # reference: sphere_quadrature(n - 1, k) at the node budget, summed over the basis rows of v;
+    # on S^3 these are also bitwise the Jacobi mesh's nodes
     v = random_equator(np.random.default_rng(10 + n), n)
     for order in (1, 4, 9):
-        rule = equator_quadrature(v, order, seed=5)
+        rule, k = equator_quadrature(v, order), _budget_k(n, order)
+        ref = sphere_quadrature(n - 1, k)
+        assert len(rule.weights) == 2 * k ** (n - 1) <= 2 * order**2
+        assert rule.nodes.tobytes() == _on_rows(ref.nodes, v.basis()).tobytes()
+        assert rule.weights.tobytes() == ref.weights.tobytes()
         if n == 3:
-            nodes, weights = _fresh_equator_grid(v, order)["nodes"], _fresh_equator_grid(v, order)["weights"]
-        else:
-            count = max(2 * order * order, 64)
-            raw = np.random.default_rng(5).standard_normal((count, n))
-            raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-            nodes, weights = raw @ v.basis(), np.full(count, sphere_volume(n - 1) / count)
-        assert rule.nodes.tobytes() == nodes.tobytes()
-        assert rule.weights.tobytes() == weights.tobytes()
+            assert k == order
+            assert rule.nodes.tobytes() == equator_mesh(round_metric(3), v, order).nodes.tobytes()
 
 
-def test_equator_quadrature_monte_carlo_fallback():
-    rule = equator_quadrature(np.eye(5)[0], 8, seed=3)
-    assert rule.monte_carlo
-    assert rule.seed == 3
-    assert_allclose(rule.total, sphere_volume(3), rtol=1e-12)
-    # all nodes on the equator
-    assert_allclose(rule.nodes @ np.eye(5)[0], np.zeros(len(rule.weights)), atol=1e-12)
+def test_equator_nodes_budget_is_exact_at_integer_roots():
+    # the orders include exact roots: k = 4 and 9 at orders 8 and 27 on S^4, k = 2..6 at 4..36 on S^5
+    for n in (2, 3, 4, 5, 6):
+        for order in range(1, 40):
+            assert len(_equator_nodes(n, order)[1]) == 2 * _budget_k(n, order) ** (n - 1)
+    with pytest.raises(DegenerateInputError):
+        _equator_nodes(3, 0)
+    with pytest.raises(DimensionError):
+        _equator_nodes(1, 4)
+
+
+def _monomial_integral(alpha) -> float:
+    """Integral of prod x_i^alpha_i over the unit sphere in R^len(alpha), in closed form."""
+    if any(a % 2 for a in alpha):
+        return 0.0
+    return 2.0 * math.prod(math.gamma((a + 1) / 2) for a in alpha) / math.gamma((sum(alpha) + len(alpha)) / 2)
+
+
+@pytest.mark.parametrize("n, order", [(2, 3), (4, 6), (5, 9)])
+def test_equator_quadrature_is_exact_to_degree_2k_minus_1(n, order):
+    # on the equator of e_0 the nodes are (0, c): monomials in c of degree up to 2k - 1 are exact,
+    # among them x_i^2, x_i^2 x_j^2 and x_i^4 (|S^(n-1)| / n, / (n (n + 2)) and 3 / (n (n + 2)))
+    rule, k = equator_quadrature(np.eye(n + 1)[0], order), _budget_k(n, order)
+    assert k >= 3 and np.all(rule.nodes[:, 0] == 0.0)
+    c = rule.nodes[:, 1:]
+    assert_allclose(rule.total, sphere_volume(n - 1), rtol=1e-14)
+    for degree in range(2 * k):
+        for factors in itertools.combinations_with_replacement(range(n), degree):
+            alpha = np.bincount(np.array(factors, dtype=int), minlength=n)
+            value = rule.integrate(np.prod(c**alpha, axis=1))
+            assert_allclose(value, _monomial_integral(alpha), rtol=0, atol=1e-14 * rule.total, err_msg=alpha)
+
+
+def test_equator_area_converges_in_k_on_s4():
+    # one equator of a random S^4 member, at orders whose budget gives k = 8, 12, ..., 28
+    g = CurvatureMetric(random_positive(4, seed=2)[0])
+    v = random_equator(np.random.default_rng(0), 4)
+    areas = []
+    for k in range(8, 29, 4):
+        order = math.isqrt(k**3 - 1) + 1  # the least order with k^3 <= order^2
+        assert _budget_k(4, order) == k
+        areas.append(equator_area(g, v, order))
+    steps = np.abs(np.diff(areas))
+    assert np.all(steps[1:] < steps[:-1])
+    assert steps[-1] < 1e-7 * areas[-1]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -303,12 +357,3 @@ def test_gauss_jacobi_matches_scipy(alpha):
         t_ref, w_ref = roots_jacobi(order, alpha, alpha)
         assert_allclose(t, t_ref, rtol=0, atol=2e-15)
         assert_allclose(w, w_ref, rtol=0, atol=1e-14 * w_ref.sum())
-
-
-def test_quadrature_rule_to_csv(tmp_path):
-    rule = sphere_quadrature(2, 4)
-    path = tmp_path / "rule.csv"
-    rule.to_csv(path)
-    rows = path.read_text().strip().splitlines()
-    assert len(rows) == len(rule.weights) + 1
-    assert rows[0].startswith("x0")

@@ -31,6 +31,7 @@ from equator_forge.verification import (
     BumpMetric,
     _centre_arrays,
     _curvature_arrays,
+    _equator_mean_curvatures,
     antipodal_residual,
     christoffels,
     curvature_of_metric,
@@ -452,4 +453,18 @@ def test_sweep_samples_are_the_per_equator_draws(n, monkeypatch):
         seen.clear()
         worst = mean_curvature_sweep(g, equators=equators, points=points, seed=seed)
         assert np.array_equal(seen[0][0], V) and np.array_equal(seen[0][1], P)
-        assert worst == np.max(np.abs(original(g, V, P)))  # the curvatures' bits follow V's layout too
+        assert worst == np.max(np.abs(original(g, V, P)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_equator_mean_curvatures_do_not_depend_on_array_layout(n):
+    # the sweep's (V, P) in C order and in Fortran order: the same values, so the same bits
+    g = CurvatureMetric(random_positive(n, seed=2)[0])
+    rng = np.random.default_rng(n)
+    V = np.repeat(np.array([random_equator(rng, n).normal for _ in range(6)]), 7, axis=0)
+    W = rng.standard_normal(V.shape)
+    W -= np.sum(W * V, axis=1, keepdims=True) * V
+    P = W / np.linalg.norm(W, axis=1, keepdims=True)
+    H = _equator_mean_curvatures(g, V, P)
+    assert np.array_equal(_equator_mean_curvatures(g, np.asfortranarray(V), np.asfortranarray(P)), H)
+    assert np.array_equal(_equator_mean_curvatures(g, np.asfortranarray(V), P), H)
