@@ -303,7 +303,9 @@ def _factor_gram(terms, index) -> np.ndarray:
     summed over phi j first, then theta i, for the basis columns (k, b) of ``index``, then its rows."""
     S = 0.0
     for U, X, field, V, Y in terms:  # phi sum, times V at the basis columns, whose trig index is index % 2L+1
-        VF = V.reshape(V.shape[0], -1)[:, index] * ((X.T[:, None, :] * field) @ Y)[:, :, index % Y.shape[1]]
+        # np.take gives a C-ordered array to scale in place, where a fancy index and a product copy twice
+        VF = np.take((X.T[:, None, :] * field) @ Y, index % Y.shape[1], axis=2)
+        VF *= V.reshape(V.shape[0], -1)[:, index]
         S = S + U.transpose(2, 1, 0) @ VF  # (a, l, basis)
     S = S.transpose(1, 0, 2).reshape(-1, S.shape[-1])[index]
     return 0.5 * (S + S.T)

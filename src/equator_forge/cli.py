@@ -34,6 +34,7 @@ from .tensor_core import (
     _file_dimension,
     _require_array,
     _require_memory,
+    _tensor_from_payload,
     act,
     constant_curvature,
     fubini_study,
@@ -86,7 +87,7 @@ def _load_subject(path: str):
             direction=np.asarray(head["direction"], dtype=float),
         )
         return "bump", g
-    return "tensor", load_tensor(path)
+    return "tensor", _tensor_from_payload(path, head)
 
 
 # ---------------------------------------------------------------------------

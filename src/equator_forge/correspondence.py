@@ -41,10 +41,10 @@ from .tensor_core import (
     DimensionError,
     KillingField,
     PositivityError,
+    _decide_positive,
     constant_curvature,
     curv_dim,
     curvature_projection,
-    is_positive,
     killing_matrices,
 )
 
@@ -216,7 +216,7 @@ POSITIVITY_MARGIN = 1e-6
 
 
 def _require_positive(R: CurvatureTensor) -> None:
-    cert = is_positive(R, margin=POSITIVITY_MARGIN)
+    cert = _decide_positive(R, POSITIVITY_MARGIN)
     if not cert.positive:
         raise PositivityError(f"certified curvature bound {cert.lower:.3g} <= {POSITIVITY_MARGIN:g}")
 

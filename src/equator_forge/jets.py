@@ -155,12 +155,12 @@ class MatrixJet:
         inv = _opt(lambda B: B / _lift(s.value, 2), self.inv)
         if self.hess is None or s.hess is None:
             return MatrixJet(value, grad, None, inv)
-        hess = (
-            _lift(s.value, 4) * self.hess
-            + s.hess[..., None, None] * self.value[..., None, None, :, :]
-            + sg[..., :, None, :, :] * self.grad[..., None, :, :, :]
-            + sg[..., None, :, :, :] * self.grad[..., :, None, :, :]
-        )
+        # accumulated in place, at the gradient's leading axes, which s.value * self.hess alone may lack
+        hess = np.multiply(_lift(s.value, 4), self.hess, out=np.empty(grad.shape[:-2] + grad.shape[-3:]))
+        hess += s.hess[..., None, None] * self.value[..., None, None, :, :]
+        cross = sg[..., :, None, :, :] * self.grad[..., None, :, :, :]  # ds_a dM_b; its transpose is ds_b dM_a
+        hess += cross
+        hess += np.swapaxes(cross, -4, -3)
         return MatrixJet(value, grad, hess, inv)
 
     def _logdet_parts(self):
@@ -195,6 +195,8 @@ def quadratic_matrix_jet(A0: np.ndarray, A1: np.ndarray, A2: np.ndarray, x: np.n
     ``A2`` must be symmetric in its two coordinate axes (it is the constant
     second derivative of ``A``).  All arguments may carry the same leading axes.
     """
+    if np.ndim(x) == 1 and not np.any(x):  # one point at the chart centre: the jet is the coefficients
+        return MatrixJet(A0.copy(), A1.copy(), A2.copy())
     xr, shape = np.asarray(x)[..., None, :], A1.shape[-2:]
     A2x = xr[..., None, :, :] @ A2.reshape(*A2.shape[:-2], -1)  # A2x[a, 0] = sum_b x_b A2[a, b]
     grad = A1 + A2x.reshape(*A2x.shape[:-2], *shape)

@@ -468,16 +468,19 @@ def _four_forms(m: int) -> np.ndarray:
     return W
 
 
-def _best_four_form(R: CurvatureTensor) -> np.ndarray:
-    """Operator of the 4-form omega that maximizes lambda_min(R^ + omega^).
+def _barrier_path(R: CurvatureTensor):
+    """The 4-forms omega of the ascent that maximizes lambda_min(R^ + omega^), as pairs (t, w).
 
-    Damped Newton steps follow the log-barrier path of max t + mu log det(R^ +
-    omega^ - t I) from omega = 0, with mu falling by 10^3 a stage from ||R^||
-    to 10^-12 ||R^||; no step goes past 0.9 of the way to the boundary.  Every
-    omega gives a valid bound, so the search only tightens it.
+    ``w`` holds omega's coefficients on :func:`_four_forms`, and t <= lambda_min(R^ + omega^) up to
+    rounding.  The path starts at omega = 0 with t = lambda_min(R^); then damped Newton steps
+    follow the log-barrier path of max t + mu log det(R^ + omega^ - t I), with mu falling by 10^3
+    a stage from ||R^|| to 10^-12 ||R^||, and no step goes past 0.9 of the way to the boundary.
+    Each iterate that passed its Cholesky test comes with its t; the last omega, the best one,
+    is not tested and comes with t = -inf.
     """
     A, forms = _two_vector_operator(R), _four_forms(R.n + 1)
     K, ev = len(forms), np.linalg.eigvalsh(A)
+    yield float(ev[0]), np.zeros(K)
     scale = float(np.max(np.abs(ev)))
     G = np.concatenate([forms, -np.eye(len(A))[None]])  # derivatives in z = (w, t)
     z = np.append(np.zeros(K), ev[0] - scale)
@@ -486,14 +489,23 @@ def _best_four_form(R: CurvatureTensor) -> np.ndarray:
             try:
                 Li = np.linalg.inv(np.linalg.cholesky(A + np.tensordot(z, G, 1)))
             except np.linalg.LinAlgError:  # rounding left the feasible set
-                return np.tensordot(z[:K], forms, 1)
+                yield -np.inf, z[:K]
+                return
+            yield float(z[K]), z[:K].copy()
             F = Li @ G @ Li.T  # the derivatives where the barrier matrix is I
             grad = np.trace(F, axis1=1, axis2=2) + np.eye(K + 1)[K] / mu  # of log det + t / mu
             step = np.linalg.solve(np.einsum("kij,lij->kl", F, F), grad)
             z += 0.9 / max(0.9, -np.linalg.eigvalsh(np.tensordot(step, F, 1))[0]) * step
             if grad @ step < 0.0625:  # Newton decrement below 1/4
                 break
-    return np.tensordot(z[:K], forms, 1)
+    yield -np.inf, z[:K]
+
+
+def _best_four_form(R: CurvatureTensor) -> np.ndarray:
+    """Operator of the 4-form omega that maximizes lambda_min(R^ + omega^): the end of
+    :func:`_barrier_path`.  Every omega gives a valid bound, so the search only tightens it."""
+    *_, (_, w) = _barrier_path(R)
+    return np.tensordot(w, _four_forms(R.n + 1), 1)
 
 
 @dataclass(frozen=True)
@@ -531,9 +543,25 @@ def is_positive(R: CurvatureTensor, *, margin: float = 0.0) -> PositivityCertifi
     A 4-form omega vanishes on every plane, so lambda_min(R^ + omega^) bounds
     the sectional curvature from below for every omega (Thorpe's trick).  The
     bound is exact for n <= 3; for n >= 4 it certifies strongly positive
-    curvature, which is sufficient for positivity but not necessary.
+    curvature, which is sufficient for positivity but not necessary.  The
+    certificate is that of the best omega, the tightest bound the search finds.
     """
     return _certificate(R, _best_four_form(R), margin)
+
+
+def _decide_positive(R: CurvatureTensor, margin: float) -> PositivityCertificate:
+    """``is_positive(R, margin=margin)``'s verdict, from the first 4-form on the ascent that decides it.
+
+    A certificate that clears ``margin`` ends the search, often at omega = 0 before any Newton
+    step; its bound can be lower than is_positive's.  A tensor no iterate shows positive gets
+    is_positive's certificate, from the same last omega.
+    """
+    forms = _four_forms(R.n + 1)
+    for t, w in _barrier_path(R):
+        # t bounds lambda_min only up to rounding, so the certificate decides
+        if t > margin and (cert := _certificate(R, np.tensordot(w, forms, 1), margin)).positive:
+            return cert
+    return _certificate(R, np.tensordot(w, forms, 1), margin)
 
 
 # ---------------------------------------------------------------------------
@@ -748,6 +776,11 @@ def load_tensor(path: str, *, tol: float = 1e-9) -> CurvatureTensor:
     """
     with open(path) as fh:
         payload = json.load(fh)
+    return _tensor_from_payload(path, payload, tol)
+
+
+def _tensor_from_payload(path: str, payload, tol: float = 1e-9) -> CurvatureTensor:
+    """The tensor of a parsed ``curv-dense-v1`` file, checked as :func:`load_tensor` describes."""
     if not isinstance(payload, dict) or payload.get("format") != TENSOR_FORMAT:
         raise ValueError(f"{path}: not a {TENSOR_FORMAT} tensor file")
     m = _file_dimension(path, payload) + 1

@@ -45,8 +45,8 @@ from .tensor_core import (
     DegenerateInputError,
     DimensionError,
     GroupElement,
+    _decide_positive,
     act,
-    is_positive,
     symmetry_residuals,
 )
 
@@ -562,14 +562,18 @@ def verify_tensor(
     eq_samples: int = 30,
     group_elements: int = 5,
 ) -> VerificationReport:
-    """Run the full verification suite; it stops after positivity unless is_positive's bound is > 0."""
+    """Run the full verification suite; it stops after positivity unless the certified bound is > 0.
+
+    Positivity is decided at ``POSITIVITY_MARGIN`` by the first 4-form whose certificate clears
+    it, so its residual, max(0, margin - lower), is 0 exactly when is_positive's would be.
+    """
     tol = dict(DEFAULT_TOLERANCES)
     tol.update(tolerances or {})
     report = VerificationReport("tensor", R.n, seed)
 
     report.add("symmetry", symmetry_residuals(R.coeffs).max, tol["symmetry"], 0, seed)
 
-    lower = is_positive(R).lower
+    lower = _decide_positive(R, POSITIVITY_MARGIN).lower
     report.add("positivity", max(0.0, POSITIVITY_MARGIN - lower), tol["positivity"], 0, seed)
     if lower <= 0.0:
         return report

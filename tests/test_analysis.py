@@ -590,3 +590,26 @@ def test_galerkin_pairs_only_the_basis_columns(berger, monkeypatch, L):
     monkeypatch.setattr(analysis, "_factor_gram", checked)
     build_jacobi_galerkin(berger[0], np.array([0.3, -0.5, 0.2, 0.9]), L)
     assert len(errors) == 2 and max(errors) <= 1e-14
+
+
+def _fancy_index_gram(terms, index):
+    """The pairing with V at the basis columns times a fancy index of the phi sums: the product np.take replaced."""
+    S = 0.0
+    for U, X, field, V, Y in terms:
+        VF = V.reshape(V.shape[0], -1)[:, index] * ((X.T[:, None, :] * field) @ Y)[:, :, index % Y.shape[1]]
+        S = S + U.transpose(2, 1, 0) @ VF
+    S = S.transpose(1, 0, 2).reshape(-1, S.shape[-1])[index]
+    return 0.5 * (S + S.T)
+
+
+@pytest.mark.parametrize("L", [3, 16])
+def test_taken_basis_columns_give_the_fancy_index_pairing_bitwise(berger, monkeypatch, L):
+    pairs, original = [], analysis._factor_gram
+
+    def checked(terms, index):
+        pairs.append((original(terms, index), _fancy_index_gram(terms, index)))
+        return pairs[-1][0]
+
+    monkeypatch.setattr(analysis, "_factor_gram", checked)
+    build_jacobi_galerkin(berger[0], np.array([0.3, -0.5, 0.2, 0.9]), L)
+    assert len(pairs) == 2 and all(np.array_equal(got, want) for got, want in pairs)

@@ -358,6 +358,17 @@ def test_verify_builds_no_second_order_data(tmp_path, capsys, monkeypatch):
     assert code == 1 and not payload["report"]["checks"]["mean_curvature"]["pass"]
 
 
+@pytest.mark.parametrize("argv", [["verify", "--points", "2"], ["area", "--out", "area.csv"]])
+def test_a_command_parses_its_input_file_once(tmp_path, capsys, monkeypatch, argv):
+    tensor = tmp_path / "t.json"
+    run(capsys, "gen", "random", "--n", "3", "--seed", "3", "--out", str(tensor))
+    parsed, load = [], json.load
+    monkeypatch.setattr(json, "load", lambda fh, **kw: parsed.append(fh.name) or load(fh, **kw))
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, argv[0], str(tensor), "--equators", "2", *argv[1:])[0] == 0
+    assert parsed == [str(tensor)]
+
+
 def test_verify_passes_a_member_with_an_ill_conditioned_group_draw(tmp_path, capsys):
     # with --seed 3 one of the five draws I + 0.35 N has condition number
     # 3,482, and rounding alone put the equivariance residual at 1.9e-8

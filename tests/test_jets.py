@@ -178,3 +178,35 @@ def test_one_jets_give_the_two_jets_value_and_gradient():
         assert one.hess is None and two.hess is not None
         assert np.array_equal(one.value, two.value)
         assert np.array_equal(one.grad, two.grad)
+
+
+def _batched_parts(rng, batch, q, m):
+    parts = [_matrix_field(rng, q, m)[1] for _ in range(batch)]
+    return [np.stack(arrays) for arrays in zip(*parts)]
+
+
+def test_a_scaled_hessian_is_the_four_term_sum_bitwise():
+    # the Hessian is accumulated in place: the reference is the sum written out, term by term.  The
+    # second case scales a stack of points of one quadratic, whose Hessian has no leading axis, by a constant
+    rng = np.random.default_rng(6)
+    x = 0.2 * rng.standard_normal((7, 3))
+    batched = ScalarJet(rng.standard_normal(7), rng.standard_normal((7, 3)), rng.standard_normal((7, 3, 3)))
+    for M, s in ((quadratic_matrix_jet(*_batched_parts(rng, 7, 3, 4), x), batched),
+                 (quadratic_matrix_jet(*_matrix_field(rng, 3, 4)[1], x), constant_jet(2.5, 3))):
+        sv, sg = np.asarray(s.value)[..., None, None, None, None], s.grad[..., None, None]
+        four_terms = (sv * M.hess + s.hess[..., None, None] * M.value[..., None, None, :, :]
+                      + sg[..., :, None, :, :] * M.grad[..., None, :, :, :]
+                      + sg[..., None, :, :, :] * M.grad[..., :, None, :, :])
+        assert np.array_equal(M.scaled(s).hess, four_terms)
+
+
+def test_a_quadratic_jet_at_the_chart_centre_is_the_general_one_bitwise():
+    # one point x = 0 returns copies of the coefficients; a stack of zero points takes the general path
+    rng = np.random.default_rng(7)
+    parts, stacked = _matrix_field(rng, 3, 4)[1], _batched_parts(rng, 5, 3, 4)
+    one, stack = quadratic_matrix_jet(*parts, np.zeros((1, 3))), quadratic_matrix_jet(*stacked, np.zeros((5, 3)))
+    for coeffs, general in ((parts, MatrixJet(one.value[0], one.grad[0], one.hess)), (stacked, stack)):
+        centre = quadratic_matrix_jet(*coeffs, np.zeros(3))
+        for got, want, A in zip((centre.value, centre.grad, centre.hess),
+                                (general.value, general.grad, general.hess), coeffs):
+            assert np.array_equal(got, want) and not np.shares_memory(got, A)

@@ -16,6 +16,7 @@ from equator_forge.tensor_core import (
     PositivityError,
     SkewMatrix,
     TensorSymmetryError,
+    _decide_positive,
     act,
     basis_coefficients,
     basis_matrix,
@@ -237,6 +238,42 @@ def test_random_positive_bound_is_the_target_margin(n):
     assert abs(lower - 0.1) <= 1e-9
     # a fresh search on R certifies it as well
     assert is_positive(R).lower >= 0.1 - 1e-9
+
+
+def _near_boundary(n, seed, f):
+    """R0 + f U / -lower(U) for a seeded unit U: its certified bound is 1 - f, up to rounding."""
+    u = np.random.default_rng(seed).standard_normal(curv_dim(n))
+    U = tensor_from_basis(n, u / np.linalg.norm(u))
+    return CurvatureTensor(constant_curvature(n).coeffs + f / -is_positive(U).lower * U.coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 5), seed=st.integers(0, 2**32 - 1), margin=st.sampled_from([0.0, 1e-6, 0.1]),
+       f=st.sampled_from([None, 0.5, 0.9, 0.95, 0.999999, 1.0, 1.05]))
+def test_the_decision_is_is_positives_verdict(n, seed, margin, f):
+    # f = None: a projected Gaussian; otherwise a walk from R0 to near the boundary of positivity
+    R = _projected_gaussian(n, seed) if f is None else _near_boundary(n, seed, f)
+    decision = _decide_positive(R, margin)
+    assert decision.positive == is_positive(R, margin=margin).positive
+    if decision.positive:
+        assert margin < decision.lower <= decision.upper == sectional(R, decision.x, decision.y)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_a_member_is_decided_without_a_newton_step(n, monkeypatch):
+    # R0 + eps U with ||U||_F = 1 and eps <= 0.9: lambda_min(R^) >= 1 - eps / 2 >= 0.55, so
+    # omega = 0 decides, before the ascent factors any barrier matrix
+    def no_newton_step(M):
+        raise AssertionError("the ascent took a Newton step")
+
+    rng = np.random.default_rng(n)
+    members = []
+    for eps in (0.2, 0.9):
+        U = _projected_gaussian(n, int(rng.integers(2**32)))
+        members.append(CurvatureTensor(constant_curvature(n).coeffs + eps / np.linalg.norm(U.coeffs) * U.coeffs))
+    monkeypatch.setattr(np.linalg, "cholesky", no_newton_step)
+    for R in members:
+        assert _decide_positive(R, 1e-6).positive
 
 
 def test_random_positive_meets_target_margin():

@@ -12,6 +12,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from equator_forge.correspondence import (
+    POSITIVITY_MARGIN,
     CurvatureMetric,
     metric_derivatives,
     metric_from_curv,
@@ -24,8 +25,12 @@ from equator_forge.tensor_core import (
     DimensionError,
     GroupElement,
     complex_structure,
+    constant_curvature,
+    curv_dim,
     fubini_study,
+    is_positive,
     random_positive,
+    tensor_from_basis,
 )
 from equator_forge.verification import (
     BumpMetric,
@@ -399,6 +404,17 @@ def test_verify_tensor_short_circuits_on_indefinite_input(random_metric):
     assert not report.passed
     assert set(report.checks) == {"symmetry", "positivity"}
     assert not report.checks["positivity"].passed
+
+
+def test_verify_tensor_stops_on_a_negative_plane_with_is_positives_residual():
+    # R0 + 1.05 U / -lower(U): the least sectional curvature is -0.05, and no 4-form on the
+    # ascent decides positivity, so the residual comes from is_positive's own certificate
+    u = np.random.default_rng(1).standard_normal(curv_dim(5))
+    U = tensor_from_basis(5, u / np.linalg.norm(u))
+    R = CurvatureTensor(constant_curvature(5).coeffs + 1.05 / -is_positive(U).lower * U.coeffs)
+    report = verify_tensor(R, seed=0)
+    assert list(report.checks) == ["symmetry", "positivity"]
+    assert report.checks["positivity"].residual == POSITIVITY_MARGIN - is_positive(R).lower
 
 
 def test_verify_metric_flags_bump():
