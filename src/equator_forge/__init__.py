@@ -6,166 +6,15 @@ and the verification machinery (minimality of equators, metric equation,
 group equivariance, Jacobi spectra, great-sphere transforms) around them.
 """
 
-from .analysis import (
-    EquatorMesh,
-    JacobiGalerkin,
-    SpectrumProbe,
-    build_jacobi_galerkin,
-    equator_area,
-    equator_mesh,
-    funk_radon,
-    jacobi_spectrum_probe,
-    left_invariant_killing,
-    left_invariant_metric,
-    second_fundamental_form,
-)
-from .correspondence import (
-    CurvatureMetric,
-    MetricField,
-    curv_from_killing,
-    killing_constancy_residual,
-    killing_from_curv,
-    killing_from_metric,
-    metric_from_curv,
-    round_metric,
-)
-from .sphere_geom import (
-    Equator,
-    GnomonicChart,
-    QuadratureRule,
-    chart_at,
-    dphi_T,
-    equator_image,
-    equator_quadrature,
-    great_circle,
-    jacobian_density,
-    phi_T,
-    random_equator,
-    random_unit,
-    sphere_quadrature,
-    sphere_volume,
-    tangent_frame,
-)
-from .tensor_core import (
-    CurvatureTensor,
-    DegenerateInputError,
-    DimensionError,
-    GroupElement,
-    KillingField,
-    PositivityCertificate,
-    PositivityError,
-    SkewMatrix,
-    TensorSymmetryError,
-    act,
-    basis_coefficients,
-    constant_curvature,
-    curv_basis,
-    curv_dim,
-    curvature_projection,
-    fubini_study,
-    is_positive,
-    killing_matrices,
-    load_matrix,
-    load_tensor,
-    random_positive,
-    save_matrix,
-    save_tensor,
-    sec_min_estimate,
-    sectional,
-    sym_product,
-    symmetry_residuals,
-    tensor_from_basis,
-    wedge,
-)
-from .verification import (
-    BumpMetric,
-    CheckResult,
-    VerificationReport,
-    christoffels,
-    curvature_of_metric,
-    fundamental_tensor,
-    mean_curvature_equator,
-    mean_curvature_sweep,
-    metric_equation_residual,
-    verify_metric,
-    verify_tensor,
-)
+from . import analysis, correspondence, sphere_geom, tensor_core, verification
+from .analysis import *
+from .correspondence import *
+from .sphere_geom import *
+from .tensor_core import *
+from .verification import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BumpMetric",
-    "CheckResult",
-    "CurvatureMetric",
-    "CurvatureTensor",
-    "DegenerateInputError",
-    "DimensionError",
-    "Equator",
-    "EquatorMesh",
-    "GnomonicChart",
-    "GroupElement",
-    "JacobiGalerkin",
-    "KillingField",
-    "MetricField",
-    "PositivityCertificate",
-    "PositivityError",
-    "QuadratureRule",
-    "SkewMatrix",
-    "SpectrumProbe",
-    "TensorSymmetryError",
-    "VerificationReport",
-    "act",
-    "basis_coefficients",
-    "build_jacobi_galerkin",
-    "chart_at",
-    "christoffels",
-    "constant_curvature",
-    "curv_basis",
-    "curv_dim",
-    "curv_from_killing",
-    "curvature_of_metric",
-    "curvature_projection",
-    "dphi_T",
-    "equator_area",
-    "equator_image",
-    "equator_mesh",
-    "equator_quadrature",
-    "fubini_study",
-    "fundamental_tensor",
-    "funk_radon",
-    "great_circle",
-    "is_positive",
-    "jacobi_spectrum_probe",
-    "jacobian_density",
-    "killing_constancy_residual",
-    "killing_from_curv",
-    "killing_from_metric",
-    "killing_matrices",
-    "left_invariant_killing",
-    "left_invariant_metric",
-    "load_matrix",
-    "load_tensor",
-    "mean_curvature_equator",
-    "mean_curvature_sweep",
-    "metric_equation_residual",
-    "metric_from_curv",
-    "phi_T",
-    "random_equator",
-    "random_positive",
-    "random_unit",
-    "round_metric",
-    "save_matrix",
-    "save_tensor",
-    "sec_min_estimate",
-    "second_fundamental_form",
-    "sectional",
-    "sphere_quadrature",
-    "sphere_volume",
-    "sym_product",
-    "symmetry_residuals",
-    "tangent_frame",
-    "tensor_from_basis",
-    "verify_metric",
-    "verify_tensor",
-    "wedge",
-]
+# the package surface is the union of its modules' own lists, each name declared once
+__all__ = sorted(name for module in (analysis, correspondence, sphere_geom, tensor_core, verification)
+                 for name in module.__all__)

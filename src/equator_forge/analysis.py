@@ -45,7 +45,6 @@ from .verification import (
 __all__ = [
     "equator_area",
     "funk_radon",
-    "SecondFundamentalForm",
     "second_fundamental_form",
     "EquatorMesh",
     "equator_mesh",
@@ -53,9 +52,6 @@ __all__ = [
     "build_jacobi_galerkin",
     "SpectrumProbe",
     "jacobi_spectrum_probe",
-    "jacobi_apply_field",
-    "so4_jacobi_data",
-    "quaternion_generators",
     "left_invariant_killing",
     "left_invariant_metric",
 ]
@@ -311,11 +307,16 @@ def _factor_gram(terms, index) -> np.ndarray:
     return 0.5 * (S + S.T)
 
 
+def _galerkin_order(L: int) -> int:
+    """The default mesh order of a Galerkin basis of degree at most L."""
+    return max(2 * L + 8, 24)
+
+
 def build_jacobi_galerkin(g: MetricField, v, L: int, *, order: int | None = None,
                           mesh: EquatorMesh | None = None) -> JacobiGalerkin:
     """Assemble the harmonic-basis Galerkin matrices on the equator of v."""
     if order is None:
-        order = max(2 * L + 8, 24)
+        order = _galerkin_order(L)
     if mesh is None:
         mesh = equator_mesh(g, v, order)
     cols = 2 * mesh.order  # the mesh is the product grid theta_i x phi_j, by rows

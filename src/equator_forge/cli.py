@@ -20,6 +20,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
+    _galerkin_order,
     build_jacobi_galerkin,
     equator_area,
     funk_radon,
@@ -256,7 +257,7 @@ def cmd_spectrum(args) -> int:
     if not (np.isfinite(args.null_tol) and args.null_tol >= 0.0):
         raise ValueError(f"--null-tol must be finite and >= 0, got {args.null_tol}")
     levels = args.L or [12]
-    orders = [max(2 * L + 8, 24) if args.order is None else args.order for L in levels]  # as build_jacobi_galerkin
+    orders = [_galerkin_order(L) if args.order is None else args.order for L in levels]
     for L, order in zip(levels, orders):  # the mesh's chart bases, the Galerkin factor and matrices
         if L < 0:
             raise ValueError(f"--L must be at least 0, got {L}")

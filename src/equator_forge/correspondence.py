@@ -57,7 +57,6 @@ __all__ = [
     "round_metric",
     "killing_from_metric",
     "curv_from_killing",
-    "metric_derivatives",
 ]
 
 

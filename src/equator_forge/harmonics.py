@@ -15,8 +15,6 @@ from math import pi, sqrt
 
 import numpy as np
 
-__all__ = ["basis_size", "basis_degrees", "real_harmonic_basis"]
-
 
 def basis_size(L: int) -> int:
     return (L + 1) ** 2

@@ -26,8 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ScalarJet", "MatrixJet", "constant_jet", "quadratic_scalar_jet", "quadratic_matrix_jet"]
-
 
 def _lift(a, axes: int):
     """``a`` with ``axes`` trailing unit axes, to broadcast against derivative arrays."""
@@ -193,7 +191,8 @@ def quadratic_matrix_jet(A0: np.ndarray, A1: np.ndarray, A2: np.ndarray, x: np.n
     """Exact jet at ``x`` of ``A(x) = A0 + sum_a x_a A1[a] + sum_ab x_a x_b A2[a,b] / 2``.
 
     ``A2`` must be symmetric in its two coordinate axes (it is the constant
-    second derivative of ``A``).  All arguments may carry the same leading axes.
+    second derivative of ``A``).  All arguments may carry leading axes; the
+    Hessian is broadcast to those of the gradient, as the value and gradient are.
     """
     if np.ndim(x) == 1 and not np.any(x):  # one point at the chart centre: the jet is the coefficients
         return MatrixJet(A0.copy(), A1.copy(), A2.copy())
@@ -202,4 +201,4 @@ def quadratic_matrix_jet(A0: np.ndarray, A1: np.ndarray, A2: np.ndarray, x: np.n
     grad = A1 + A2x.reshape(*A2x.shape[:-2], *shape)
     value = A0 + (xr @ (A1 + 0.5 * A2x.reshape(grad.shape)).reshape(*grad.shape[:-2], -1)).reshape(
         *grad.shape[:-3], *shape)
-    return MatrixJet(value, grad, A2.copy())
+    return MatrixJet(value, grad, np.broadcast_to(A2, grad.shape[:-3] + A2.shape[-4:]).copy())

@@ -11,8 +11,6 @@ from __future__ import annotations
 import sys
 from contextlib import contextmanager
 
-__all__ = ["tmap"]
-
 # symbol patterns of OpenBLAS builds: plain, scipy's, and numpy's 64-bit-int one
 _OPENBLAS_SYMBOLS = ("openblas_{}", "scipy_openblas_{}", "scipy_openblas_{}64_")
 # (len(sys.modules) at the last scan, [(get_num_threads, set_num_threads), ...])

@@ -21,7 +21,6 @@ import numpy as np
 from .tensor_core import DegenerateInputError, DimensionError, GroupElement
 
 __all__ = [
-    "check_unit",
     "tangent_frame",
     "Equator",
     "great_circle",

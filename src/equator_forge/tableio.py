@@ -8,8 +8,6 @@ import json
 import os
 import tempfile
 
-__all__ = ["write_csv", "write_json"]
-
 
 def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))

@@ -4,8 +4,7 @@ A curvature tensor here is a 4-linear form with the symmetries of a Riemann
 tensor: antisymmetry in the first and last pairs, symmetry under swapping the
 pairs, and the first Bianchi identity.  The module provides construction and
 validation, an orthonormal basis of the space of such tensors, sectional
-curvature with a certified lower bound on its minimum and a descent probe,
-the model tensors (constant curvature and the complex-projective one), the
+curvature with a certified lower bound on its minimum, the model tensors (constant curvature and the complex-projective one), the
 twisted GL(n+1) action, and a dense JSON interchange format.
 
 Conventions: ``R.coeffs[a, b, c, d]`` is ``R(e_a, e_b, e_c, e_d)``, and the
@@ -31,27 +30,21 @@ __all__ = [
     "TensorSymmetryError",
     "DegenerateInputError",
     "PositivityError",
-    "SymmetryReport",
     "CurvatureTensor",
     "GroupElement",
     "SkewMatrix",
-    "AmbientField",
     "KillingField",
     "wedge",
     "symmetry_residuals",
     "curvature_projection",
     "curv_dim",
     "curv_basis",
-    "basis_matrix",
     "basis_coefficients",
     "tensor_from_basis",
     "sectional",
-    "sec_min_estimate",
-    "sec_brute_force",
     "PositivityCertificate",
     "is_positive",
     "constant_curvature",
-    "complex_structure",
     "fubini_study",
     "act",
     "sym_product",
@@ -59,8 +52,6 @@ __all__ = [
     "random_positive",
     "save_tensor",
     "load_tensor",
-    "TENSOR_FORMAT",
-    "MATRIX_FORMAT",
     "save_matrix",
     "load_matrix",
 ]
@@ -342,7 +333,7 @@ def sectional(R: CurvatureTensor, x, y) -> float:
 
 @dataclass(frozen=True)
 class SecMinResult:
-    """Outcome of the minimum-sectional-curvature probe."""
+    """Outcome of the minimum-sectional-curvature probe :func:`sec_min_estimate` (not exported)."""
 
     value: float
     x: np.ndarray
@@ -392,6 +383,11 @@ def sec_min_estimate(
     the true minimum; a descent that misses the deepest basin overestimates
     it.  It is a probe estimate, not a certificate of positivity.
 
+    Not exported by the package, and called by no command: it is kept only
+    because the benchmark tracer patches it by name and the tests use it as
+    an upper-bound oracle for :func:`is_positive`, until it moves into the
+    tests (ROADMAP item 9).
+
     Returns
     -------
     SecMinResult
@@ -432,7 +428,11 @@ def sec_min_estimate(
 
 
 def sec_brute_force(R: CurvatureTensor, *, samples: int = 20000, seed: int = 0):
-    """Minimum sectional curvature over random planes; slow cross-check oracle."""
+    """Minimum sectional curvature over random planes; slow cross-check oracle.
+
+    Not exported and called by no command; the tests keep it as an oracle
+    (ROADMAP item 9 moves it into them).
+    """
     rng = np.random.default_rng(seed)
     m = R.n + 1
     X = rng.standard_normal((samples, m))

@@ -51,24 +51,13 @@ from .tensor_core import (
 )
 
 __all__ = [
-    "ChristoffelData",
     "christoffels",
-    "CurvatureData",
     "curvature_of_metric",
-    "HeightData",
-    "height_derivatives",
     "mean_curvature_equator",
     "fundamental_tensor",
-    "cyclic_symmetrization",
-    "nabla_bar_g",
-    "dlog_volume_ratio",
     "metric_equation_residual",
-    "equivariance_residual",
-    "stabilizer_residual",
-    "antipodal_residual",
     "BumpMetric",
     "mean_curvature_sweep",
-    "metric_equation_sweep",
     "CheckResult",
     "VerificationReport",
     "verify_tensor",

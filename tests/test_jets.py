@@ -187,12 +187,14 @@ def _batched_parts(rng, batch, q, m):
 
 def test_a_scaled_hessian_is_the_four_term_sum_bitwise():
     # the Hessian is accumulated in place: the reference is the sum written out, term by term.  The
-    # second case scales a stack of points of one quadratic, whose Hessian has no leading axis, by a constant
+    # second case scales a stack of points whose Hessian has no leading axis by a constant
     rng = np.random.default_rng(6)
     x = 0.2 * rng.standard_normal((7, 3))
     batched = ScalarJet(rng.standard_normal(7), rng.standard_normal((7, 3)), rng.standard_normal((7, 3, 3)))
+    parts = _matrix_field(rng, 3, 4)[1]
+    one = quadratic_matrix_jet(*parts, x)
     for M, s in ((quadratic_matrix_jet(*_batched_parts(rng, 7, 3, 4), x), batched),
-                 (quadratic_matrix_jet(*_matrix_field(rng, 3, 4)[1], x), constant_jet(2.5, 3))):
+                 (MatrixJet(one.value, one.grad, parts[2]), constant_jet(2.5, 3))):
         sv, sg = np.asarray(s.value)[..., None, None, None, None], s.grad[..., None, None]
         four_terms = (sv * M.hess + s.hess[..., None, None] * M.value[..., None, None, :, :]
                       + sg[..., :, None, :, :] * M.grad[..., None, :, :, :]
@@ -205,8 +207,20 @@ def test_a_quadratic_jet_at_the_chart_centre_is_the_general_one_bitwise():
     rng = np.random.default_rng(7)
     parts, stacked = _matrix_field(rng, 3, 4)[1], _batched_parts(rng, 5, 3, 4)
     one, stack = quadratic_matrix_jet(*parts, np.zeros((1, 3))), quadratic_matrix_jet(*stacked, np.zeros((5, 3)))
-    for coeffs, general in ((parts, MatrixJet(one.value[0], one.grad[0], one.hess)), (stacked, stack)):
+    for coeffs, general in ((parts, MatrixJet(one.value[0], one.grad[0], one.hess[0])), (stacked, stack)):
         centre = quadratic_matrix_jet(*coeffs, np.zeros(3))
         for got, want, A in zip((centre.value, centre.grad, centre.hess),
                                 (general.value, general.grad, general.hess), coeffs):
             assert np.array_equal(got, want) and not np.shares_memory(got, A)
+
+
+def test_a_stack_of_points_gives_a_stacked_hessian():
+    # unstacked coefficients at a stack of points: the Hessian takes the leading axes of the value and gradient
+    rng = np.random.default_rng(8)
+    M, parts = _matrix_field(rng, 3, 4)
+    x = 0.1 * rng.standard_normal((5, 3))
+    jet = quadratic_matrix_jet(*parts, x)
+    assert (jet.value.shape, jet.grad.shape, jet.hess.shape) == ((5, 4, 4), (5, 3, 4, 4), (5, 3, 3, 4, 4))
+    for k in range(5):
+        assert_allclose(jet.value[k], M(x[k]), atol=1e-12)
+        assert np.array_equal(jet.hess[k], parts[2])
