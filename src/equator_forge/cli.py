@@ -75,12 +75,21 @@ def _require_at_least_one(args, *names) -> None:
             raise ValueError(f"--{name} must be at least 1, got {getattr(args, name)}")
 
 
+def _bump(**params) -> BumpMetric:
+    """The bump fixture, if it is a metric: along the direction's part w_t tangent at p, g has the eigenvalue
+    1 + amplitude h |w_t|^2 with h <= 1 and |w_t| <= |direction|, equal at a unit centre orthogonal to it."""
+    g = BumpMetric(**params)
+    if g.amplitude * (g.direction @ g.direction) <= -1.0:
+        raise ValueError(f"bump is not a metric: amplitude {g.amplitude:g} * |direction|^2 must exceed -1")
+    return g
+
+
 def _load_subject(path: str):
     """Load a tensor file or a bump fixture; returns ('tensor', R) or ('bump', g)."""
     with open(path) as fh:
         head = json.load(fh)
     if isinstance(head, dict) and head.get("format") == BUMP_FORMAT:
-        g = BumpMetric(
+        g = _bump(
             n=_file_dimension(path, head),
             amplitude=float(head["amplitude"]),
             width=float(head["width"]),
@@ -117,7 +126,7 @@ def cmd_gen(args) -> int:
             "step": eps,
         }
     elif args.kind == "bump":
-        g = BumpMetric(n=args.n, amplitude=args.amplitude, width=args.width)
+        g = _bump(n=args.n, amplitude=args.amplitude, width=args.width)
         payload = {
             "format": BUMP_FORMAT,
             "n": g.n,

@@ -96,6 +96,12 @@ def tangent_frame(p) -> np.ndarray:
     return _tangent_bases(p)[1:]
 
 
+def _canonical(V) -> np.ndarray:
+    """Unit normals V along the last axis, each negated where its first entry above 1e-12 in size is negative."""
+    first = np.argmax(np.abs(V) > 1e-12, axis=-1)[..., None]
+    return np.where(np.take_along_axis(V, first, -1) < 0, -V, V)
+
+
 @dataclass(frozen=True)
 class Equator:
     """Great hypersphere of S^n, stored through its canonical unit normal."""
@@ -109,12 +115,7 @@ class Equator:
         norm = np.linalg.norm(v)
         if norm < 1e-12:
             raise DegenerateInputError("equator normal must be nonzero")
-        v = v / norm
-        for comp in v:
-            if abs(comp) > 1e-12:
-                if comp < 0:
-                    v = -v
-                break
+        v = _canonical(v / norm)
         v.flags.writeable = False
         object.__setattr__(self, "normal", v)
 
@@ -142,8 +143,7 @@ def random_equator(rng, n: int) -> Equator:
 def _random_normals(rng, n: int, count: int) -> np.ndarray:
     """``count`` seeded equator normals from one draw: the random_equator loop's bits, row by row."""
     V = _unit_rows(_unit_rows(rng.standard_normal((count, n + 1))))  # random_unit's scaling, then Equator's
-    first = np.argmax(np.abs(V) > 1e-12, axis=1)  # Equator's canonical sign
-    return np.where(V[np.arange(count), first][:, None] < 0, -V, V)
+    return _canonical(V)
 
 
 def great_circle(p, u, t):

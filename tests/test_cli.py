@@ -81,6 +81,7 @@ def test_gen_fubini_study_m1_is_an_input_error(tmp_path, capsys):
         ["bump", "--width", "nan"],
         ["bump", "--amplitude", "inf"],
         ["bump", "--n", "1"],
+        ["bump", "--amplitude", "-2"],
     ],
 )
 def test_gen_rejects_bad_model_parameters(tmp_path, capsys, argv):
@@ -539,6 +540,32 @@ def test_bump_fixture_with_non_integer_n_is_an_input_error(tmp_path, capsys, com
     code, payload, err = run(capsys, *argv)
     assert code == 2
     assert "error:" in err and "n must be an integer" in err
+    assert "Traceback" not in err
+    assert payload is None
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "area", "radon", "spectrum"])
+def test_a_bump_fixture_that_is_not_a_metric_writes_nothing(tmp_path, capsys, command):
+    # at the centre g has the eigenvalue 1 + amplitude along the direction: -2 is indefinite, -0.5 a metric
+    fixture, out = tmp_path / "bump.json", tmp_path / "out"
+    argv = {
+        "verify": ["verify", str(fixture), "--out", str(out)],
+        "area": ["area", str(fixture), "--equators", "5", "--out", str(out)],
+        "radon": ["radon", str(fixture), "--equators", "5", "--out", str(out)],
+        "spectrum": ["spectrum", str(fixture), "--v", "0,1,1,0", "--out", str(out)],
+    }[command]
+    code, _, _ = run(capsys, "gen", "bump", "--n", "3", "--amplitude", "-0.5", "--out", str(fixture))
+    assert code == 0
+    code, payload, _ = run(capsys, *argv)
+    assert code == (1 if command == "verify" else 0)  # the bump is not in the family, but it runs
+    assert payload is not None and out.exists()
+    out.unlink()
+    bump = json.loads(fixture.read_text())
+    fixture.write_text(json.dumps(dict(bump, amplitude=-2.0)))
+    code, payload, err = run(capsys, *argv)
+    assert code == 2
+    assert "error:" in err and "not a metric" in err
     assert "Traceback" not in err
     assert payload is None
     assert not out.exists()

@@ -40,16 +40,41 @@ from equator_forge.sphere_geom import (
 from equator_forge.tensor_core import DegenerateInputError, DimensionError, GroupElement, random_positive
 
 
+def _frame_points(dim) -> np.ndarray:
+    """Unit vectors with ties in |p|, with zero coordinates, and the +-e_j."""
+    e = np.eye(dim)
+    zeros = 0.6 * e[1] - 0.8 * e[-1]
+    ties = [(e[0] + e[1]) / np.sqrt(2), (e[1] - e[-1]) / np.sqrt(2), np.ones(dim) / np.sqrt(dim),
+            (np.ones(dim) - 2 * e[0]) / np.sqrt(dim), 0.6 * (e[0] - e[-1]) + np.sqrt(0.28) * e[1]]
+    return np.array([*ties, zeros, -zeros, *e, *-e])
+
+
 def test_tangent_frame_is_orthonormal_and_deterministic():
     rng = np.random.default_rng(0)
     for dim in (3, 4, 6):
-        for _ in range(10):
-            p = random_unit(rng, dim)
+        for p in [*(random_unit(rng, dim) for _ in range(10)), *_frame_points(dim)]:
             E = tangent_frame(p)
             assert E.shape == (dim - 1, dim)
             assert_allclose(E @ E.T, np.eye(dim - 1), atol=1e-12)
             assert_allclose(E @ p, np.zeros(dim - 1), atol=1e-12)
             assert_allclose(tangent_frame(p), E, atol=0)
+    # a tie in |p| drops the lowest index, so the first row comes from e_1, not e_0
+    assert_allclose(tangent_frame(np.array([1.0, 1.0, 0.0, 0.0]) / np.sqrt(2))[0], [-0.5**0.5, 0.5**0.5, 0, 0], atol=1e-15)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_a_stack_of_frames_is_per_row_and_orthonormal(n):
+    rng = np.random.default_rng(n)
+    X = rng.standard_normal((25, 20, n + 1))
+    X[rng.random(X.shape) < 0.3] = 0.0  # zero coordinates, and some rows of one nonzero entry
+    X[np.all(X == 0.0, axis=-1)] = 1.0
+    special = _frame_points(n + 1)
+    X.reshape(-1, n + 1)[:len(special)] = special
+    P = X / np.linalg.norm(X, axis=-1, keepdims=True)
+    bases = _tangent_bases(P)
+    assert bases.shape == (25, 20, n + 1, n + 1)
+    assert np.array_equal(bases, [[_tangent_bases(p) for p in row] for row in P])
+    assert np.max(np.abs(bases @ np.swapaxes(bases, -1, -2) - np.eye(n + 1))) <= 1e-15
 
 
 def test_equator_normalizes_and_canonicalizes():
