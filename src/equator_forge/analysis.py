@@ -247,26 +247,23 @@ class JacobiGalerkin:
     stiffness: np.ndarray
     mass: np.ndarray
 
+    @cached_property  # the eigensolve never needs the tables, so they are not built with the matrices
     def basis(self):
         """Values (m, nb) of the harmonic basis at the mesh nodes, and its
-        gradients (m, nb, 2) in the mesh frames; built on the first call."""
-        return self._basis_tables
-
-    @cached_property  # the eigensolve never needs the tables, so they are not built with the matrices
-    def _basis_tables(self):
+        gradients (m, nb, 2) in the mesh frames; built on first use."""
         return real_harmonic_basis(self.L, self.mesh.theta, self.mesh.phi)
 
     def project(self, node_values) -> np.ndarray:
         """Coefficients of the mass-orthogonal projection of node values."""
         w = self.mesh.weights * self.mesh.rho
-        return self._mass_solve(self.basis()[0].T @ (w * np.asarray(node_values, dtype=float)))
+        return self._mass_solve(self.basis[0].T @ (w * np.asarray(node_values, dtype=float)))
 
     def apply(self, coeffs) -> np.ndarray:
         """Node values of the Jacobi operator applied to a coefficient vector."""
         c = np.asarray(coeffs, dtype=float)
         if c.shape != self.degrees.shape:
             raise DimensionError(f"expected {self.degrees.size} coefficients")
-        return self.basis()[0] @ self._mass_solve(-self.stiffness @ c)
+        return self.basis[0] @ self._mass_solve(-self.stiffness @ c)
 
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues of minus the Jacobi operator, ascending: with mass = C C^T, those of
@@ -389,7 +386,7 @@ def jacobi_apply_field(
     mesh = gal.mesh
     values = np.asarray(values, dtype=float)
     grads = np.asarray(grads, dtype=float)
-    basis_values, basis_grads = gal.basis()
+    basis_values, basis_grads = gal.basis
     w = mesh.weights * mesh.rho
     t = w[:, None] * np.einsum("nab,nb->na", mesh.induced_inv, grads)
     # r[k] = sum_n <basis_grads[n, k], t[n]>: the (a, a) diagonal of one matrix product

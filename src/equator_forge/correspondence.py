@@ -43,7 +43,6 @@ from .tensor_core import (
     PositivityError,
     _decide_positive,
     constant_curvature,
-    curv_dim,
     curvature_projection,
     killing_matrices,
 )
@@ -81,8 +80,9 @@ class MetricField(AmbientField):
         """Exact 2-jet (or 1-jet) of the metric in ``chart`` at chart coordinates ``x``."""
         if chart.n != self.n:
             raise DimensionError("chart and metric dimensions differ")
-        x = chart.check_radius(np.asarray(x, dtype=float))
-        return self._chart_jets(np.vstack([chart.center, chart.frame]), x, first_order)
+        x = chart.check_radius(x)
+        bases = np.vstack([chart.center, chart.frame])
+        return self._chart_jets(np.broadcast_to(bases, x.shape[:-1] + bases.shape), x, first_order)
 
     def F_values(self, points) -> np.ndarray:
         """Volume ratio against the round metric, det^(2/(n+1)) in a tangent frame."""
@@ -233,7 +233,7 @@ def killing_from_curv(
     """
     if not override:
         _require_positive(R)
-    return KillingField(R.n, lambda P: killing_matrices(R, P), source=R)
+    return KillingField(R.n, lambda P: killing_matrices(R, P))
 
 
 def killing_constancy_residual(
@@ -299,30 +299,23 @@ def killing_from_metric(
 def curv_from_killing(
     k: KillingField,
     *,
-    samples: int | None = None,
     seed: int = 0,
     check_constancy: bool = True,
-    full_output: bool = False,
-):
+) -> CurvatureTensor:
     """Reconstruct the curvature tensor generating a Killing tensor field, in closed form.
 
     k_p = R(p, ., p, .) is quadratic in p.  With K(x) the tangent part of k at a unit x,
     S_ac = 2K((e_a + e_c)/sqrt 2) - K(e_a) - K(e_c) and S_aa = 2K(e_a) polarize it to
     S[a, c, b, d] = R_abcd + R_cbad, and the first Bianchi identity gives R_abcd =
     (S[a, c, b, d] - S[b, c, a, d]) / 3, projected because a field outside the family need
-    not satisfy Bianchi.  ``full_output=True`` adds a dict: ``residual``, the max
-    |k_p(v, v) - R(p, v, p, v)| over ``samples`` (default 3 curv_dim(n)) seeded unit pairs
-    v orthogonal to p, ``samples`` and ``seed``.
+    not satisfy Bianchi.  ``seed`` seeds the great circles of the constancy pre-check.
 
     Raises
     ------
     DegenerateInputError
-        If ``samples`` is below 1 or the field fails the great-circle constancy pre-check.
+        If the field fails the great-circle constancy pre-check.
     """
     m = k.n + 1
-    count = samples if samples is not None else 3 * curv_dim(k.n)
-    if count < 1:
-        raise DegenerateInputError(f"samples must be at least 1, got {count}")
     if check_constancy:
         resid = killing_constancy_residual(k, circles=20, samples=60, seed=seed + 101)
         if not resid <= 1e-8:  # a NaN residual fails too
@@ -336,23 +329,4 @@ def curv_from_killing(
     S[np.arange(m), np.arange(m)] = 2.0 * K[:m]
     S[a, c] = S[c, a] = 2.0 * K[m:] - K[a] - K[c]
     S = S.transpose(0, 2, 1, 3)  # S[a, b, c, d] = R_abcd + R_cbad
-    R = CurvatureTensor(curvature_projection((S - S.transpose(1, 0, 2, 3)) / 3.0))
-    if not full_output:
-        return R
-
-    P, V = np.random.default_rng(seed).standard_normal((2, count, m))
-    P /= np.linalg.norm(P, axis=1, keepdims=True)
-    V -= np.einsum("ni,ni->n", V, P)[:, None] * P
-    V /= np.linalg.norm(V, axis=1, keepdims=True)
-    diff = np.einsum("nij,ni,nj->n", k.ambient_matrices(P) - killing_matrices(R, P), V, V)
-    return R, {"residual": float(np.max(np.abs(diff))), "samples": count, "seed": seed}
-
-
-def metric_derivatives(g: MetricField, chart: GnomonicChart, x):
-    """Chart metric with first and second derivatives at chart coordinates x.
-
-    Returns ``(gmat, dg, d2g)`` with ``dg[a, i, j] = d_a g_ij`` and
-    ``d2g[a, b, i, j] = d_a d_b g_ij``.
-    """
-    jet = g.chart_jet(chart, x)
-    return jet.value, jet.grad, jet.hess
+    return CurvatureTensor(curvature_projection((S - S.transpose(1, 0, 2, 3)) / 3.0))

@@ -130,11 +130,6 @@ class Equator:
     def contains(self, p, tol: float = 1e-10) -> bool:
         return abs(float(np.asarray(p, float) @ self.normal)) <= tol
 
-    def point(self, coords) -> np.ndarray:
-        """Ambient point from unit coordinates in the equator hyperplane."""
-        c = check_unit(coords)
-        return c @ self.basis()
-
 
 def random_equator(rng, n: int) -> Equator:
     return Equator(random_unit(rng, n + 1))
@@ -202,11 +197,11 @@ class GnomonicChart:
         return (self.frame @ p) / t
 
     def check_radius(self, x) -> np.ndarray:
+        """``x`` as a float array, each of whose chart points (along the last axis) lies inside the radius."""
         x = np.asarray(x, dtype=float)
-        if np.linalg.norm(x) >= CHART_RADIUS:
-            raise DegenerateInputError(
-                f"chart coordinates |x| = {np.linalg.norm(x):.3g} outside radius {CHART_RADIUS}"
-            )
+        worst = np.max(np.linalg.norm(x, axis=-1), initial=0.0)
+        if worst >= CHART_RADIUS:
+            raise DegenerateInputError(f"chart coordinates |x| = {worst:.3g} outside radius {CHART_RADIUS}")
         return x
 
 
@@ -275,8 +270,6 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-    domain: str
-    order: int
 
     @property
     def total(self) -> float:
@@ -335,7 +328,7 @@ def equator_quadrature(v: Equator, order: int) -> QuadratureRule:
     if not isinstance(v, Equator):
         v = Equator(np.asarray(v, dtype=float))
     c, weights = _equator_nodes(v.n, order)
-    return QuadratureRule(_on_rows(c, v.basis()), weights, "equator", order)
+    return QuadratureRule(_on_rows(c, v.basis()), weights)
 
 
 def _gauss_jacobi(order: int, alpha: float) -> tuple:
@@ -362,7 +355,7 @@ def sphere_quadrature(n: int, order: int) -> QuadratureRule:
         ang = 2.0 * math.pi * np.arange(m) / m
         nodes = np.column_stack([np.cos(ang), np.sin(ang)])
         weights = np.full(m, 2.0 * math.pi / m)
-        return QuadratureRule(nodes, weights, "sphere", order)
+        return QuadratureRule(nodes, weights)
     inner = sphere_quadrature(n - 1, order)
     alpha = (n - 2) / 2.0
     t, wt = _gauss_jacobi(order, alpha)
@@ -375,4 +368,4 @@ def sphere_quadrature(n: int, order: int) -> QuadratureRule:
         axis=1,
     )
     weights = (wt[:, None] * inner.weights[None, :]).reshape(-1)
-    return QuadratureRule(nodes, weights, "sphere", order)
+    return QuadratureRule(nodes, weights)

@@ -191,9 +191,6 @@ class GroupElement:
     def det(self) -> float:
         return float(np.linalg.det(self.matrix))
 
-    def inverse(self) -> "GroupElement":
-        return GroupElement(np.linalg.inv(self.matrix))
-
 
 @dataclass(frozen=True)
 class SkewMatrix:
@@ -255,7 +252,8 @@ def _require_memory(n: int, rows: int = 1) -> None:
 
 
 @lru_cache(maxsize=None)
-def _basis_matrix_cached(n: int) -> np.ndarray:
+def basis_matrix(n: int) -> np.ndarray:
+    """Orthonormal basis of curvature-tensor space as rows of shape ((n+1)^4,)."""
     if n < 2:
         raise DimensionError("curvature-tensor basis requires n >= 2")
     _require_memory(n, curv_dim(n))
@@ -285,21 +283,9 @@ def _basis_matrix_cached(n: int) -> np.ndarray:
     return B
 
 
-def basis_matrix(n: int) -> np.ndarray:
-    """Orthonormal basis of curvature-tensor space as rows of shape ((n+1)^4,)."""
-    return _basis_matrix_cached(n)
-
-
-@lru_cache(maxsize=None)
-def _curv_basis_cached(n: int) -> tuple:
-    B = basis_matrix(n)
-    m = n + 1
-    return tuple(CurvatureTensor(row.reshape(m, m, m, m)) for row in B)
-
-
 def curv_basis(n: int) -> list:
     """Deterministic orthonormal basis of the curvature-tensor space for S^n."""
-    return list(_curv_basis_cached(n))
+    return [CurvatureTensor(row.reshape([n + 1] * 4)) for row in basis_matrix(n)]
 
 
 def basis_coefficients(R: CurvatureTensor) -> np.ndarray:
@@ -649,22 +635,13 @@ class AmbientField:
     def value(self, p, v, w) -> float:
         return float(np.asarray(v, float) @ self.ambient_matrix(p) @ np.asarray(w, float))
 
-    def matrix_in_frame(self, p, frame, *, check_positive: bool = False) -> np.ndarray:
-        """Matrix of the tensor in a frame given as rows of tangent vectors."""
-        E = np.asarray(frame, float)
-        M = E @ self.ambient_matrix(p) @ E.T
-        if check_positive and np.min(np.linalg.eigvalsh(M)) <= 0.0:
-            raise PositivityError("field is not positive definite at the queried point")
-        return M
-
 
 class KillingField(AmbientField):
     """Field of a batched function of points, such as k_p(v, w) = R(p, v, p, w)."""
 
-    def __init__(self, n: int, batch_fn, source: CurvatureTensor | None = None):
+    def __init__(self, n: int, batch_fn):
         self.n = n
         self._batch_fn = batch_fn
-        self.source = source
 
     def ambient_matrices(self, points) -> np.ndarray:
         P = np.atleast_2d(np.asarray(points, dtype=float))

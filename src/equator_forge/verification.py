@@ -530,14 +530,14 @@ DEFAULT_TOLERANCES = {
 }
 
 
-def _add_sweep_checks(report, g, tol, equators, points, eq_samples, extra_pairs=()) -> None:
+def _add_sweep_checks(report, g, tol, equators, points, extra_pairs=()) -> None:
     """The mean-curvature and metric-equation checks, seeded from the report's seed."""
     seed = report.seed
     worst = mean_curvature_sweep(g, equators=equators, points=points, seed=seed + 2,
                                  extra_pairs=extra_pairs)
     report.add("mean_curvature", worst, tol["mean_curvature"], equators * points, seed + 2)
-    worst = metric_equation_sweep(g, samples=eq_samples, seed=seed + 3)
-    report.add("metric_equation", worst, tol["metric_equation"], eq_samples, seed + 3)
+    worst = metric_equation_sweep(g, samples=30, seed=seed + 3)
+    report.add("metric_equation", worst, tol["metric_equation"], 30, seed + 3)
 
 
 def verify_tensor(
@@ -547,9 +547,6 @@ def verify_tensor(
     tolerances: dict | None = None,
     equators: int = 20,
     points: int = 10,
-    circles: int = 50,
-    eq_samples: int = 30,
-    group_elements: int = 5,
 ) -> VerificationReport:
     """Run the full verification suite; it stops after positivity unless the certified bound is > 0.
 
@@ -568,17 +565,17 @@ def verify_tensor(
         return report
 
     g = metric_from_curv(R, override=True)
-    k = killing_from_metric(g, constancy_circles=circles, seed=seed + 1)
-    R2, info = curv_from_killing(k, seed=seed, check_constancy=False, full_output=True)
+    k = killing_from_metric(g, constancy_circles=50, seed=seed + 1)
+    R2 = curv_from_killing(k, seed=seed, check_constancy=False)
     worst = float(np.max(np.abs(R2.coeffs - R.coeffs)))
-    report.add("roundtrip", worst, tol["roundtrip"], info["samples"], seed)
-    report.add("killing_constancy", k.constancy_residual, tol["killing_constancy"], circles, seed + 1)
+    m = R.n + 1
+    report.add("roundtrip", worst, tol["roundtrip"], m * (m + 1) // 2, seed)  # the polarization points
+    report.add("killing_constancy", k.constancy_residual, tol["killing_constancy"], 50, seed + 1)
 
-    _add_sweep_checks(report, g, tol, equators, points, eq_samples)
+    _add_sweep_checks(report, g, tol, equators, points)
 
     rng = np.random.default_rng(seed + 4)
-    m = R.n + 1
-    draws = [np.eye(m) + 0.35 * rng.standard_normal((m, m)) for _ in range(group_elements)]
+    draws = [np.eye(m) + 0.35 * rng.standard_normal((m, m)) for _ in range(5)]
     worst = 0.0
     for M in draws:
         # rounding grows with cond(M); a redraw comes after all first draws, so
@@ -586,7 +583,7 @@ def verify_tensor(
         while np.linalg.cond(M) > GROUP_COND_MAX:
             M = np.eye(m) + 0.35 * rng.standard_normal((m, m))
         worst = max(worst, equivariance_residual(R, GroupElement(M), samples=8, seed=seed + 5))
-    report.add("equivariance", worst, tol["equivariance"], group_elements * 8, seed + 4)
+    report.add("equivariance", worst, tol["equivariance"], 5 * 8, seed + 4)
 
     worst = antipodal_residual(g, samples=40, seed=seed + 6)
     report.add("antipodal", worst, tol["antipodal"], 40, seed + 6)
@@ -600,7 +597,6 @@ def verify_metric(
     tolerances: dict | None = None,
     equators: int = 20,
     points: int = 10,
-    eq_samples: int = 30,
     extra_pairs=(),
 ) -> VerificationReport:
     """Run the metric-side membership checks (used for negative controls)."""
@@ -611,7 +607,7 @@ def verify_metric(
     k = killing_from_metric(g, seed=seed)
     report.add("killing_constancy", k.constancy_residual, tol["killing_constancy"], 20, seed)
 
-    _add_sweep_checks(report, g, tol, equators, points, eq_samples, extra_pairs)
+    _add_sweep_checks(report, g, tol, equators, points, extra_pairs)
 
     worst = antipodal_residual(g, samples=40, seed=seed + 6)
     report.add("antipodal", worst, tol["antipodal"], 40, seed + 6)

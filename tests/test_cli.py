@@ -153,6 +153,15 @@ def test_verify_random_tensor_passes(tmp_path, capsys):
         assert json.load(fh) == payload
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_verify_reports_the_roundtrips_polarization_points(tmp_path, capsys, n):
+    tensor = tmp_path / "t.json"
+    run(capsys, "gen", "round", "--n", str(n), "--out", str(tensor))
+    code, payload, _ = run(capsys, "verify", str(tensor), "--equators", "2", "--points", "2")
+    assert code == 0
+    assert payload["report"]["checks"]["roundtrip"]["samples"] == (n + 1) * (n + 2) // 2
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_verify_rejects_non_finite_tolerance(tmp_path, capsys, value):
     tensor = tmp_path / "round.json"
@@ -436,7 +445,7 @@ def test_a_dimension_beyond_physical_memory_exits_2(tmp_path, capsys, monkeypatc
 
 def test_gen_random_also_needs_room_for_the_basis(tmp_path, capsys, monkeypatch):
     out = tmp_path / "t.json"
-    tensor_core._basis_matrix_cached.cache_clear()  # a cached basis allocates nothing
+    tensor_core.basis_matrix.cache_clear()  # a cached basis allocates nothing
     monkeypatch.setattr(tensor_core, "_physical_memory", lambda: 8 * 4**4)
     assert run(capsys, "gen", "round", "--n", "3", "--out", str(out))[0] == 0
     code, _, err = run(capsys, "gen", "random", "--n", "3", "--out", str(out))

@@ -18,14 +18,20 @@ from equator_forge.correspondence import (
     killing_constancy_residual,
     killing_from_curv,
     killing_from_metric,
-    metric_derivatives,
     metric_from_curv,
     round_metric,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equator_forge.sphere_geom import _tangent_bases, chart_at, great_circle, random_unit, tangent_frame
+from equator_forge.sphere_geom import (
+    CHART_RADIUS,
+    _tangent_bases,
+    chart_at,
+    great_circle,
+    random_unit,
+    tangent_frame,
+)
 from equator_forge.tensor_core import (
     CurvatureTensor,
     DegenerateInputError,
@@ -81,7 +87,7 @@ def test_volume_ratio_is_frame_independent(random_tensor):
         A = rng.standard_normal((3, 3))
         Q, _ = np.linalg.qr(A)
         frame = Q @ E
-        M = k.matrix_in_frame(p, frame)
+        M = frame @ k.ambient_matrix(p) @ frame.T
         assert_allclose(np.linalg.det(M), base ** ((random_tensor.n - 1) / 2.0), rtol=1e-12)
 
 
@@ -160,18 +166,18 @@ def test_chart_jet_matches_finite_differences(n):
     rng = np.random.default_rng(5)
     chart = chart_at(random_unit(rng, n + 1))
     x0 = np.array([0.4, -0.1, 0.2, -0.2, 0.1])[:n]
-    gmat, dg, d2g = metric_derivatives(g, chart, x0)
+    jet = g.chart_jet(chart, x0)
+    dg, d2g = jet.grad, jet.hess
     h = 1e-5
     for a in range(n):
         da = np.zeros(n)
         da[a] = h
-        gp, dgp, _ = metric_derivatives(g, chart, x0 + da)
-        gm, dgm, _ = metric_derivatives(g, chart, x0 - da)
-        assert_allclose(dg[a], (gp - gm) / (2 * h), atol=1e-8)
+        plus, minus = g.chart_jet(chart, x0 + da), g.chart_jet(chart, x0 - da)
+        assert_allclose(dg[a], (plus.value - minus.value) / (2 * h), atol=1e-8)
         # the Hessian from central differences of the gradient just checked
         # against the values: first differences keep the rounding noise at
         # eps |dg| / h, where second differences of g carry eps |g| / h^2
-        assert_allclose(d2g[a], (dgp - dgm) / (2 * h), atol=5e-5)
+        assert_allclose(d2g[a], (plus.grad - minus.grad) / (2 * h), atol=5e-5)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -180,7 +186,7 @@ def test_chart_jet_agrees_with_ambient_pullback(n):
     rng = np.random.default_rng(6)
     chart = chart_at(random_unit(rng, n + 1))
     x0 = np.array([-0.3, 0.5, 0.1, 0.2, -0.1])[:n]
-    gmat, _, _ = metric_derivatives(g, chart, x0)
+    gmat = g.chart_jet(chart, x0).value
     h = 1e-6
     J = np.zeros((n, n + 1))
     for a in range(n):
@@ -210,9 +216,8 @@ def test_metric_killing_tensor_equality(random_tensor):
 
 def test_roundtrip_through_killing(random_tensor):
     k = killing_from_curv(random_tensor)
-    R2, info = curv_from_killing(k, seed=0, full_output=True)
+    R2 = curv_from_killing(k, seed=0)
     assert_allclose(R2.coeffs, random_tensor.coeffs, atol=1e-10)
-    assert info["residual"] < 1e-10
 
 
 @pytest.mark.parametrize("n", [2, 4])
@@ -248,15 +253,6 @@ def test_a_nan_constancy_residual_fails_the_pre_check():
         curv_from_killing(bad)
 
 
-@pytest.mark.parametrize("samples", [0, -1])
-def test_curv_from_killing_rejects_samples_below_one(samples):
-    calls = []
-    k = KillingField(3, lambda P: calls.append(P) or killing_matrices(constant_curvature(3, 1.0), P))
-    with pytest.raises(DegenerateInputError, match="samples must be at least 1"):
-        curv_from_killing(k, samples=samples, full_output=True)
-    assert calls == []
-
-
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_polarization_recovers_fields_not_built_from_a_tensor(n):
     # sym_product fields span the Killing tensors, so each one has an exact generator
@@ -271,9 +267,8 @@ def test_polarization_recovers_fields_not_built_from_a_tensor(n):
 
 def test_the_roundtrip_residual_sees_a_field_outside_the_family():
     k = killing_from_metric(BumpMetric(), constancy_circles=0)
-    R, info = curv_from_killing(k, check_constancy=False, full_output=True)
+    R = curv_from_killing(k, check_constancy=False)
     assert isinstance(R, CurvatureTensor) and symmetry_residuals(R.coeffs).max < 1e-12
-    assert info["residual"] > 1e-3
 
 
 @settings(max_examples=20, deadline=None)
@@ -307,14 +302,6 @@ def test_volume_ratios_require_positivity():
         g.D_values(np.eye(4)[:2])
     with pytest.raises(PositivityError):
         g.F_values(np.eye(4)[:2])
-
-
-def test_metric_in_frame_positivity_guard():
-    g = CurvatureMetric(constant_curvature(3, -1.0))
-    rng = np.random.default_rng(9)
-    p = random_unit(rng, 4)
-    with pytest.raises(PositivityError):
-        g.matrix_in_frame(p, tangent_frame(p), check_positive=True)
 
 
 @lru_cache(maxsize=None)
@@ -380,6 +367,28 @@ def test_random_chart_batches_match_one_at_a_time(n, count, seed, radius):
     bases, charts, X = _charts_and_points(rng, n, count)
     X *= radius / 0.4
     _assert_same_jets(g._chart_jets(bases, X), [g.chart_jet(c, x) for c, x in zip(charts, X)])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_chart_jet_on_a_stack_of_points_is_the_pointwise_jets(n):
+    # 200 points of norm 0.8 have a stack norm of 11.3: the radius is checked point by point
+    rng = np.random.default_rng(90 + n)
+    X = rng.standard_normal((200, n))
+    X *= 0.8 / np.linalg.norm(X, axis=1, keepdims=True)
+    for g in (_member(n), BumpMetric(n, amplitude=0.3, width=0.2)):
+        chart = chart_at(g.center if isinstance(g, BumpMetric) else random_unit(rng, n + 1))
+        for first_order in (True, False):
+            stack = g.chart_jet(chart, X, first_order)
+            for name in ("value", "grad", "hess", "inverse"):
+                got = getattr(stack, name)
+                want = [getattr(g.chart_jet(chart, x, first_order), name) for x in X]
+                assert (got is None) == (want[0] is None), name
+                if got is not None:
+                    assert got.tobytes() == np.array(want).tobytes(), name
+        far = X[:3].copy()
+        far[1] *= CHART_RADIUS / 0.8
+        with pytest.raises(DegenerateInputError, match="outside radius"):
+            g.chart_jet(chart, far)
 
 
 def _four_slot_quadratic(R, bases):

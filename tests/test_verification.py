@@ -14,7 +14,6 @@ from numpy.testing import assert_allclose
 from equator_forge.correspondence import (
     POSITIVITY_MARGIN,
     CurvatureMetric,
-    metric_derivatives,
     metric_from_curv,
     round_metric,
 )
@@ -107,9 +106,7 @@ def test_christoffels_match_finite_differences(random_metric):
     for a in range(3):
         da = np.zeros(3)
         da[a] = h
-        gp, _, _ = metric_derivatives(g, chart, x0 + da)
-        gm, _, _ = metric_derivatives(g, chart, x0 - da)
-        dg_fd[a] = (gp - gm) / (2 * h)
+        dg_fd[a] = (g.chart_jet(chart, x0 + da).value - g.chart_jet(chart, x0 - da).value) / (2 * h)
     # the Koszul combination S[i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
     S = dg_fd + np.transpose(dg_fd, (1, 0, 2)) - np.transpose(dg_fd, (1, 2, 0))
     gamma_fd = 0.5 * np.einsum("kl,ijl->kij", cd.ginv, S)
@@ -176,7 +173,7 @@ def test_fubini_study_scalar_curvature(m):
 def test_chart_dimension_mismatch_raises():
     chart = chart_at(np.eye(4)[0])
     with pytest.raises(DimensionError):
-        metric_derivatives(CurvatureMetric(fubini_study(2)), chart, np.zeros(3))
+        CurvatureMetric(fubini_study(2)).chart_jet(chart, np.zeros(3))
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +377,7 @@ def test_antipodal_map_is_isometry_of_members(random_metric):
 
 def test_verify_tensor_report(random_metric):
     R, _ = random_metric
-    report = verify_tensor(R, seed=0, equators=6, points=5, circles=10, eq_samples=8, group_elements=2)
+    report = verify_tensor(R, seed=0, equators=6, points=5)
     assert report.passed
     assert set(report.checks) == {
         "symmetry",
@@ -396,6 +393,15 @@ def test_verify_tensor_report(random_metric):
     json.dumps(payload)  # must be serializable
     assert payload["pass"] is True
     assert payload["checks"]["mean_curvature"]["residual"] <= 1e-6
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_the_roundtrip_counts_its_polarization_points(n):
+    # R2 is built from k at the (n+1)(n+2)/2 points e_a and (e_a + e_c)/sqrt 2 and at no others
+    R, _, _ = random_positive(n, seed=30 + n)
+    check = verify_tensor(R, seed=0, equators=2, points=2).checks["roundtrip"]
+    assert check.passed
+    assert check.samples == (n + 1) * (n + 2) // 2
 
 
 def test_verify_tensor_short_circuits_on_indefinite_input(random_metric):
@@ -419,7 +425,7 @@ def test_verify_tensor_stops_on_a_negative_plane_with_is_positives_residual():
 
 def test_verify_metric_flags_bump():
     g = BumpMetric()
-    report = verify_metric(g, seed=0, equators=5, points=5, eq_samples=10, extra_pairs=_bump_probe_pairs(g))
+    report = verify_metric(g, seed=0, equators=5, points=5, extra_pairs=_bump_probe_pairs(g))
     assert not report.passed
     assert not report.checks["killing_constancy"].passed
     assert not report.checks["mean_curvature"].passed
