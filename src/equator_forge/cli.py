@@ -14,7 +14,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -22,7 +21,6 @@ from . import __version__
 from .analysis import (
     _galerkin_order,
     build_jacobi_galerkin,
-    equator_area,
     funk_radon,
     jacobi_spectrum_probe,
     left_invariant_metric,
@@ -32,6 +30,7 @@ from .parallel import _one_blas_thread
 from .sphere_geom import Equator, _random_normals, sphere_quadrature, tangent_frame
 from .tableio import write_csv, write_json
 from .tensor_core import (
+    _file_array,
     _file_dimension,
     _require_array,
     _require_memory,
@@ -48,20 +47,18 @@ from .verification import DEFAULT_TOLERANCES, BumpMetric, verify_metric, verify_
 
 BUMP_FORMAT = "bump-metric-v1"
 
+# the bump file's numeric fields after n, with their rank: a number, or a vector of n + 1 numbers
+BUMP_FIELDS = {"amplitude": 0, "width": 0, "center": 1, "direction": 1}
+
 CHECK_NAMES = tuple(DEFAULT_TOLERANCES)
 
 
-@dataclass
-class RunConfig:
-    """Parameters of one CLI invocation, embedded in every report."""
-
-    command: str
-    seed: int = 0
-    version: str = __version__
-    params: dict = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        return asdict(self)
+def _document(args, params, **fields) -> dict:
+    """A command's stdout document: its run record (the command, seed, version and the ``params`` named
+    from ``args``), then the command's own ``fields``."""
+    config = {"command": args.command, "seed": getattr(args, "seed", 0), "version": __version__,
+              "params": {name: getattr(args, name) for name in params}}
+    return {"config": config, **fields}
 
 
 def _emit(payload: dict) -> None:
@@ -89,14 +86,9 @@ def _load_subject(path: str):
     with open(path) as fh:
         head = json.load(fh)
     if isinstance(head, dict) and head.get("format") == BUMP_FORMAT:
-        g = _bump(
-            n=_file_dimension(path, head),
-            amplitude=float(head["amplitude"]),
-            width=float(head["width"]),
-            center=np.asarray(head["center"], dtype=float),
-            direction=np.asarray(head["direction"], dtype=float),
-        )
-        return "bump", g
+        n = _file_dimension(path, head)
+        fields = {k: _file_array(path, head, k, (n + 1,) * rank) for k, rank in BUMP_FIELDS.items()}
+        return "bump", _bump(n=n, **fields)
     return "tensor", _tensor_from_payload(path, head)
 
 
@@ -105,43 +97,28 @@ def _load_subject(path: str):
 
 
 def cmd_gen(args) -> int:
-    config = RunConfig("gen", seed=args.seed, params={"kind": args.kind})
-    _require_memory({"fubini-study": 2 * args.m + 1, "left-invariant": 3}.get(args.kind, args.n))
-    if args.kind == "round":
-        R = constant_curvature(args.n, 1.0)
-        info = {"kind": "round", "n": args.n}
-    elif args.kind == "fubini-study":
-        R = fubini_study(args.m)
-        info = {"kind": "fubini-study", "m": args.m, "n": 2 * args.m + 1}
-    elif args.kind == "left-invariant":
-        _, R = left_invariant_metric(args.a, args.b, args.c)
-        info = {"kind": "left-invariant", "coefficients": [args.a, args.b, args.c], "n": 3}
-    elif args.kind == "random":
-        R, margin, eps = random_positive(args.n, args.seed, target_margin=args.margin)
-        info = {
-            "kind": "random",
-            "n": args.n,
-            "seed": args.seed,
-            "positivity_margin": margin,
-            "step": eps,
-        }
-    elif args.kind == "bump":
+    kind = args.kind
+    _require_memory({"fubini-study": 2 * args.m + 1, "left-invariant": 3}.get(kind, args.n))
+    info = {"kind": kind, "n": args.n}
+    if kind == "bump":
         g = _bump(n=args.n, amplitude=args.amplitude, width=args.width)
-        payload = {
-            "format": BUMP_FORMAT,
-            "n": g.n,
-            "amplitude": g.amplitude,
-            "width": g.width,
-            "center": g.center.tolist(),
-            "direction": g.direction.tolist(),
-        }
-        write_json(args.out, payload)
-        _emit({"config": config.as_dict(), "written": args.out, "info": {"kind": "bump"}})
-        return 0
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown kind {args.kind}")
-    save_tensor(R, args.out)
-    _emit({"config": config.as_dict(), "written": args.out, "info": info})
+        write_json(args.out, {"format": BUMP_FORMAT, "n": g.n,
+                              **{k: np.asarray(getattr(g, k)).tolist() for k in BUMP_FIELDS}})
+        info = {"kind": kind}
+    else:
+        if kind == "round":
+            R = constant_curvature(args.n, 1.0)
+        elif kind == "fubini-study":
+            R = fubini_study(args.m)
+            info = {"kind": kind, "m": args.m, "n": 2 * args.m + 1}
+        elif kind == "left-invariant":
+            _, R = left_invariant_metric(args.a, args.b, args.c)
+            info = {"kind": kind, "coefficients": [args.a, args.b, args.c], "n": 3}
+        else:  # random
+            R, margin, eps = random_positive(args.n, args.seed, target_margin=args.margin)
+            info.update(seed=args.seed, positivity_margin=margin, step=eps)
+        save_tensor(R, args.out)
+    _emit(_document(args, ["kind"], written=args.out, info=info))
     return 0
 
 
@@ -190,29 +167,10 @@ def cmd_verify(args) -> int:
     kind, subject = _load_subject(args.input)
     _require_array(f"--equators {args.equators} --points {args.points}",  # the sweep's R contracted with q
                    args.equators * args.points * (subject.n + 1) ** 3)
-    config = RunConfig(
-        "verify",
-        seed=args.seed,
-        params={"input": args.input, "equators": args.equators, "points": args.points},
-    )
-    if kind == "tensor":
-        report = verify_tensor(
-            subject,
-            seed=args.seed,
-            tolerances=tolerances,
-            equators=args.equators,
-            points=args.points,
-        )
-    else:
-        report = verify_metric(
-            subject,
-            seed=args.seed,
-            tolerances=tolerances,
-            equators=args.equators,
-            points=args.points,
-            extra_pairs=_bump_probe_pairs(subject),
-        )
-    payload = {"config": config.as_dict(), "report": report.as_dict()}
+    run = (verify_tensor if kind == "tensor"
+           else functools.partial(verify_metric, extra_pairs=_bump_probe_pairs(subject)))
+    report = run(subject, seed=args.seed, tolerances=tolerances, equators=args.equators, points=args.points)
+    payload = _document(args, ["input", "equators", "points"], report=report.as_dict())
     if args.out:
         write_json(args.out, payload)
     _emit(payload)
@@ -230,42 +188,35 @@ def _metric_from_file(path: str):
     return subject
 
 
-def _scan_normals(args, g) -> np.ndarray:
-    """A scan's seeded equator normals, once its bases and node blocks are known to fit in memory."""
+def _scan(args, column: str, integrand=lambda dim: None):
+    """``area`` and ``radon``: one CSV row per seeded equator of the file's metric g, its normal and then, as
+    ``column``, the integral of f = ``integrand(n + 1)`` over it (f = None integrates 1).  Returns g, f and
+    the values.  The normals are drawn once their bases and node blocks are known to fit in memory.
+    """
+    _require_at_least_one(args, "equators", "order")
+    g = _metric_from_file(args.input)
+    f = integrand(g.n + 1)
     _require_array(f"--equators {args.equators} --order {args.order}",
                    max(args.equators, 2 * args.order**2) * (g.n + 1) ** 2)
-    return _random_normals(np.random.default_rng(args.seed), g.n, args.equators)
+    normals = _random_normals(np.random.default_rng(args.seed), g.n, args.equators)
+    values = funk_radon(g, f, normals, args.order)
+    header = [f"v{i}" for i in range(g.n + 1)] + [column]
+    write_csv(args.out, header, ([float(c) for c in v] + [float(x)] for v, x in zip(normals, values)))
+    return g, f, values
 
 
 def cmd_area(args) -> int:
-    _require_at_least_one(args, "equators", "order")
-    g = _metric_from_file(args.input)
-    normals = _scan_normals(args, g)
-    areas = equator_area(g, normals, args.order)
-    header = [f"v{i}" for i in range(g.n + 1)] + ["area"]
-    write_csv(args.out, header, ([float(c) for c in v] + [float(a)] for v, a in zip(normals, areas)))
+    _, _, areas = _scan(args, "area")
     mean = float(areas.mean())
     spread = float((areas.max() - areas.min()) / mean) if mean else float("inf")
-    config = RunConfig(
-        "area",
-        seed=args.seed,
-        params={"input": args.input, "equators": args.equators, "order": args.order},
-    )
-    _emit(
-        {
-            "config": config.as_dict(),
-            "written": args.out,
-            "mean_area": mean,
-            "relative_spread": spread,
-        }
-    )
+    _emit(_document(args, ["input", "equators", "order"], written=args.out, mean_area=mean, relative_spread=spread))
     return 0
 
 
 def cmd_spectrum(args) -> int:
     if not (np.isfinite(args.null_tol) and args.null_tol >= 0.0):
         raise ValueError(f"--null-tol must be finite and >= 0, got {args.null_tol}")
-    levels = args.L or [12]
+    levels = args.L = args.L or [12]  # the run record shows the levels run
     orders = [_galerkin_order(L) if args.order is None else args.order for L in levels]
     for L, order in zip(levels, orders):  # the mesh's chart bases, the Galerkin factor and matrices
         if L < 0:
@@ -290,12 +241,7 @@ def cmd_spectrum(args) -> int:
         summary.append({"L": L, "order": probe.order, "n_negative": probe.n_negative, "n_null": probe.n_null,
                         "max_abs_mean_curvature": float(np.max(np.abs(gal.mesh.mean_curv)))})
     write_csv(args.out, ["L", "index", "eigenvalue"], rows)
-    config = RunConfig(
-        "spectrum",
-        seed=0,
-        params={"input": args.input, "L": levels, "null_tol": args.null_tol},
-    )
-    _emit({"config": config.as_dict(), "written": args.out, "levels": summary})
+    _emit(_document(args, ["input", "L", "null_tol"], written=args.out, levels=summary))
     return 0
 
 
@@ -315,50 +261,17 @@ def _radon_function(kind: str, seed: int, dim: int):
 
 
 def cmd_radon(args) -> int:
-    _require_at_least_one(args, "equators", "order")
-    g = _metric_from_file(args.input)
-    f = _radon_function(args.f, args.f_seed, g.n + 1)
-    normals = _scan_normals(args, g)
-    values = funk_radon(g, f, normals, args.order)
-    header = [f"v{i}" for i in range(g.n + 1)] + ["transform"]
-    write_csv(args.out, header, ([float(c) for c in v] + [float(val)] for v, val in zip(normals, values)))
+    g, f, values = _scan(args, "transform", functools.partial(_radon_function, args.f, args.f_seed))
     reference = sphere_quadrature(g.n, 2).integrate(f)  # exact: f has degree at most 2
-    config = RunConfig(
-        "radon",
-        seed=args.seed,
-        params={
-            "input": args.input,
-            "equators": args.equators,
-            "order": args.order,
-            "f": args.f,
-            "f_seed": args.f_seed,
-        },
-    )
-    _emit(
-        {
-            "config": config.as_dict(),
-            "written": args.out,
-            "mean_transform": float(np.mean(values)),
-            "sphere_integral": reference,
-        }
-    )
+    _emit(_document(args, ["input", "equators", "order", "f", "f_seed"], written=args.out,
+                    mean_transform=float(np.mean(values)), sphere_integral=reference))
     return 0
 
 
 def cmd_act(args) -> int:
-    R = load_tensor(args.tensor)
-    T = load_matrix(args.matrix)
-    out = act(R, T)
+    out = act(load_tensor(args.tensor), load_matrix(args.matrix))
     save_tensor(out, args.out)
-    config = RunConfig("act", seed=0, params={"tensor": args.tensor, "matrix": args.matrix})
-    _emit(
-        {
-            "config": config.as_dict(),
-            "written": args.out,
-            "n": out.n,
-            "max_norm": out.max_norm(),
-        }
-    )
+    _emit(_document(args, ["tensor", "matrix"], written=args.out, n=out.n, max_norm=out.max_norm()))
     return 0
 
 
@@ -403,11 +316,16 @@ def build_parser() -> argparse.ArgumentParser:
             help=f"override tolerance of the {name} check",
         )
 
-    p = sub.add_parser("area", help="CSV scan of equator areas")
-    p.add_argument("input")
-    p.add_argument("--equators", type=int, default=50)
-    p.add_argument("--order", type=int, default=32)
-    p.add_argument("--seed", type=int, default=0)
+    def scan_parser(name: str, help: str, equators: int, order: int) -> argparse.ArgumentParser:
+        """The options ``area`` and ``radon`` share, with the command's defaults."""
+        p = sub.add_parser(name, help=help)
+        p.add_argument("input")
+        p.add_argument("--equators", type=int, default=equators)
+        p.add_argument("--order", type=int, default=order)
+        p.add_argument("--seed", type=int, default=0)
+        return p
+
+    p = scan_parser("area", "CSV scan of equator areas", 50, 32)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("spectrum", help="CSV of Jacobi-operator eigenvalues")
@@ -418,11 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--null-tol", dest="null_tol", type=float, default=1e-3)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("radon", help="CSV scan of the great-sphere transform")
-    p.add_argument("input")
-    p.add_argument("--equators", type=int, default=100)
-    p.add_argument("--order", type=int, default=24)
-    p.add_argument("--seed", type=int, default=0)
+    p = scan_parser("radon", "CSV scan of the great-sphere transform", 100, 24)
     p.add_argument("--f", choices=["one", "poly"], default="poly")
     p.add_argument("--f-seed", dest="f_seed", type=int, default=0)
     p.add_argument("--out", required=True)

@@ -197,10 +197,10 @@ class GnomonicChart:
         return (self.frame @ p) / t
 
     def check_radius(self, x) -> np.ndarray:
-        """``x`` as a float array, each of whose chart points (along the last axis) lies inside the radius."""
+        """``x`` as a float array whose chart points (along the last axis) are all finite and inside the radius."""
         x = np.asarray(x, dtype=float)
         worst = np.max(np.linalg.norm(x, axis=-1), initial=0.0)
-        if worst >= CHART_RADIUS:
+        if not worst < CHART_RADIUS:  # NaN compares false
             raise DegenerateInputError(f"chart coordinates |x| = {worst:.3g} outside radius {CHART_RADIUS}")
         return x
 

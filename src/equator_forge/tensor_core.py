@@ -372,7 +372,7 @@ def sec_min_estimate(
     Not exported by the package, and called by no command: it is kept only
     because the benchmark tracer patches it by name and the tests use it as
     an upper-bound oracle for :func:`is_positive`, until it moves into the
-    tests (ROADMAP item 9).
+    tests next to their brute-force plane sampler (ROADMAP item 9).
 
     Returns
     -------
@@ -411,29 +411,6 @@ def sec_min_estimate(
         active = active[moved]
     best = int(np.argmin(f))
     return SecMinResult(float(f[best]), X[best, :, 0].copy(), X[best, :, 1].copy())
-
-
-def sec_brute_force(R: CurvatureTensor, *, samples: int = 20000, seed: int = 0):
-    """Minimum sectional curvature over random planes; slow cross-check oracle.
-
-    Not exported and called by no command; the tests keep it as an oracle
-    (ROADMAP item 9 moves it into them).
-    """
-    rng = np.random.default_rng(seed)
-    m = R.n + 1
-    X = rng.standard_normal((samples, m))
-    Y = rng.standard_normal((samples, m))
-    X /= np.linalg.norm(X, axis=1, keepdims=True)
-    Y -= np.sum(Y * X, axis=1, keepdims=True) * X
-    norms = np.linalg.norm(Y, axis=1, keepdims=True)
-    keep = norms[:, 0] > 1e-8
-    X, Y = X[keep], Y[keep] / norms[keep]
-    t = np.einsum("abcd,na->nbcd", R.coeffs, X)
-    t = np.einsum("nbcd,nb->ncd", t, Y)
-    t = np.einsum("ncd,nc->nd", t, X)
-    vals = np.einsum("nd,nd->n", t, Y)
-    i = int(np.argmin(vals))
-    return float(vals[i]), (X[i], Y[i])
 
 
 def _two_vector_operator(R: CurvatureTensor) -> np.ndarray:
@@ -744,6 +721,24 @@ def _file_dimension(path: str, payload: dict) -> int:
     return n
 
 
+def _file_array(path: str, payload: dict, key: str, shape: tuple) -> np.ndarray:
+    """The file's field ``key``: finite JSON numbers, never null, a bool, a string or an object, in an array of
+    ``shape``."""
+    a = np.asarray(payload[key], dtype=object)  # a ragged list keeps lists as entries
+    if not set(map(type, a.flat)) <= {int, float}:
+        raise ValueError(f"{path}: {key} must hold only numbers")
+    if a.shape != shape:
+        raise DimensionError(f"{path}: {key} must have shape {shape}, got {a.shape}")
+    try:
+        a = a.astype(float)
+        finite = np.all(np.isfinite(a))
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
+        raise DegenerateInputError(f"{path}: {key} has non-finite entries")
+    return a
+
+
 def load_tensor(path: str, *, tol: float = 1e-9) -> CurvatureTensor:
     """Read a ``curv-dense-v1`` tensor file.
 
@@ -761,12 +756,7 @@ def _tensor_from_payload(path: str, payload, tol: float = 1e-9) -> CurvatureTens
     if not isinstance(payload, dict) or payload.get("format") != TENSOR_FORMAT:
         raise ValueError(f"{path}: not a {TENSOR_FORMAT} tensor file")
     m = _file_dimension(path, payload) + 1
-    coeffs = np.asarray(payload["coeffs"], dtype=float)
-    if coeffs.shape != (m**4,):
-        raise DimensionError(f"{path}: expected {m**4} coefficients, got {coeffs.shape}")
-    if not np.all(np.isfinite(coeffs)):
-        raise DegenerateInputError(f"{path}: non-finite coefficients")
-    T = coeffs.reshape(m, m, m, m)
+    T = _file_array(path, payload, "coeffs", (m**4,)).reshape(m, m, m, m)
     report = symmetry_residuals(T)
     if report.max > tol:
         raise TensorSymmetryError(
@@ -791,10 +781,5 @@ def load_matrix(path: str) -> GroupElement:
         payload = json.load(fh)
     if not isinstance(payload, dict) or payload.get("format") != MATRIX_FORMAT:
         raise ValueError(f"{path}: not a {MATRIX_FORMAT} matrix file")
-    n = _file_dimension(path, payload)
-    M = np.asarray(payload["matrix"], dtype=float)
-    if M.shape != (n + 1, n + 1):
-        raise DimensionError(f"{path}: matrix shape {M.shape} does not match n={n}")
-    if not np.all(np.isfinite(M)):
-        raise DegenerateInputError(f"{path}: matrix has non-finite entries")
-    return GroupElement(M)
+    m = _file_dimension(path, payload) + 1
+    return GroupElement(_file_array(path, payload, "matrix", (m, m)))

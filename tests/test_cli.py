@@ -511,6 +511,41 @@ def test_non_finite_tensor_file_is_an_input_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("bad", [None, [0.5, 0.5], {"value": 0.5}, "0.5", True, 10**400],
+                         ids=["null", "list", "object", "string", "bool", "huge-integer"])
+@pytest.mark.parametrize("command, kind, key", [
+    ("verify", "bump", "amplitude"), ("verify", "bump", "width"), ("verify", "tensor", "coeffs"),
+    ("area", "bump", "amplitude"), ("area", "bump", "width"), ("area", "tensor", "coeffs"),
+    ("act", "tensor", "coeffs"), ("act", "matrix", "matrix"),
+])
+def test_a_file_field_that_is_not_numbers_is_an_input_error(tmp_path, capsys, command, kind, key, bad):
+    tensor, mat, fixture, out = tmp_path / "t.json", tmp_path / "eye.json", tmp_path / "bump.json", tmp_path / "out"
+    run(capsys, "gen", "round", "--n", "3", "--out", str(tensor))
+    run(capsys, "gen", "bump", "--n", "3", "--out", str(fixture))
+    save_matrix(GroupElement(np.eye(4)), mat)
+    path = {"tensor": tensor, "matrix": mat, "bump": fixture}[kind]
+    payload = json.loads(path.read_text())
+    if kind == "tensor":
+        payload["coeffs"][5] = bad
+    elif kind == "matrix":
+        payload["matrix"][1][2] = bad
+    else:
+        payload[key] = bad
+    path.write_text(json.dumps(payload))
+    subject = str(fixture if kind == "bump" else tensor)
+    argv = {
+        "verify": ["verify", subject, "--out", str(out)],
+        "area": ["area", subject, "--equators", "3", "--out", str(out)],
+        "act": ["act", str(tensor), str(mat), "--out", str(out)],
+    }[command]
+    code, payload, err = run(capsys, *argv)
+    assert code == 2
+    assert f"error: {path}: {key} " in err
+    assert "Traceback" not in err
+    assert payload is None
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("n", ["3", None, 3.0, True])
 @pytest.mark.parametrize("command", ["verify", "area", "act"])
 def test_non_integer_n_is_an_input_error(tmp_path, capsys, command, n):
@@ -607,6 +642,36 @@ def test_zero_counts_are_input_errors_that_write_nothing(tmp_path, capsys, comma
     assert "error:" in captured.err and option in captured.err
     assert "Traceback" not in captured.err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, params, fields", [
+    ("gen", ["kind"], ["written", "info"]),
+    ("verify", ["input", "equators", "points"], ["report"]),
+    ("area", ["input", "equators", "order"], ["written", "mean_area", "relative_spread"]),
+    ("spectrum", ["input", "L", "null_tol"], ["written", "levels"]),
+    ("radon", ["input", "equators", "order", "f", "f_seed"], ["written", "mean_transform", "sphere_integral"]),
+    ("act", ["tensor", "matrix"], ["written", "n", "max_norm"]),
+])
+def test_every_document_opens_with_its_run_record(tmp_path, capsys, command, params, fields):
+    tensor, mat, out = tmp_path / "t.json", tmp_path / "eye.json", tmp_path / "out"
+    run(capsys, "gen", "round", "--n", "3", "--out", str(tensor))
+    save_matrix(GroupElement(np.eye(4)), mat)
+    argv = {
+        "gen": ["gen", "random", "--n", "3", "--seed", "4", "--out", str(out)],
+        "verify": ["verify", str(tensor), "--seed", "4", "--equators", "3", "--points", "3"],
+        "area": ["area", str(tensor), "--equators", "3", "--order", "8", "--seed", "4", "--out", str(out)],
+        "spectrum": ["spectrum", str(tensor), "--L", "2", "--out", str(out)],
+        "radon": ["radon", str(tensor), "--equators", "3", "--order", "8", "--seed", "4", "--out", str(out)],
+        "act": ["act", str(tensor), str(mat), "--out", str(out)],
+    }[command]
+    code, payload, _ = run(capsys, *argv)
+    assert code == 0
+    assert list(payload) == ["config", *fields]
+    assert list(payload["config"]) == ["command", "seed", "version", "params"]
+    assert payload["config"]["command"] == command
+    assert payload["config"]["seed"] == (4 if "--seed" in argv else 0)
+    assert payload["config"]["version"] == equator_forge.__version__
+    assert list(payload["config"]["params"]) == params
 
 
 def test_emit_writes_nothing_for_a_document_that_does_not_encode(capsys):

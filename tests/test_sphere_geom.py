@@ -133,6 +133,18 @@ def test_chart_rejects_far_hemisphere_and_radius():
         chart.check_radius(np.full(3, CHART_RADIUS))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_chart_rejects_non_finite_coordinates(bad):
+    chart = chart_at(np.eye(4)[0])
+    x = np.zeros((3, 3))
+    x[1, 2] = bad
+    for coords in (x[1], x):  # one point, and a stack with one bad point
+        with pytest.raises(DegenerateInputError, match="outside radius"):
+            chart.check_radius(coords)
+        with pytest.raises(DegenerateInputError, match="outside radius"):
+            round_metric(3).chart_jet(chart, coords)
+
+
 def test_phi_T_is_a_projective_action():
     rng = np.random.default_rng(2)
     T = GroupElement(np.eye(4) + 0.4 * rng.standard_normal((4, 4)))

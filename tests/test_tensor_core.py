@@ -33,7 +33,6 @@ from equator_forge.tensor_core import (
     random_positive,
     save_matrix,
     save_tensor,
-    sec_brute_force,
     sec_min_estimate,
     sectional,
     sym_product,
@@ -42,6 +41,25 @@ from equator_forge.tensor_core import (
     wedge,
 )
 from equator_forge.verification import GROUP_COND_MAX
+
+
+def sec_brute_force(R: CurvatureTensor, *, samples: int = 20000, seed: int = 0):
+    """Minimum sectional curvature over random planes, and its plane; a slow cross-check oracle."""
+    rng = np.random.default_rng(seed)
+    m = R.n + 1
+    X = rng.standard_normal((samples, m))
+    Y = rng.standard_normal((samples, m))
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    Y -= np.sum(Y * X, axis=1, keepdims=True) * X
+    norms = np.linalg.norm(Y, axis=1, keepdims=True)
+    keep = norms[:, 0] > 1e-8
+    X, Y = X[keep], Y[keep] / norms[keep]
+    t = np.einsum("abcd,na->nbcd", R.coeffs, X)
+    t = np.einsum("nbcd,nb->ncd", t, Y)
+    t = np.einsum("ncd,nc->nd", t, X)
+    vals = np.einsum("nd,nd->n", t, Y)
+    i = int(np.argmin(vals))
+    return float(vals[i]), (X[i], Y[i])
 
 
 def test_curv_dim_counts():

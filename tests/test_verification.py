@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from equator_forge.cli import _bump_probe_pairs
 from equator_forge.correspondence import (
     POSITIVITY_MARGIN,
     CurvatureMetric,
@@ -59,26 +60,6 @@ from equator_forge.verification import (
 def random_metric():
     R, _, _ = random_positive(3, seed=11)
     return R, CurvatureMetric(R)
-
-
-def _bump_probe_pairs(g, count=12):
-    """Equators through the bump center whose points walk into the bump.
-
-    The normals must mix the perturbation direction with orthogonal axes: a
-    purely parallel or perpendicular normal yields an equator fixed by a
-    metric-preserving reflection, whose mean curvature therefore vanishes.
-    """
-    e = np.eye(g.n + 1)
-    normals = [e[1] + e[2], e[1] + e[3], e[1] + e[2] + e[3]]
-    ts = np.linspace(0.05, 0.6, count)
-    pairs = []
-    for v in normals:
-        v = v / np.linalg.norm(v)
-        u = g.direction - (g.direction @ v) * v
-        u /= np.linalg.norm(u)
-        pts = np.cos(ts)[:, None] * g.center + np.sin(ts)[:, None] * u
-        pairs.append((v, pts))
-    return pairs
 
 
 # ---------------------------------------------------------------------------
