@@ -311,9 +311,10 @@ def _galerkin_order(L: int) -> int:
 
 def build_jacobi_galerkin(g: MetricField, v, L: int, *, order: int | None = None,
                           mesh: EquatorMesh | None = None) -> JacobiGalerkin:
-    """Assemble the harmonic-basis Galerkin matrices on the equator of v."""
-    if order is None:
-        order = _galerkin_order(L)
+    """Assemble the harmonic-basis Galerkin matrices on the equator of v, meshed at an order of at least L + 1."""
+    order = mesh.order if mesh is not None else _galerkin_order(L) if order is None else order
+    if order < L + 1:  # a coarser rule misses products of two degree-L harmonics: the mass matrix is singular
+        raise DegenerateInputError(f"a degree-{L} basis needs a mesh order of at least {L + 1}, got {order}")
     if mesh is None:
         mesh = equator_mesh(g, v, order)
     cols = 2 * mesh.order  # the mesh is the product grid theta_i x phi_j, by rows
@@ -459,12 +460,10 @@ def left_invariant_killing(a: float, b: float, c: float) -> KillingField:
     """Killing tensor whose generated metric is diag(a, b, c) in the quaternion frame."""
     if not all(np.isfinite(t) and t > 0.0 for t in (a, b, c)):
         raise DegenerateInputError("left-invariant coefficients must be finite and positive")
-    Mi, Mj, Mk = quaternion_generators()
+    Ki, Kj, Kk = (sym_product(M, M).ambient_matrices for M in quaternion_generators())
     scale = 1.0 / np.sqrt(a * b * c)
-    k = (0.5 * a * scale) * sym_product(Mi, Mi)
-    k = k + (0.5 * b * scale) * sym_product(Mj, Mj)
-    k = k + (0.5 * c * scale) * sym_product(Mk, Mk)
-    return k
+    ci, cj, ck = 0.5 * a * scale, 0.5 * b * scale, 0.5 * c * scale
+    return KillingField(3, lambda P: ci * Ki(P) + cj * Kj(P) + ck * Kk(P))
 
 
 def left_invariant_metric(a: float, b: float, c: float):

@@ -27,7 +27,7 @@ from .analysis import (
 )
 from .correspondence import metric_from_curv
 from .parallel import _one_blas_thread
-from .sphere_geom import Equator, _random_normals, sphere_quadrature, tangent_frame
+from .sphere_geom import Equator, _random_normals, sphere_quadrature
 from .tableio import write_csv, write_json
 from .tensor_core import (
     _file_array,
@@ -126,49 +126,19 @@ def cmd_gen(args) -> int:
 # verify
 
 
-def _bump_probe_pairs(g: BumpMetric, points: int = 12):
-    """Equators through the bump center with points walking into the bump.
-
-    The normals mix the perturbation direction with its orthogonal
-    complement: an equator whose normal is parallel or perpendicular to the
-    direction is fixed by a reflection that preserves the metric, so its mean
-    curvature vanishes identically and it cannot witness the perturbation.
-    """
-    center = g.center / np.linalg.norm(g.center)
-    d = g.direction - (g.direction @ center) * center
-    d /= np.linalg.norm(d)
-    comp = [w - (w @ d) * d for w in tangent_frame(center) if abs(w @ d) < 0.9]
-    a = comp[0] / np.linalg.norm(comp[0])
-    normals = [d + a]
-    if len(comp) > 1:  # on S^2 the complement of d in the tangent plane is one line
-        b = comp[1] - (comp[1] @ a) * a
-        b /= np.linalg.norm(b)
-        normals += [d + b, d + a + b]
-    ts = np.linspace(0.05, 0.6, points)
-    pairs = []
-    for v in normals:
-        eq = Equator(v)
-        u = d - (d @ eq.normal) * eq.normal
-        u /= np.linalg.norm(u)
-        pts = np.cos(ts)[:, None] * center + np.sin(ts)[:, None] * u
-        pairs.append((eq.normal, pts))
-    return pairs
-
-
 def cmd_verify(args) -> int:
     _require_at_least_one(args, "equators", "points")
     tolerances = {}
     for name in CHECK_NAMES:
         val = getattr(args, f"tol_{name}")
         if val is not None:
-            if not np.isfinite(val):
-                raise ValueError(f"--tol-{name.replace('_', '-')} must be finite, got {val}")
+            if not (np.isfinite(val) and val >= 0.0):
+                raise ValueError(f"--tol-{name.replace('_', '-')} must be finite and >= 0, got {val}")
             tolerances[name] = val
     kind, subject = _load_subject(args.input)
     _require_array(f"--equators {args.equators} --points {args.points}",  # the sweep's R contracted with q
                    args.equators * args.points * (subject.n + 1) ** 3)
-    run = (verify_tensor if kind == "tensor"
-           else functools.partial(verify_metric, extra_pairs=_bump_probe_pairs(subject)))
+    run = verify_tensor if kind == "tensor" else verify_metric
     report = run(subject, seed=args.seed, tolerances=tolerances, equators=args.equators, points=args.points)
     payload = _document(args, ["input", "equators", "points"], report=report.as_dict())
     if args.out:

@@ -274,26 +274,18 @@ def metric_from_curv(
 # metric -> Killing tensor -> curvature tensor
 
 
-def killing_from_metric(
-    g: MetricField,
-    *,
-    constancy_circles: int = 20,
-    seed: int = 0,
-) -> KillingField:
-    """Candidate Killing tensor k_g = g / F_g of a metric.
+def killing_from_metric(g: MetricField) -> KillingField:
+    """Candidate Killing tensor k_g = g / F_g of a metric, evaluated only when called on points.
 
-    The construction never fails; the attached ``constancy_residual`` tells
-    the caller whether k_g actually is constant along great circles (it is
-    exactly when g belongs to the minimal-equator family).
+    The construction never fails.  k_g is constant along great circles exactly when g belongs to
+    the minimal-equator family; :func:`killing_constancy_residual` measures how far it is.
     """
 
     def batch(P):  # F of the same matrices: one ambient pass
         A = g.ambient_matrices(P)
         return A / _volume_ratio(A, P, 2.0 / (g.n + 1), "metric")[:, None, None]
 
-    k = KillingField(g.n, batch)
-    k.constancy_residual = killing_constancy_residual(k, circles=constancy_circles, samples=60, seed=seed)
-    return k
+    return KillingField(g.n, batch)
 
 
 def curv_from_killing(

@@ -626,16 +626,6 @@ class KillingField(AmbientField):
             raise DimensionError(f"points must have {self.n + 1} components")
         return self._batch_fn(P)
 
-    def __add__(self, other: "KillingField") -> "KillingField":
-        if other.n != self.n:
-            raise DimensionError("dimension mismatch")
-        f, g = self._batch_fn, other._batch_fn
-        return KillingField(self.n, lambda P: f(P) + g(P))
-
-    def __rmul__(self, c: float) -> "KillingField":
-        f = self._batch_fn
-        return KillingField(self.n, lambda P: float(c) * f(P))
-
 
 def killing_matrices(R: CurvatureTensor, points) -> np.ndarray:
     """Batched ambient matrices of k_p = R(p, ., p, .) at rows of ``points``."""

@@ -417,6 +417,19 @@ def test_member_spectra_have_index_one_nullity_three(berger_galerkin):
     assert probe2.n_null == 3
 
 
+def test_galerkin_refuses_a_mesh_order_below_L_plus_1(monkeypatch):
+    # order k integrates cos-theta degree 2k - 1 and longitude degree 2k - 1; degree-L products need 2L
+    g = round_metric(3)
+    coarse = equator_mesh(g, E0, order=12)
+    meshes = []
+    monkeypatch.setattr(analysis, "equator_mesh", lambda *a: meshes.append(a) or equator_mesh(*a))
+    for L, kwargs in [(12, {"order": 12}), (16, {"order": 16}), (12, {"mesh": coarse}), (3, {"order": 1})]:
+        with pytest.raises(DegenerateInputError, match=f"at least {L + 1}"):
+            build_jacobi_galerkin(g, E0, L, **kwargs)
+    assert meshes == []  # refused before meshing
+    assert build_jacobi_galerkin(g, E0, 11, mesh=coarse).mass.shape == (144, 144)
+
+
 @pytest.fixture(scope="module")
 def random_pencils():
     g = metric_from_curv(random_positive(3, seed=7)[0])

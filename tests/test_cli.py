@@ -172,6 +172,19 @@ def test_verify_rejects_non_finite_tolerance(tmp_path, capsys, value):
     assert payload is None
 
 
+@pytest.mark.parametrize("name", ["symmetry", "positivity", "roundtrip", "killing_constancy",
+                                  "mean_curvature", "metric_equation", "equivariance", "antipodal"])
+def test_verify_rejects_a_negative_tolerance_before_reading_the_input(tmp_path, capsys, name):
+    # a negative tolerance fails every check: exit 1 would claim a member is not in the family
+    tensor = tmp_path / "t.json"
+    run(capsys, "gen", "random", "--n", "3", "--seed", "2", "--out", str(tensor))
+    option = f"--tol-{name.replace('_', '-')}"
+    for path in (tensor, tmp_path / "missing.json"):
+        code, payload, err = run(capsys, "verify", str(path), f"{option}=-1e-30")
+        assert code == 2 and payload is None
+        assert f"error: {option} must be finite and >= 0" in err and "Traceback" not in err
+
+
 def test_verify_rejects_a_negative_plane_for_every_seed(tmp_path, capsys):
     # U is the unit direction random_positive(5, seed=1) draws; R0 + t U has the
     # least sectional curvature 1 + t lower(U) = -0.05.  A seeded 8 x 250
@@ -769,6 +782,18 @@ def test_a_count_whose_largest_array_exceeds_memory_exits_2(tmp_path, capsys, mo
     assert code == 2 and payload is None
     assert "needs an array of" in err and "physical memory" in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_spectrum_refuses_an_order_below_L_plus_1(tmp_path, capsys):
+    # below L + 1 the mesh rule misses products of two degree-L harmonics: a singular mass matrix
+    tensor, out = tmp_path / "t.json", tmp_path / "spec.csv"
+    run(capsys, "gen", "random", "--n", "3", "--seed", "2", "--out", str(tensor))
+    for L, order in [(16, 16), (12, 12), (8, 2)]:
+        code, payload, err = run(capsys, "spectrum", str(tensor), "--L", str(L), "--order", str(order),
+                                 "--out", str(out))
+        assert code == 2 and payload is None
+        assert f"error: a degree-{L} basis needs a mesh order of at least {L + 1}, got {order}" in err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -114,7 +114,7 @@ def test_constancy_residual_equals_circle_loop(n):
         n, rng.standard_normal(curv_dim(n))).coeffs)
     bent = KillingField(n, lambda P: P[:, :1, None] * (np.eye(n + 1) - P[:, :, None] * P[:, None, :]))
     fields = [killing_from_curv(R, override=True),
-              killing_from_metric(metric_from_curv(R, override=True), constancy_circles=0), bent]
+              killing_from_metric(metric_from_curv(R, override=True)), bent]
     for k in fields:
         for circles, samples in [(0, 10), (1, 7), (13, 40)]:
             expected = _circle_loop_residual(k, circles, samples, seed=n + 11)
@@ -201,7 +201,7 @@ def test_metric_killing_tensor_equality(random_tensor):
     # the membership characterization: k_g computed from g equals k_R from R
     g = metric_from_curv(random_tensor)
     k_R = killing_from_curv(random_tensor)
-    k_g = killing_from_metric(g, seed=0)
+    k_g = killing_from_metric(g)
     rng = np.random.default_rng(7)
     worst = 0.0
     for _ in range(200):
@@ -224,7 +224,7 @@ def test_roundtrip_through_killing(random_tensor):
 def test_roundtrip_other_dimensions(n):
     R, _, _ = random_positive(n, seed=40 + n)
     g = metric_from_curv(R)
-    k = killing_from_metric(g, seed=1)
+    k = killing_from_metric(g)
     R2 = curv_from_killing(k, seed=1, check_constancy=False)
     assert_allclose(R2.coeffs, R.coeffs, atol=1e-9)
 
@@ -237,8 +237,8 @@ def test_fubini_study_roundtrip():
 
 def test_curv_from_killing_rejects_non_killing_input():
     g = BumpMetric()
-    k = killing_from_metric(g, seed=0)
-    assert k.constancy_residual > 1e-3
+    k = killing_from_metric(g)
+    assert killing_constancy_residual(k, circles=20, samples=60, seed=0) > 1e-3
     with pytest.raises(DegenerateInputError):
         curv_from_killing(k, seed=0, check_constancy=True)
 
@@ -266,7 +266,7 @@ def test_polarization_recovers_fields_not_built_from_a_tensor(n):
 
 
 def test_the_roundtrip_residual_sees_a_field_outside_the_family():
-    k = killing_from_metric(BumpMetric(), constancy_circles=0)
+    k = killing_from_metric(BumpMetric())
     R = curv_from_killing(k, check_constancy=False)
     assert isinstance(R, CurvatureTensor) and symmetry_residuals(R.coeffs).max < 1e-12
 
@@ -278,7 +278,7 @@ def test_roundtrip_through_the_metric_is_exact(n, seed):
     # That error is rounding for n >= 3; on S^2, F = det(g + pp^T)^(2/3) loses digits when
     # g is small, and tensors at random_positive's step cap carry up to ~1e-11 in k.
     R, _, _ = random_positive(n, seed)
-    k = killing_from_metric(metric_from_curv(R), constancy_circles=0)
+    k = killing_from_metric(metric_from_curv(R))
     I, (a, c) = np.eye(n + 1), np.triu_indices(n + 1, 1)
     X = np.vstack([I, (I[a] + I[c]) / np.sqrt(2.0)])
     k_error = np.max(np.abs(k.ambient_matrices(X) - killing_matrices(R, X)))
@@ -444,15 +444,16 @@ def test_a_curvature_metric_jet_carries_its_inverse(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_killing_from_metric_makes_one_ambient_pass(n, monkeypatch):
-    # k = g / F divides the metric's matrices by F of the same matrices
+    # k = g / F evaluates nothing when built, then divides the metric's matrices by F of the same matrices
     P = np.random.default_rng(100 + n).standard_normal((40, n + 1))
     P /= np.linalg.norm(P, axis=1, keepdims=True)
     for g in (_member(n), round_metric(n), BumpMetric(n, amplitude=0.3, width=0.2)):
         want = g.ambient_matrices(P) / g.F_values(P)[:, None, None]
-        k = killing_from_metric(g, constancy_circles=0)
         calls = []
         original = type(g).ambient_matrices
         monkeypatch.setattr(type(g), "ambient_matrices", lambda self, Y: calls.append(len(Y)) or original(self, Y))
+        k = killing_from_metric(g)
+        assert calls == []
         got = k.ambient_matrices(P)
         monkeypatch.undo()
         assert calls == [len(P)]

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from equator_forge.cli import _bump_probe_pairs
 from equator_forge.correspondence import (
     POSITIVITY_MARGIN,
     CurvatureMetric,
@@ -33,6 +32,7 @@ from equator_forge.tensor_core import (
     tensor_from_basis,
 )
 from equator_forge.verification import (
+    DEFAULT_TOLERANCES,
     BumpMetric,
     _centre_arrays,
     _curvature_arrays,
@@ -185,7 +185,7 @@ def test_mean_curvature_vanishes_on_member_metrics(random_metric):
 
 def test_bump_equators_are_not_minimal():
     g = BumpMetric()
-    assert mean_curvature_sweep(g, equators=0, points=0, seed=0, extra_pairs=_bump_probe_pairs(g)) > 1e-2
+    assert mean_curvature_sweep(g, equators=0, points=0, seed=0, extra_pairs=g.probe_pairs()) > 1e-2
 
 
 def test_bump_chart_jet_matches_ambient_pullback():
@@ -406,12 +406,29 @@ def test_verify_tensor_stops_on_a_negative_plane_with_is_positives_residual():
 
 def test_verify_metric_flags_bump():
     g = BumpMetric()
-    report = verify_metric(g, seed=0, equators=5, points=5, extra_pairs=_bump_probe_pairs(g))
+    report = verify_metric(g, seed=0, equators=5, points=5)
     assert not report.passed
     assert not report.checks["killing_constancy"].passed
     assert not report.checks["mean_curvature"].passed
     assert not report.checks["metric_equation"].passed
     assert not report.checks["antipodal"].passed
+
+
+def test_verify_metric_aims_a_bumps_sweep_at_the_bump():
+    # 25 seeded points miss the bump; its probe pairs walk equators through it
+    report = verify_metric(BumpMetric(), seed=0, equators=5, points=5)
+    assert report.checks["mean_curvature"].residual > 1e-2
+
+
+@pytest.mark.parametrize("subject", ["tensor", "metric"])
+def test_report_checks_follow_the_tolerance_order(random_metric, subject):
+    R, g = random_metric
+    report = (verify_tensor(R, seed=3, equators=2, points=2) if subject == "tensor"
+              else verify_metric(g, seed=3, equators=2, points=2))
+    expected = list(DEFAULT_TOLERANCES) if subject == "tensor" else [
+        "killing_constancy", "mean_curvature", "metric_equation", "antipodal"]
+    assert list(report.checks) == expected
+    assert list(report.as_dict()["checks"]) == expected
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
