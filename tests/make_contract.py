@@ -1,0 +1,116 @@
+"""The CLI contract: seventeen ``cli.main`` calls and the outputs they must keep.
+
+Run ``PYTHONPATH=src python tests/make_contract.py`` from the repository root to rerun the calls in a
+temporary directory and rewrite ``tests/contract.json``; ``tests/test_contract.py`` reruns them and
+compares.  A change that moves an output on purpose regenerates the fixture and names each field that
+moved.
+
+For each call the fixture holds the argv, the exit code, the stdout document and the file written to
+``--out`` (a JSON document, or a CSV's header, row count and columns).  Every number is stored with its
+rule:
+
+- the ``config`` record, integers, strings, booleans, check tolerances and ``gen random``'s certified
+  margin: exactly;
+- a residual that is zero in exact arithmetic (a member's check residuals, a mesh's largest |H|):
+  ``{"max": b}``, the next power of ten at least twice its value and at least 1e-13;
+- a residual of a metric outside the family (the bump's) and an area scan's relative spread, a
+  difference of nearly equal areas: ``{"atol": 1e-13, "value": x}``;
+- any other float: ``{"rtol": 1e-12, "value": x}``, and a list of floats ``{"rtol": 1e-12, "values": xs}``,
+  relative to the largest entry.
+
+No hash is stored: bits may follow the CPU's SIMD paths.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import csv
+import io
+import json
+import math
+import os
+import pathlib
+import tempfile
+
+from equator_forge.cli import main
+
+FIXTURE = pathlib.Path(__file__).with_name("contract.json")
+
+CALLS = (
+    [["gen", "random", "--n", str(n), "--seed", "2", "--out", f"r{n}.json"] for n in (2, 3, 4, 5)]
+    + [["verify", f"r{n}.json"] for n in (2, 3, 4, 5)]
+    + [
+        ["gen", "fubini-study", "--out", "fs.json"],
+        ["verify", "fs.json"],
+        ["gen", "bump", "--out", "bump.json"],
+        ["verify", "bump.json"],
+        ["gen", "left-invariant", "--a", "1", "--b", "2", "--c", "3", "--out", "li.json"],
+        ["area", "r3.json", "--out", "area3.csv"],
+        ["radon", "r3.json", "--f", "poly", "--out", "radon3.csv"],
+        ["spectrum", "r3.json", "--L", "12", "--L", "16", "--out", "spectrum3.csv"],
+        ["area", "r5.json", "--out", "area5.csv"],
+    ]
+)
+
+RTOL = 1e-12  # floats that are not residuals
+ATOL = 1e-13  # the residuals of a metric outside the family, and area spreads
+FLOOR = 1e-13  # the least bound of a residual at rounding level
+EXACT = {"tolerance", "positivity_margin"}
+ROUNDING = {"max_abs_mean_curvature"}  # zero in exact arithmetic on a member
+
+
+def _read(path: pathlib.Path):
+    """A written file: its JSON document, or a CSV as its header, row count and float columns."""
+    if path.suffix == ".json":
+        return json.loads(path.read_text())
+    header, *rows = list(csv.reader(path.read_text().splitlines()))
+    return {"header": header, "rows": len(rows),
+            "columns": {h: [float(r[i]) for r in rows] for i, h in enumerate(header)}}
+
+
+def run_calls(directory) -> list[dict]:
+    """Run ``CALLS`` in order in ``directory``: each call's argv, exit code, stdout document and written file."""
+    outputs, cwd = [], os.getcwd()
+    os.chdir(directory)
+    try:
+        for argv in CALLS:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(list(argv))
+            written = pathlib.Path(argv[argv.index("--out") + 1]) if "--out" in argv else None
+            outputs.append({"argv": argv, "exit": code, "stdout": json.loads(out.getvalue()),
+                            "file": _read(written) if written else None})
+    finally:
+        os.chdir(cwd)
+    return outputs
+
+
+def _bound(x: float) -> float:
+    return max(FLOOR, 10.0 ** math.ceil(math.log10(2.0 * x))) if x > 0.0 else FLOOR
+
+
+def spec(node, key=None, member=True):
+    """``node`` with each float replaced by its rule; ``member`` is False inside a report on a metric."""
+    if key == "config":
+        return node
+    if isinstance(node, dict):
+        member = member and node.get("subject", "tensor") == "tensor"
+        return {k: spec(v, k, member) for k, v in node.items()}
+    if isinstance(node, list):
+        if node and all(isinstance(v, float) for v in node):
+            return {"rtol": RTOL, "values": node}
+        return [spec(v, key, member) for v in node]
+    if not isinstance(node, float) or key in EXACT:
+        return node
+    if (key == "residual" and not member) or key == "relative_spread":
+        return {"atol": ATOL, "value": node}
+    if key == "residual" or key in ROUNDING:
+        return {"max": _bound(node)}
+    return {"rtol": RTOL, "value": node}
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        fixture = [spec(call) for call in run_calls(tmp)]
+    FIXTURE.write_text(json.dumps(fixture, indent=1) + "\n")
+    print(f"wrote {FIXTURE} ({len(fixture)} calls)")
