@@ -304,17 +304,18 @@ def _factor_gram(terms, index) -> np.ndarray:
     return 0.5 * (S + S.T)
 
 
-def _galerkin_order(L: int) -> int:
-    """The default mesh order of a Galerkin basis of degree at most L."""
-    return max(2 * L + 8, 24)
+def _galerkin_order(L: int, order: int | None = None) -> int:
+    """The mesh order of a degree-L Galerkin basis: ``order`` (by default max(2L + 8, 24)), if at least L + 1."""
+    order = max(2 * L + 8, 24) if order is None else order
+    if order < L + 1:  # a coarser rule misses products of two degree-L harmonics: the mass matrix is singular
+        raise DegenerateInputError(f"a degree-{L} basis needs a mesh order of at least {L + 1}, got {order}")
+    return order
 
 
 def build_jacobi_galerkin(g: MetricField, v, L: int, *, order: int | None = None,
                           mesh: EquatorMesh | None = None) -> JacobiGalerkin:
     """Assemble the harmonic-basis Galerkin matrices on the equator of v, meshed at an order of at least L + 1."""
-    order = mesh.order if mesh is not None else _galerkin_order(L) if order is None else order
-    if order < L + 1:  # a coarser rule misses products of two degree-L harmonics: the mass matrix is singular
-        raise DegenerateInputError(f"a degree-{L} basis needs a mesh order of at least {L + 1}, got {order}")
+    order = _galerkin_order(L, order if mesh is None else mesh.order)
     if mesh is None:
         mesh = equator_mesh(g, v, order)
     cols = 2 * mesh.order  # the mesh is the product grid theta_i x phi_j, by rows

@@ -187,10 +187,11 @@ def cmd_spectrum(args) -> int:
     if not (np.isfinite(args.null_tol) and args.null_tol >= 0.0):
         raise ValueError(f"--null-tol must be finite and >= 0, got {args.null_tol}")
     levels = args.L = args.L or [12]  # the run record shows the levels run
-    orders = [_galerkin_order(L) if args.order is None else args.order for L in levels]
-    for L, order in zip(levels, orders):  # the mesh's chart bases, the Galerkin factor and matrices
+    orders = []
+    for L in levels:  # the degree, the mesh order, then the mesh's chart bases, the Galerkin factor and matrices
         if L < 0:
             raise ValueError(f"--L must be at least 0, got {L}")
+        orders.append(order := _galerkin_order(L, args.order))
         _require_array(f"--L {L} --order {order}",
                        max(32 * order**2, (2 * L + 1) * order * (L + 1) ** 2, (L + 1) ** 4))
     g = _metric_from_file(args.input)

@@ -109,8 +109,8 @@ def _cholesky_diagonal(M: np.ndarray, what: str) -> np.ndarray:
 
 
 def _volume_ratio(M: np.ndarray, P: np.ndarray, power: float, what: str) -> np.ndarray:
-    """det(M + p p^T)^power at the rows p of P: M's determinant in a tangent frame."""
-    dets = np.linalg.det(M + np.einsum("ni,nj->nij", P, P))
+    """det(M + p p^T)^power at the rows p of P: M's determinant in a tangent frame (leading axes broadcast)."""
+    dets = np.linalg.det(M + P[..., :, None] * P[..., None, :])
     if np.any(dets <= 0.0):
         raise PositivityError(f"{what} is not positive definite at a queried point")
     return dets ** power
@@ -165,6 +165,12 @@ def _chart_linear(R: np.ndarray, bases: np.ndarray, x) -> MatrixJet:
     return MatrixJet(T[..., 0, :, :], T[..., 1:, :, :] + np.swapaxes(T[..., 1:, :, :], -1, -2), None)
 
 
+def _member_matrices(R, P: np.ndarray) -> np.ndarray:
+    """Ambient matrices k / D of g_R at the rows of P, for a tensor or a coefficient stack R (see killing_matrices)."""
+    K = killing_matrices(R, P)
+    return K / _volume_ratio(K, P, 2.0 / (P.shape[-1] - 2), "Killing tensor")[..., None, None]
+
+
 class CurvatureMetric(MetricField):
     """Metric g_R = k_R / D_R generated by a positive curvature tensor."""
 
@@ -177,10 +183,8 @@ class CurvatureMetric(MetricField):
         P = np.atleast_2d(np.asarray(points, dtype=float))
         return _volume_ratio(killing_matrices(self.generator, P), P, 2.0 / (self.n - 1), "Killing tensor")
 
-    def ambient_matrices(self, points) -> np.ndarray:
-        P = np.atleast_2d(np.asarray(points, dtype=float))
-        K = killing_matrices(self.generator, P)
-        return K / _volume_ratio(K, P, 2.0 / (self.n - 1), "Killing tensor")[:, None, None]
+    def ambient_matrices(self, points) -> np.ndarray:  # points (..., N, n+1)
+        return _member_matrices(self.generator, np.atleast_2d(np.asarray(points, dtype=float)))
 
     def _equator_density(self, U: np.ndarray, c: np.ndarray, cc: np.ndarray) -> np.ndarray:
         # g = k / D with D = det(k + pp^T)^(2/(n-1)): with l the Cholesky diagonal of k + pp^T in U,

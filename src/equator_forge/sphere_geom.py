@@ -217,25 +217,33 @@ def chart_at(p, frame=None) -> GnomonicChart:
 # projective action on points
 
 
+def _transposes(T, ndim: int) -> np.ndarray:
+    """T^T, or for a sequence of G elements their transposes (G, 1, ..., m, m) with ``ndim - 2`` unit axes: a
+    product with points of ``ndim`` axes gains a leading axis G, each slice with T.matrix.T's strides and bits."""
+    if isinstance(T, GroupElement):
+        return T.matrix.T
+    return np.swapaxes(np.stack([t.matrix for t in T]), -1, -2)[(slice(None),) + (None,) * (ndim - 2)]
+
+
 def phi_T(T: GroupElement, points):
     """Projective action of an invertible matrix on sphere points: Tp / |Tp|.
 
-    A genuine right-to-left homomorphism: phi(T1 T2) = phi(T1) o phi(T2).
+    A genuine right-to-left homomorphism: phi(T1 T2) = phi(T1) o phi(T2).  A sequence of G elements adds an axis G.
     """
     P = np.asarray(points, dtype=float)
-    Q = P @ T.matrix.T
+    Q = P @ _transposes(T, P.ndim)
     norms = np.linalg.norm(Q, axis=-1, keepdims=True) if Q.ndim > 1 else np.linalg.norm(Q)
     return Q / norms
 
 
 def dphi_T(T: GroupElement, p, w) -> np.ndarray:
-    """Differential of :func:`phi_T` at p applied to a tangent vector w (leading axes allowed)."""
+    """Differential of :func:`phi_T` at p applied to tangent vectors w (leading axes; for a stack, as many in p)."""
     p = check_unit(p)
     w = np.asarray(w, dtype=float)
     if np.any(np.abs(np.sum(p * w, axis=-1)) > 1e-10):
         raise DegenerateInputError("w must be tangent to the sphere at p")
-    Tp = p @ T.matrix.T
-    Tw = w @ T.matrix.T
+    Tt = _transposes(T, w.ndim)
+    Tp, Tw = p @ Tt, w @ Tt
     norm2 = np.sum(Tp * Tp, axis=-1, keepdims=True)
     return (Tw - (np.sum(Tw * Tp, axis=-1, keepdims=True) / norm2) * Tp) / np.sqrt(norm2)
 

@@ -627,13 +627,13 @@ class KillingField(AmbientField):
         return self._batch_fn(P)
 
 
-def killing_matrices(R: CurvatureTensor, points) -> np.ndarray:
-    """Batched ambient matrices of k_p = R(p, ., p, .) at rows of ``points``."""
+def killing_matrices(R, points) -> np.ndarray:
+    """Ambient matrices of k_p = R(p, ., p, .) at rows p of ``points``, for a tensor or a stack (G, m, m, m, m)."""
     P = np.atleast_2d(np.asarray(points, dtype=float))
-    m = P.shape[1]
-    # T[n, c, (b, d)] = R(p_n, b, c, d), then contract c with p_n
-    T = (P @ R.coeffs.transpose(0, 2, 1, 3).reshape(m, -1)).reshape(-1, m, m * m)
-    return (P[:, None, :] @ T).reshape(-1, m, m)
+    C, m = (R.coeffs if isinstance(R, CurvatureTensor) else R), P.shape[-1]
+    # T[n, c, (b, d)] = R(p_n, b, c, d), then contract c with p_n: one (N, m) and one (1, m) product per slice
+    T = P @ np.swapaxes(C, -3, -2).reshape(*C.shape[:-4], m, -1)
+    return (P[..., None, :] @ T.reshape(*T.shape[:-1], m, m * m)).reshape(*T.shape[:-1], m, m)
 
 
 def sym_product(K: SkewMatrix, L: SkewMatrix) -> KillingField:

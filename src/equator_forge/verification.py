@@ -16,6 +16,7 @@ round sphere has ``riem[0, 1, 0, 1] = +1`` at a chart center; Ricci is R^i_ijl.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -24,11 +25,11 @@ from .correspondence import (
     POSITIVITY_MARGIN,
     CurvatureMetric,
     MetricField,
+    _member_matrices,
     curv_from_killing,
     killing_constancy_residual,
     killing_from_metric,
     metric_from_curv,
-    round_metric,
 )
 from .jets import MatrixJet, ScalarJet
 from .sphere_geom import (
@@ -307,19 +308,18 @@ def metric_equation_residual(g: MetricField, chart: GnomonicChart, x) -> float:
 
 def equivariance_residual(
     R: CurvatureTensor,
-    T: GroupElement,
+    T: GroupElement | Sequence[GroupElement],
     *,
     samples: int = 20,
     seed: int = 0,
 ) -> float:
-    """Residual of pullback(phi_T) g_R = g_{R . T} at seeded sample points."""
-    gR = CurvatureMetric(R)
-    gRT = CurvatureMetric(act(R, T))
+    """Residual of pullback(phi_T) g_R = g_{R . T} at seeded points: the largest over T, or over a stack of them."""
+    Ts = [T] if isinstance(T, GroupElement) else T
     P = _unit_rows(np.random.default_rng(seed).standard_normal((samples, R.n + 1)))
     E = _tangent_bases(P)[:, 1:]
-    direct = E @ gRT.ambient_matrices(P) @ np.swapaxes(E, 1, 2)
-    dE = dphi_T(T, P[:, None, :], E)
-    pulled = dE @ gR.ambient_matrices(phi_T(T, P)) @ np.swapaxes(dE, 1, 2)
+    direct = E @ _member_matrices(np.stack([act(R, t).coeffs for t in Ts]), P) @ np.swapaxes(E, 1, 2)
+    dE = dphi_T(Ts, P[:, None, :], E)
+    pulled = dE @ CurvatureMetric(R).ambient_matrices(phi_T(Ts, P)) @ np.swapaxes(dE, -1, -2)
     return float(np.max(np.abs(pulled - direct)))
 
 
@@ -365,7 +365,8 @@ class BumpMetric(MetricField):
     g_p(u, w) = <u, w> + amplitude * h(p) <u, w0><w, w0> with a Gaussian bump
     h(p) = exp(-|p - p_center|^2 / width).  Not a member of the minimal-equator
     family: equators through the bump have nonzero mean curvature and g / F is
-    not constant along great circles.
+    not constant along great circles.  In a gnomonic chart the round part is
+    delta / s - x x^T / s^2 with s = 1 + |x|^2, whatever the chart.
     """
 
     def __init__(self, n: int = 3, amplitude: float = 0.1, width: float = 0.04,
@@ -408,18 +409,18 @@ class BumpMetric(MetricField):
         x = np.broadcast_to(x, bases.shape[:-2] + (n,))
         zero = np.zeros(x.shape + (n,))
         hzero = None if first_order else zero  # the Hessian of a linear function; 1-jets carry none
-        base = round_metric(n)._chart_jets(bases, x, first_order)
         s = ScalarJet(1.0 + np.sum(x * x, axis=-1), 2.0 * x,
                       None if first_order else zero + 2.0 * np.eye(n))
         r = s.power(-0.5)
+        xs = [ScalarJet(x[..., i], zero[..., i, :] + np.eye(n)[i], hzero) for i in range(n)]
+        ident = MatrixJet(np.broadcast_to(np.eye(n), zero.shape), np.zeros(x.shape + (n, n)),
+                          None if first_order else np.zeros(x.shape + (n, n, n)))
+        base = ident.scaled(s.power(-1.0)) + _outer_jet(xs).scaled(-s.power(-2.0))
         c = bases @ self.direction
         # <q, w> along q = center + x @ frame is linear in x
         beta, a = (ScalarJet(cw[..., 0] + np.sum(cw[..., 1:] * x, axis=-1), cw[..., 1:], hzero)
                    for cw in (c, bases @ self.center))
-        comps = []
-        for i in range(n):
-            xi = ScalarJet(x[..., i], zero[..., i, :] + np.eye(n)[i], hzero)
-            comps.append((c[..., 1 + i] - xi * beta / s) * r)
+        comps = [(c[..., 1 + i] - xi * beta / s) * r for i, xi in enumerate(xs)]
         # |p - center|^2 = 1 + |center|^2 - 2 <p, center> at the unit point p
         dist2 = (1.0 + self.center @ self.center) - 2.0 * (a * r)
         hjet = (dist2 * (-1.0 / self.width)).exp()
@@ -437,7 +438,7 @@ class BumpMetric(MetricField):
         comp = [w - (w @ d) * d for w in tangent_frame(center) if abs(w @ d) < 0.9]
         a = comp[0] / np.linalg.norm(comp[0])
         normals = [d + a]
-        if len(comp) > 1:  # on S^2 the complement of d in the tangent plane is one line
+        if self.n > 2:  # on S^2 the complement of d in the tangent plane is one line
             b = comp[1] - (comp[1] @ a) * a
             b /= np.linalg.norm(b)
             normals += [d + b, d + a + b]
@@ -534,7 +535,7 @@ DEFAULT_TOLERANCES = {
 @dataclass
 class VerificationReport:
     """Named check results for one verification run, in ``DEFAULT_TOLERANCES`` order, and its tolerances: those
-    defaults with the run's overrides."""
+    defaults with the run's overrides, each for a named check and finite and >= 0, else a ValueError."""
 
     subject: str
     n: int
@@ -544,6 +545,9 @@ class VerificationReport:
 
     def __post_init__(self):
         self.tolerances = {**DEFAULT_TOLERANCES, **(self.tolerances or {})}
+        bad = {k: v for k, v in self.tolerances.items() if k not in DEFAULT_TOLERANCES or not 0 <= v < np.inf}
+        if bad:  # a negative tolerance fails its check whatever the subject
+            raise ValueError(f"tolerances must be finite, >= 0 and named as in DEFAULT_TOLERANCES, got {bad}")
 
     @property
     def passed(self) -> bool:
@@ -607,13 +611,10 @@ def verify_tensor(
 
     rng = np.random.default_rng(seed + 4)
     draws = [np.eye(m) + 0.35 * rng.standard_normal((m, m)) for _ in range(5)]
-    worst = 0.0
-    for M in draws:
-        # rounding grows with cond(M); a redraw comes after all first draws, so
-        # the well-conditioned ones do not depend on the bound
-        while np.linalg.cond(M) > GROUP_COND_MAX:
-            M = np.eye(m) + 0.35 * rng.standard_normal((m, m))
-        worst = max(worst, equivariance_residual(R, GroupElement(M), samples=8, seed=seed + 5))
+    for i in range(5):  # rounding grows with cond(M); redraws follow all first draws, which so ignore the bound
+        while np.linalg.cond(draws[i]) > GROUP_COND_MAX:
+            draws[i] = np.eye(m) + 0.35 * rng.standard_normal((m, m))
+    worst = equivariance_residual(R, [GroupElement(M) for M in draws], samples=8, seed=seed + 5)
     report.add("equivariance", worst, 5 * 8, seed + 4)
     return report
 

@@ -135,6 +135,18 @@ def test_verify_bump_fixture_on_s2_fails(tmp_path, capsys):
     assert payload["report"]["checks"]["mean_curvature"]["residual"] > 1e-2
 
 
+def test_verify_an_s2_bump_whose_centre_has_two_probe_directions(tmp_path, capsys):
+    # both tangent vectors at this centre pass the probe filter, and on S^2 they span one line
+    fixture = tmp_path / "bump.json"
+    write_json(str(fixture), {
+        "format": "bump-metric-v1", "n": 2, "amplitude": 0.1, "width": 0.04,
+        "center": [-0.3633046792124539, 0.023497237666401986, -0.9313740332886593],
+        "direction": [-0.540420892887301, -0.8196324756084776, 0.19012591474812277]})
+    code, payload, err = run(capsys, "verify", str(fixture))
+    assert code == 1 and err == ""
+    assert payload["report"]["checks"]["mean_curvature"]["residual"] > 0.2
+
+
 def test_verify_random_tensor_passes(tmp_path, capsys):
     tensor = tmp_path / "t.json"
     run(capsys, "gen", "random", "--n", "3", "--seed", "3", "--out", str(tensor))
@@ -794,6 +806,21 @@ def test_spectrum_refuses_an_order_below_L_plus_1(tmp_path, capsys):
         assert code == 2 and payload is None
         assert f"error: a degree-{L} basis needs a mesh order of at least {L + 1}, got {order}" in err
         assert not out.exists()
+
+
+def test_spectrum_checks_every_levels_order_before_meshing(tmp_path, capsys, monkeypatch):
+    # L = 4 fits order 16, L = 16 does not: no level is meshed or solved before the refusal
+    from equator_forge import analysis
+
+    tensor, out, meshes = tmp_path / "t.json", tmp_path / "spec.csv", []
+    run(capsys, "gen", "random", "--n", "3", "--seed", "2", "--out", str(tensor))
+    mesh = analysis.equator_mesh
+    monkeypatch.setattr(analysis, "equator_mesh", lambda *a, **k: meshes.append(a) or mesh(*a, **k))
+    code, payload, err = run(capsys, "spectrum", str(tensor), "--L", "4", "--L", "16", "--order", "16",
+                             "--out", str(out))
+    assert code == 2 and payload is None and meshes == []
+    assert "error: a degree-16 basis needs a mesh order of at least 17, got 16" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

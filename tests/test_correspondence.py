@@ -379,9 +379,10 @@ def test_chart_jet_on_a_stack_of_points_is_the_pointwise_jets(n):
         chart = chart_at(g.center if isinstance(g, BumpMetric) else random_unit(rng, n + 1))
         for first_order in (True, False):
             stack = g.chart_jet(chart, X, first_order)
+            pointwise = [g.chart_jet(chart, x, first_order) for x in X]
             for name in ("value", "grad", "hess", "inverse"):
                 got = getattr(stack, name)
-                want = [getattr(g.chart_jet(chart, x, first_order), name) for x in X]
+                want = [getattr(jet, name) for jet in pointwise]
                 assert (got is None) == (want[0] is None), name
                 if got is not None:
                     assert got.tobytes() == np.array(want).tobytes(), name

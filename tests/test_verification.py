@@ -188,6 +188,29 @@ def test_bump_equators_are_not_minimal():
     assert mean_curvature_sweep(g, equators=0, points=0, seed=0, extra_pairs=g.probe_pairs()) > 1e-2
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_a_flat_bumps_chart_jets_are_the_round_metrics(n):
+    # amplitude 0 leaves the closed-form round part delta / s - x x^T / s^2 alone
+    rng = np.random.default_rng(40 + n)
+    bases = _tangent_bases(np.array([random_unit(rng, n + 1) for _ in range(6)]))
+    X = 0.7 * rng.standard_normal((6, n))
+    for first_order in (True, False):
+        got = BumpMetric(n, amplitude=0.0)._chart_jets(bases, X, first_order)
+        want = round_metric(n)._chart_jets(bases, X, first_order)
+        for name in ("value", "grad") if first_order else ("value", "grad", "hess"):
+            assert_allclose(getattr(got, name), getattr(want, name), rtol=0, atol=1e-14, err_msg=name)
+
+
+def test_bump_probe_pairs_on_s2_lie_on_their_equator():
+    # both tangent vectors at this centre pass the probe's |w . d| < 0.9 filter, yet on S^2 they span one line
+    g = BumpMetric(2, 0.1, 0.04, center=[-0.3633046792124539, 0.023497237666401986, -0.9313740332886593],
+                   direction=[-0.540420892887301, -0.8196324756084776, 0.19012591474812277])
+    pairs = g.probe_pairs()
+    assert len(pairs) == 1
+    assert np.max(np.abs(pairs[0][1] @ pairs[0][0])) < 1e-12
+    assert verify_metric(g).checks["mean_curvature"].residual == pytest.approx(0.203, abs=1e-3)
+
+
 def test_bump_chart_jet_matches_ambient_pullback():
     g = BumpMetric(amplitude=0.3, width=0.5)
     rng = np.random.default_rng(6)
@@ -418,6 +441,25 @@ def test_verify_metric_aims_a_bumps_sweep_at_the_bump():
     # 25 seeded points miss the bump; its probe pairs walk equators through it
     report = verify_metric(BumpMetric(), seed=0, equators=5, points=5)
     assert report.checks["mean_curvature"].residual > 1e-2
+
+
+@pytest.mark.parametrize("tolerances", [{"antipodal": -1e-30}, {"antipodel": 0.0}, {"roundtrip": float("nan")},
+                                        {"equivariance": float("inf")}])
+def test_a_report_refuses_a_bad_tolerance(random_metric, tolerances):
+    # a negative tolerance would fail a member, and a misspelt check would be ignored
+    R, g = random_metric
+    for run, subject in ((verify_tensor, R), (verify_metric, g)):
+        with pytest.raises(ValueError, match="tolerances must be finite"):
+            run(subject, tolerances=tolerances)
+
+
+def test_equivariance_of_a_stack_is_the_worst_element(random_metric):
+    # one stacked pass, each element's residual bitwise its own pass
+    R, _ = random_metric
+    rng = np.random.default_rng(12)
+    Ts = [GroupElement(np.eye(4) + 0.3 * rng.standard_normal((4, 4))) for _ in range(4)]
+    assert equivariance_residual(R, Ts, samples=8, seed=3) == max(
+        equivariance_residual(R, T, samples=8, seed=3) for T in Ts)
 
 
 @pytest.mark.parametrize("subject", ["tensor", "metric"])
