@@ -237,7 +237,7 @@ def phi_T(T: GroupElement, points):
 
 
 def dphi_T(T: GroupElement, p, w) -> np.ndarray:
-    """Differential of :func:`phi_T` at p applied to tangent vectors w (leading axes; for a stack, as many in p)."""
+    """Differential of :func:`phi_T` at p on tangent vectors w (leading axes; for a sequence, p.ndim == w.ndim)."""
     p = check_unit(p)
     w = np.asarray(w, dtype=float)
     if np.any(np.abs(np.sum(p * w, axis=-1)) > 1e-10):

@@ -611,7 +611,7 @@ def verify_tensor(
 
     rng = np.random.default_rng(seed + 4)
     draws = [np.eye(m) + 0.35 * rng.standard_normal((m, m)) for _ in range(5)]
-    for i in range(5):  # rounding grows with cond(M); redraws follow all first draws, which so ignore the bound
+    for i in range(5):  # rounding grows with cond(M); redraws come after all first draws, so those ignore the bound
         while np.linalg.cond(draws[i]) > GROUP_COND_MAX:
             draws[i] = np.eye(m) + 0.35 * rng.standard_normal((m, m))
     worst = equivariance_residual(R, [GroupElement(M) for M in draws], samples=8, seed=seed + 5)
