@@ -43,7 +43,7 @@ from .tensor_core import (
     random_positive,
     save_tensor,
 )
-from .verification import DEFAULT_TOLERANCES, BumpMetric, verify_metric, verify_tensor
+from .verification import DEFAULT_TOLERANCES, BumpMetric, _checked_tolerances, verify_metric, verify_tensor
 
 BUMP_FORMAT = "bump-metric-v1"
 
@@ -128,13 +128,8 @@ def cmd_gen(args) -> int:
 
 def cmd_verify(args) -> int:
     _require_at_least_one(args, "equators", "points")
-    tolerances = {}
-    for name in CHECK_NAMES:
-        val = getattr(args, f"tol_{name}")
-        if val is not None:
-            if not (np.isfinite(val) and val >= 0.0):
-                raise ValueError(f"--tol-{name.replace('_', '-')} must be finite and >= 0, got {val}")
-            tolerances[name] = val
+    tolerances = {name: val for name in CHECK_NAMES if (val := getattr(args, f"tol_{name}")) is not None}
+    _checked_tolerances(tolerances, lambda name: f"--tol-{name.replace('_', '-')}")
     kind, subject = _load_subject(args.input)
     _require_array(f"--equators {args.equators} --points {args.points}",  # the sweep's R contracted with q
                    args.equators * args.points * (subject.n + 1) ** 3)

@@ -95,25 +95,23 @@ class MetricField(AmbientField):
         P = c @ U[..., :-1, :]
         A = self.ambient_matrices(P.reshape(-1, P.shape[-1])).reshape(*P.shape, -1)
         G = U[..., None, :, :] @ (A + P[..., :, None] * P[..., None, :]) @ np.swapaxes(U, -1, -2)[..., None, :, :]
-        return np.prod(_cholesky_diagonal(np.moveaxis(G, (-2, -1), (0, 1)), "metric")[..., :-1], axis=-1)
+        return np.sqrt(np.prod(_ldl_pivots(np.moveaxis(G, (-2, -1), (0, 1)), "metric")[..., :-1], axis=-1))
 
 
-def _cholesky_diagonal(M: np.ndarray, what: str) -> np.ndarray:
-    """Cholesky diagonals (..., k) of M (k, k, ...), factored in place, one pass per column: the positivity gate."""
+def _ldl_pivots(M: np.ndarray, what: str) -> np.ndarray:
+    """LDL^T pivots (..., k) of the symmetric M (k, k, ...), factored in place, one pass per column: the positivity
+    gate, refusing M unless every pivot is > 0.  Each matrix of a stack is factored as it would be alone."""
     for j in range(M.shape[0]):
-        col = M[j:, j] - np.sum(M[j:, :j] * M[j, :j], axis=1)
-        if not np.all(col[0] > 0.0):
+        if not np.all(M[j, j] > 0.0):
             raise PositivityError(f"{what} is not positive definite at a queried point")
-        M[j:, j] = col / np.sqrt(col[0])
+        M[j + 1:, j + 1:] -= M[j + 1:, j, None] * (M[j, j + 1:] / M[j, j])
     return np.diagonal(M, axis1=0, axis2=1)
 
 
 def _volume_ratio(M: np.ndarray, P: np.ndarray, power: float, what: str) -> np.ndarray:
     """det(M + p p^T)^power at the rows p of P: M's determinant in a tangent frame (leading axes broadcast)."""
-    dets = np.linalg.det(M + P[..., :, None] * P[..., None, :])
-    if np.any(dets <= 0.0):
-        raise PositivityError(f"{what} is not positive definite at a queried point")
-    return dets ** power
+    A = np.ascontiguousarray(np.moveaxis(M + P[..., :, None] * P[..., None, :], (-2, -1), (0, 1)))
+    return np.prod(_ldl_pivots(A, what), axis=-1) ** power
 
 
 @lru_cache(maxsize=None)
@@ -187,16 +185,16 @@ class CurvatureMetric(MetricField):
         return _member_matrices(self.generator, np.atleast_2d(np.asarray(points, dtype=float)))
 
     def _equator_density(self, U: np.ndarray, c: np.ndarray, cc: np.ndarray) -> np.ndarray:
-        # g = k / D with D = det(k + pp^T)^(2/(n-1)): with l the Cholesky diagonal of k + pp^T in U,
-        # the density is sqrt det(k on the equator) / det(k + pp^T) = 1 / (prod_{k<n} l_k l_n^2)
+        # g = k / D with D = det(k + pp^T)^(2/(n-1)): with d the LDL^T pivots of k + pp^T in U,
+        # the density is sqrt det(k on the equator) / det(k + pp^T) = 1 / (sqrt(prod_{k<n} d_k) d_n)
         n, R, Ut = self.n, self.generator.coeffs.reshape(self.n + 1, -1), np.swapaxes(U, -1, -2)
         for _ in range(4):  # R'(a, b, c, d) = R(U_a, U_b, U_c, U_d), in which the point is (c, 0)
             R = (np.swapaxes(R, -1, -2) @ Ut).reshape(*U.shape[:-1], -1)
         R = R.reshape(*U.shape, n + 1, n + 1)[..., :n, :, :n, :]
         K = (np.moveaxis(R, (-3, -1), (0, 1)).reshape(-1, n * n) @ cc).reshape(n + 1, n + 1, *U.shape[:-2], -1)
         K[:n, :n] += cc.reshape(n, n, *[1] * (U.ndim - 2), -1)
-        l = _cholesky_diagonal(K, "Killing tensor")  # l_n^2 by array pow (SIMD), not a scalar 2's exact square
-        return 1.0 / (np.prod(l[..., :n], axis=-1) * l[..., n] ** np.full(l.shape[:-1], 2.0))
+        d = _ldl_pivots(K, "Killing tensor")
+        return 1.0 / (np.sqrt(np.prod(d[..., :n], axis=-1)) * d[..., n])
 
     def _chart_jets(self, bases: np.ndarray, x, first_order: bool = False) -> MatrixJet:
         R = self.generator.coeffs

@@ -192,16 +192,25 @@ def _mean_curvature(ginv, hess, norm, normal):
     return (lap - np.einsum("...i,...ij,...j->...", normal, hess, normal)) / norm
 
 
-def _equator_mean_curvatures(g: MetricField, v, p):
-    """Mean curvature at points p (..., n+1) of the equators with normals v (same axes), in C order:
-    the last bits would otherwise follow the memory layout of v and p."""
-    v, p = np.ascontiguousarray(v), np.ascontiguousarray(p)
-    if np.any(np.abs(np.sum(p * v, axis=-1)) > 1e-10):
+def _sweep_values(g: MetricField, V, P, C, X):
+    """Mean curvatures at the points P (N, n+1) of the equators with normals V, and metric-equation residuals at the
+    chart points X (M, n) of the charts centred at C (M, n+1), from one pass of frames and 1-jets.  Each row gets the
+    bits of a pass of its own, in C order: they would otherwise follow the memory layout of V and P."""
+    V, P = np.ascontiguousarray(V), np.ascontiguousarray(P)
+    if np.any(np.abs(np.sum(P * V, axis=-1)) > 1e-10):
         raise DegenerateInputError("p does not lie on the equator of v")
-    bases = _tangent_bases(p)
-    _, ginv, gamma, _ = _centre_arrays(g, bases, first_order=True)
-    _, _, hess, norm, normal = _height_hessian(bases, ginv, gamma, v)
-    return _mean_curvature(ginv, hess, norm, normal)
+    bases = _tangent_bases(np.concatenate([P, C]))
+    jet = g._chart_jets(bases, np.concatenate([np.zeros((len(P), g.n)), X]), first_order=True)
+    at_p, at_c = (MatrixJet(*(a if a is None else a[s] for a in vars(jet).values()))
+                  for s in (slice(len(P)), slice(len(P), None)))
+    ginv, gamma, _ = _christoffel_arrays(at_p)
+    _, _, hess, norm, normal = _height_hessian(bases[:len(P)], ginv, gamma, V)
+    return _mean_curvature(ginv, hess, norm, normal), _metric_equation_errors(at_c, X)
+
+
+def _equator_mean_curvatures(g: MetricField, v, p):
+    """Mean curvature at points p (N, n+1) of the equators with normals v (N, n+1)."""
+    return _sweep_values(g, v, p, np.empty((0, g.n + 1)), np.empty((0, g.n)))[0]
 
 
 def height_derivatives(g: MetricField, v, p, chart: GnomonicChart | None = None) -> HeightData:
@@ -223,7 +232,7 @@ def mean_curvature_equator(g: MetricField, v, p) -> float:
     For metrics generated by positive curvature tensors this vanishes
     identically; the value is a residual diagnostic.
     """
-    return float(_equator_mean_curvatures(g, np.asarray(v, dtype=float), np.asarray(p, dtype=float)))
+    return float(_equator_mean_curvatures(g, np.asarray(v, dtype=float)[None], np.asarray(p, dtype=float)[None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +342,8 @@ def antipodal_residual(g: MetricField, *, samples: int = 50, seed: int = 0) -> f
     P = _unit_rows(np.random.default_rng(seed).standard_normal((samples, g.n + 1)))
     E = _tangent_bases(P)[:, 1:]
     # the differential of p -> -p maps the frame E to -E, and the signs cancel
-    M = E @ (g.ambient_matrices(P) - g.ambient_matrices(-P)) @ np.swapaxes(E, 1, 2)
+    A = g.ambient_matrices(np.concatenate([P, -P]))
+    M = E @ (A[:samples] - A[samples:]) @ np.swapaxes(E, 1, 2)
     return float(np.max(np.abs(M)))
 
 
@@ -463,6 +473,26 @@ def _equator_points(rng, V, count: int) -> np.ndarray:
     return W / np.linalg.norm(W, axis=2, keepdims=True)
 
 
+def _equator_draws(g: MetricField, equators: int, points: int, seed: int, extra_pairs=()):
+    """The mean-curvature sweep's normals and points (N, n+1): ``points`` on each of ``equators`` seeded normals."""
+    rng = np.random.default_rng(seed)
+    normals = _random_normals(rng, g.n, equators)
+    drawn = _equator_points(rng, normals, points).reshape(-1, g.n + 1)
+    extra = [(np.asarray(v, float), np.asarray(pts, float)) for v, pts in extra_pairs]
+    V = np.concatenate([np.repeat(normals, points, axis=0)] + [np.broadcast_to(v, pts.shape) for v, pts in extra])
+    return V, np.concatenate([drawn] + [pts for _, pts in extra])
+
+
+def _chart_draws(g: MetricField, samples: int, seed: int):
+    """The metric-equation sweep's chart centres and points: each sample draws centre, radius, direction in turn."""
+    rng = np.random.default_rng(seed)
+    P, X = [], []
+    for _ in range(samples):
+        P.append(random_unit(rng, g.n + 1))
+        X.append(0.8 * rng.uniform(0.0, 1.0) ** (1.0 / g.n) * random_unit(rng, g.n))
+    return np.array(P), np.array(X)
+
+
 def mean_curvature_sweep(
     g: MetricField,
     *,
@@ -477,28 +507,13 @@ def mean_curvature_sweep(
     sweep at a localized perturbation when testing negative controls.  All
     points are evaluated in one batched pass.
     """
-    rng = np.random.default_rng(seed)
-    normals = _random_normals(rng, g.n, equators)
-    drawn = _equator_points(rng, normals, points).reshape(-1, g.n + 1)
-    extra = [(np.asarray(v, float), np.asarray(pts, float)) for v, pts in extra_pairs]
-    V = np.concatenate([np.repeat(normals, points, axis=0)] + [np.broadcast_to(v, pts.shape) for v, pts in extra])
-    P = np.concatenate([drawn] + [pts for _, pts in extra])
-    return float(np.max(np.abs(_equator_mean_curvatures(g, V, P))))
+    return float(np.max(np.abs(_equator_mean_curvatures(g, *_equator_draws(g, equators, points, seed, extra_pairs)))))
 
 
 def metric_equation_sweep(g: MetricField, *, samples: int = 50, seed: int = 0) -> float:
-    """Max metric-equation residual over seeded charts and chart points.
-
-    Each sample draws its chart centre, radius and direction in turn from one
-    seeded generator; all samples are then evaluated in one batched pass.
-    """
-    rng = np.random.default_rng(seed)
-    P, X = [], []
-    for _ in range(samples):
-        P.append(random_unit(rng, g.n + 1))
-        X.append(0.8 * rng.uniform(0.0, 1.0) ** (1.0 / g.n) * random_unit(rng, g.n))
-    P, X = np.array(P), np.array(X)
-    return float(np.max(_metric_equation_errors(g._chart_jets(_tangent_bases(P), X, first_order=True), X)))
+    """Max metric-equation residual over seeded charts and chart points, evaluated in one batched pass."""
+    return float(np.max(_sweep_values(g, np.empty((0, g.n + 1)), np.empty((0, g.n + 1)),
+                                      *_chart_draws(g, samples, seed))[1]))
 
 
 @dataclass(frozen=True)
@@ -532,10 +547,21 @@ DEFAULT_TOLERANCES = {
 }
 
 
+def _checked_tolerances(overrides: dict | None = None, flag=lambda name: f"tolerances[{name!r}]") -> dict:
+    """``DEFAULT_TOLERANCES`` with ``overrides``, each for a check there and finite and >= 0, else a ValueError that
+    calls the override ``flag(name)``: a negative tolerance fails its check whatever the subject."""
+    for name, value in (overrides or {}).items():
+        if name not in DEFAULT_TOLERANCES:
+            raise ValueError(f"{flag(name)} names no check of DEFAULT_TOLERANCES")
+        if not 0 <= value < np.inf:
+            raise ValueError(f"{flag(name)} must be finite and >= 0, got {value}")
+    return {**DEFAULT_TOLERANCES, **(overrides or {})}
+
+
 @dataclass
 class VerificationReport:
     """Named check results for one verification run, in ``DEFAULT_TOLERANCES`` order, and its tolerances: those
-    defaults with the run's overrides, each for a named check and finite and >= 0, else a ValueError."""
+    defaults with the run's overrides, as :func:`_checked_tolerances` admits them."""
 
     subject: str
     n: int
@@ -544,10 +570,7 @@ class VerificationReport:
     checks: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.tolerances = {**DEFAULT_TOLERANCES, **(self.tolerances or {})}
-        bad = {k: v for k, v in self.tolerances.items() if k not in DEFAULT_TOLERANCES or not 0 <= v < np.inf}
-        if bad:  # a negative tolerance fails its check whatever the subject
-            raise ValueError(f"tolerances must be finite, >= 0 and named as in DEFAULT_TOLERANCES, got {bad}")
+        self.tolerances = _checked_tolerances(self.tolerances)
 
     @property
     def passed(self) -> bool:
@@ -571,16 +594,15 @@ def _metric_checks(report: VerificationReport, g: MetricField, equators: int, po
                    circles: int, circle_seed: int) -> None:
     """The checks a metric takes by itself: k = g / F constant along ``circles`` great circles seeded by
     ``circle_seed``, then, seeded from the report's seed, the two sweeps (a bump's also on its probe pairs) and
-    the antipodal map."""
+    the antipodal map: the two sweeps in one pass of frames and 1-jets."""
     seed = report.seed
     constancy = killing_constancy_residual(killing_from_metric(g), circles=circles, samples=60, seed=circle_seed)
     report.add("killing_constancy", constancy, circles, circle_seed)
     pairs = g.probe_pairs() if isinstance(g, BumpMetric) else ()
-    report.add("mean_curvature", mean_curvature_sweep(g, equators=equators, points=points, seed=seed + 2,
-                                                      extra_pairs=pairs), equators * points, seed + 2)
-    for name, sweep, samples, s in (("metric_equation", metric_equation_sweep, 30, seed + 3),
-                                    ("antipodal", antipodal_residual, 40, seed + 6)):
-        report.add(name, sweep(g, samples=samples, seed=s), samples, s)
+    H, errors = _sweep_values(g, *_equator_draws(g, equators, points, seed + 2, pairs), *_chart_draws(g, 30, seed + 3))
+    report.add("mean_curvature", np.max(np.abs(H)), equators * points, seed + 2)
+    report.add("metric_equation", np.max(errors), 30, seed + 3)
+    report.add("antipodal", antipodal_residual(g, samples=40, seed=seed + 6), 40, seed + 6)
 
 
 def verify_tensor(

@@ -1,9 +1,10 @@
-"""The CLI contract: seventeen ``cli.main`` calls and the outputs they must keep.
+"""The CLI contract: nineteen ``cli.main`` calls and the outputs they must keep.
 
 Run ``PYTHONPATH=src python tests/make_contract.py`` from the repository root to rerun the calls in a
 temporary directory and rewrite ``tests/contract.json``; ``tests/test_contract.py`` reruns them and
 compares.  A change that moves an output on purpose regenerates the fixture and names each field that
-moved.
+moved: before it writes, the script prints the path of every value or rule that differs from the
+committed fixture.
 
 For each call the fixture holds the argv, the exit code, the stdout document and the file written to
 ``--out`` (a JSON document, or a CSV's header, row count and columns).  Every number is stored with its
@@ -49,6 +50,9 @@ CALLS = (
         ["radon", "r3.json", "--f", "poly", "--out", "radon3.csv"],
         ["spectrum", "r3.json", "--L", "12", "--L", "16", "--out", "spectrum3.csv"],
         ["area", "r5.json", "--out", "area5.csv"],
+        # at width 4 the random sweep, not the probe pairs, sets the bump's largest |H|
+        ["gen", "bump", "--width", "4", "--out", "bump4.json"],
+        ["verify", "bump4.json"],
     ]
 )
 
@@ -109,8 +113,25 @@ def spec(node, key=None, member=True):
     return {"rtol": RTOL, "value": node}
 
 
+def moved(old, new, path: str = "") -> list[str]:
+    """The paths at which the fixture node ``new`` differs from ``old``: a value, a rule or a key set."""
+    if isinstance(old, dict) and isinstance(new, dict) and list(old) == list(new):
+        return [p for k in old for p in moved(old[k], new[k], f"{path}.{k}")]
+    if isinstance(old, list) and isinstance(new, list) and len(old) == len(new) and all(
+            isinstance(v, float) for v in old + new):
+        count = sum(o != n for o, n in zip(old, new))
+        return [f"{path} ({count} of {len(old)} entries)"] if count else []
+    if isinstance(old, list) and isinstance(new, list):  # a call added or removed at the end moves its index
+        return [p for i, (o, n) in enumerate(zip(old, new)) for p in moved(o, n, f"{path}[{i}]")] + [
+            f"{path}[{i}]" for i in range(min(len(old), len(new)), max(len(old), len(new)))]
+    return [] if (type(old), old) == (type(new), new) else [path]
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         fixture = [spec(call) for call in run_calls(tmp)]
+    committed = json.loads(FIXTURE.read_text()) if FIXTURE.exists() else []
+    for path in moved(committed, fixture):
+        print(f"moved: {path}")
     FIXTURE.write_text(json.dumps(fixture, indent=1) + "\n")
     print(f"wrote {FIXTURE} ({len(fixture)} calls)")

@@ -14,6 +14,7 @@ from numpy.testing import assert_allclose
 from equator_forge.correspondence import (
     CurvatureMetric,
     _chart_quadratic,
+    _ldl_pivots,
     curv_from_killing,
     killing_constancy_residual,
     killing_from_curv,
@@ -302,6 +303,35 @@ def test_volume_ratios_require_positivity():
         g.D_values(np.eye(4)[:2])
     with pytest.raises(PositivityError):
         g.F_values(np.eye(4)[:2])
+
+
+def test_volume_ratios_refuse_an_indefinite_tensor_of_positive_determinant():
+    # on S^4 the Killing tensor of curvature -1 is minus the round metric: det(k + pp^T) = 1
+    g = CurvatureMetric(constant_curvature(4, -1.0))
+    P = np.eye(5)[:2]
+    for call in (g.D_values, g.F_values, g.ambient_matrices, killing_from_metric(g).ambient_matrices):
+        with pytest.raises(PositivityError, match="not positive definite"):
+            call(P)
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_ldl_pivots_multiply_to_the_determinant(k):
+    rng = np.random.default_rng(k)
+    A = rng.standard_normal((200, k, k))
+    M = A @ np.swapaxes(A, 1, 2) + 0.1 * np.eye(k)
+    pivots = _ldl_pivots(np.ascontiguousarray(np.moveaxis(M, 0, -1)), "matrix")
+    assert_allclose(np.prod(pivots, axis=-1), np.linalg.det(M), rtol=1e-13)
+    # each row of the stack is factored as it would be alone
+    for i in (0, 7, 199):
+        assert np.array_equal(_ldl_pivots(M[i].copy(), "matrix"), pivots[i])
+
+
+def test_ldl_pivots_refuse_two_negative_eigenvalues():
+    Q = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 4)))[0]
+    M = Q @ np.diag([-1.0, -2.0, 3.0, 4.0]) @ Q.T
+    assert np.linalg.det(M) > 0.0
+    with pytest.raises(PositivityError, match="matrix is not positive definite"):
+        _ldl_pivots(0.5 * (M + M.T), "matrix")
 
 
 @lru_cache(maxsize=None)

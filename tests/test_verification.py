@@ -449,7 +449,7 @@ def test_a_report_refuses_a_bad_tolerance(random_metric, tolerances):
     # a negative tolerance would fail a member, and a misspelt check would be ignored
     R, g = random_metric
     for run, subject in ((verify_tensor, R), (verify_metric, g)):
-        with pytest.raises(ValueError, match="tolerances must be finite"):
+        with pytest.raises(ValueError, match=r"^tolerances\['\w+'\] (must be finite and >= 0|names no check)"):
             run(subject, tolerances=tolerances)
 
 
@@ -490,6 +490,24 @@ def test_equivariance_and_antipodal_samples_are_the_random_unit_draws(n, monkeyp
         equivariance_residual(R, T, samples=samples, seed=seed)
         antipodal_residual(CurvatureMetric(R), samples=samples, seed=seed)
         assert len(seen) == 2 and all(np.array_equal(P, want) for P in seen)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_verify_residuals_are_the_separate_sweeps_bitwise(n):
+    # verify runs both sweeps on one pass of frames and 1-jets, and the antipodal map on one ambient call
+    R, seed = random_positive(n, seed=2)[0], 7
+    subjects = [(CurvatureMetric(R), verify_tensor(R, seed=seed))]
+    subjects += [(g, verify_metric(g, seed=seed)) for g in (BumpMetric(n), BumpMetric(n, width=4.0))]
+    rng = np.random.default_rng(seed + 6)
+    P = np.array([random_unit(rng, n + 1) for _ in range(40)])
+    E = _tangent_bases(P)[:, 1:]
+    for g, report in subjects:
+        pairs = g.probe_pairs() if isinstance(g, BumpMetric) else ()
+        residual = {name: check.residual for name, check in report.checks.items()}
+        assert residual["mean_curvature"] == mean_curvature_sweep(g, seed=seed + 2, extra_pairs=pairs)
+        assert residual["metric_equation"] == metric_equation_sweep(g, samples=30, seed=seed + 3)
+        assert residual["antipodal"] == antipodal_residual(g, samples=40, seed=seed + 6) == np.max(
+            np.abs(E @ (g.ambient_matrices(P) - g.ambient_matrices(-P)) @ np.swapaxes(E, 1, 2)))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
