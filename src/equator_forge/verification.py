@@ -201,7 +201,7 @@ def _sweep_values(g: MetricField, V, P, C, X):
         raise DegenerateInputError("p does not lie on the equator of v")
     bases = _tangent_bases(np.concatenate([P, C]))
     jet = g._chart_jets(bases, np.concatenate([np.zeros((len(P), g.n)), X]), first_order=True)
-    at_p, at_c = (MatrixJet(*(a if a is None else a[s] for a in vars(jet).values()))
+    at_p, at_c = (MatrixJet(*(a if a is None else a[s] for a in (jet.value, jet.grad, jet.hess, jet.inv)))
                   for s in (slice(len(P)), slice(len(P), None)))
     ginv, gamma, _ = _christoffel_arrays(at_p)
     _, _, hess, norm, normal = _height_hessian(bases[:len(P)], ginv, gamma, V)
@@ -593,8 +593,8 @@ class VerificationReport:
 def _metric_checks(report: VerificationReport, g: MetricField, equators: int, points: int,
                    circles: int, circle_seed: int) -> None:
     """The checks a metric takes by itself: k = g / F constant along ``circles`` great circles seeded by
-    ``circle_seed``, then, seeded from the report's seed, the two sweeps (a bump's also on its probe pairs) and
-    the antipodal map: the two sweeps in one pass of frames and 1-jets."""
+    ``circle_seed``, then, seeded from the report's seed, the two sweeps (a bump's also on its probe pairs) on one
+    pass of frames and 1-jets, and the antipodal map."""
     seed = report.seed
     constancy = killing_constancy_residual(killing_from_metric(g), circles=circles, samples=60, seed=circle_seed)
     report.add("killing_constancy", constancy, circles, circle_seed)
