@@ -183,6 +183,7 @@ class EquatorMesh:
     normal_ambient: np.ndarray  # (m, 4) unit g-normal of the equator
     mean_curv: np.ndarray  # (m,) mean curvature diagnostics
     potential: np.ndarray  # (m,) Ric(N, N) + |A|^2
+    even: bool  # the metric's g(-p) = g(p), so half the nodes were evaluated and the fields are even
 
     @property
     def area(self) -> float:
@@ -205,14 +206,23 @@ def _mesh_bases(mesh_nodes, frames, v) -> np.ndarray:
 
 
 def equator_mesh(g: MetricField, v, order: int = 32) -> EquatorMesh:
-    """Build the Jacobi mesh for the equator with normal v (metrics on S^3)."""
+    """Build the Jacobi mesh for the equator with normal v (metrics on S^3).
+
+    The nodes run by rows theta_i, each with 2 order columns phi_j.  When g(-p) = g(p) (``g.even``, every
+    curvature metric), only the columns j < order are evaluated: node (i, j + order) is the antipode of
+    node (order - 1 - i, j), up to the rounding of the Gauss nodes, and its mesh frame is (e_theta, -e_phi)
+    of that node's, so the potential, density and g-normal are copied and the off-diagonal
+    entries of the induced metric and its inverse, and the mean curvature, change sign.  Any other
+    metric, such as a bump, is evaluated at every node.
+    """
     if g.n != 3:
         raise DimensionError("Jacobi meshes are implemented for S^3")
     eq = _as_equators(g, v)[0]
     vn, basis = eq.normal, eq.basis()
     theta, phi, c, weights, f = _reference_grid(order)
     nodes, frames = _on_rows(c, basis), _on_rows(f, basis)
-    bases = _mesh_bases(nodes, frames, vn)
+    cols = order if g.even else 2 * order
+    bases = _mesh_bases(nodes, frames, vn).reshape(order, 2 * order, 4, 4)[:, :cols].reshape(-1, 4, 4)
 
     def node_block(sl):
         gmat, ginv, gamma, dgamma = _centre_arrays(g, bases[sl])
@@ -223,9 +233,15 @@ def equator_mesh(g: MetricField, v, order: int = 32) -> EquatorMesh:
         normal_ambient = np.einsum("...i,...ij->...j", normal, bases[sl, 1:])
         return normal_ambient, _mean_curvature(ginv, hess, norm, normal), ric_nn + a2, G, Ginv, det
 
-    normal_ambient, mean_curv, potential, induced, induced_inv, det = _node_blocks(node_block, nodes.shape[0])
+    fields = _node_blocks(node_block, bases.shape[0])
+    if g.even:  # the other half, row order - 1 - i of the evaluated columns, by the signs of the flipped frame
+        odd = np.array([[1.0, -1.0], [-1.0, 1.0]])
+        half = [F.reshape(order, order, *F.shape[1:]) for F in fields]
+        fields = [np.concatenate([F, sign * F[::-1]], axis=1).reshape(-1, *F.shape[2:])
+                  for F, sign in zip(half, (1.0, -1.0, 1.0, odd, odd, 1.0))]
+    normal_ambient, mean_curv, potential, induced, induced_inv, det = fields
     return EquatorMesh(eq, order, basis, theta, phi, nodes, weights, frames, induced, induced_inv,
-                       np.sqrt(det), normal_ambient, mean_curv, potential)
+                       np.sqrt(det), normal_ambient, mean_curv, potential, g.even)
 
 
 # ---------------------------------------------------------------------------
@@ -266,16 +282,27 @@ class JacobiGalerkin:
         return self.basis[0] @ self._mass_solve(-self.stiffness @ c)
 
     def eigenvalues(self) -> np.ndarray:
-        """Eigenvalues of minus the Jacobi operator, ascending: with mass = C C^T, those of
-        C^-1 stiffness C^-T, formed as W = C^-1 stiffness and the lower triangle of W C^-T."""
-        Ci, S, h = _lower_inverse(np.linalg.cholesky(self.mass)), self.stiffness, len(self.mass) // 2
-        W, A = np.empty_like(S), np.zeros_like(S)  # the products skip the zero block of Ci
-        W[:h], W[h:] = Ci[:h, :h] @ S[:h], Ci[h:] @ S
-        A[:, :h], A[h:, h:] = W[:, :h] @ Ci[:h, :h].T, W[h:] @ Ci[h:].T
-        return np.linalg.eigvalsh(A)  # reads the lower triangle only
+        """Eigenvalues of minus the Jacobi operator, ascending.
+
+        On an even mesh Y_l(-x) = (-1)^l Y_l(x) couples only degrees of equal parity, so the even- and
+        odd-degree blocks are solved apart; on any other mesh, a bump's, the one block is every degree.
+        """
+        parity = self.degrees % 2 if self.mesh.even else np.zeros_like(self.degrees)
+        blocks = [np.ix_(b, b) for b in (np.flatnonzero(parity == r) for r in (0, 1)) if b.size]
+        return np.sort(np.concatenate([_pencil_eigenvalues(self.stiffness[b], self.mass[b]) for b in blocks]))
 
     def _mass_solve(self, rhs) -> np.ndarray:
         return np.linalg.solve(self.mass, rhs)
+
+
+def _pencil_eigenvalues(S, M) -> np.ndarray:
+    """Eigenvalues of the pencil (S, M), ascending: with M = C C^T, those of C^-1 S C^-T,
+    formed as W = C^-1 S and the lower triangle of W C^-T."""
+    Ci, h = _lower_inverse(np.linalg.cholesky(M)), len(M) // 2
+    W, A = np.empty_like(S), np.zeros_like(S)  # the products skip the zero block of Ci
+    W[:h], W[h:] = Ci[:h, :h] @ S[:h], Ci[h:] @ S
+    A[:, :h], A[h:, h:] = W[:, :h] @ Ci[:h, :h].T, W[h:] @ Ci[h:].T
+    return np.linalg.eigvalsh(A)  # reads the lower triangle only
 
 
 def _lower_inverse(C) -> np.ndarray:

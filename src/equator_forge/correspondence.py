@@ -68,8 +68,10 @@ class MetricField(AmbientField):
 
     Subclasses provide ``ambient_matrices`` (see :class:`AmbientField`) and
     ``_chart_jets`` (the exact jets of the pulled-back metric in a stack of
-    gnomonic charts, given by their bases: rows centre, then frame).
+    gnomonic charts, given by their bases: rows centre, then frame).  ``even`` states that g(-p) = g(p).
     """
+
+    even = False
 
     def _chart_jets(self, bases: np.ndarray, x, first_order: bool = False) -> MatrixJet:
         """Batched chart jets (1-jets if ``first_order``): ``bases`` (..., n+1, n+1) and ``x`` (..., n)
@@ -87,7 +89,7 @@ class MetricField(AmbientField):
     def F_values(self, points) -> np.ndarray:
         """Volume ratio against the round metric, det^(2/(n+1)) in a tangent frame."""
         P = np.atleast_2d(np.asarray(points, dtype=float))
-        return _volume_ratio(self.ambient_matrices(P), P, 2.0 / (self.n + 1), "metric")
+        return _volume_ratio(self.ambient_matrices(P), P, 2.0 / (self.n + 1), "metric", scaled=True)
 
     def _equator_density(self, U: np.ndarray, c: np.ndarray, cc: np.ndarray) -> np.ndarray:
         """Area densities (..., m) at c @ u of the equators of U (..., n+1, n+1) = (u, v): see README, Areas.
@@ -108,10 +110,12 @@ def _ldl_pivots(M: np.ndarray, what: str) -> np.ndarray:
     return np.diagonal(M, axis1=0, axis2=1)
 
 
-def _volume_ratio(M: np.ndarray, P: np.ndarray, power: float, what: str) -> np.ndarray:
-    """det(M + p p^T)^power at the rows p of P: M's determinant in a tangent frame (leading axes broadcast)."""
-    A = np.ascontiguousarray(np.moveaxis(M + P[..., :, None] * P[..., None, :], (-2, -1), (0, 1)))
-    return np.prod(_ldl_pivots(A, what), axis=-1) ** power
+def _volume_ratio(M: np.ndarray, P: np.ndarray, power: float, what: str, scaled: bool = False) -> np.ndarray:
+    """(det(M + t p p^T) / t)^power at the rows p of P: M's determinant in a tangent frame (leading axes
+    broadcast), with t = 1, or with ``scaled`` t = tr(M) / n, so that a small M keeps its digits."""
+    t = np.trace(M, axis1=-2, axis2=-1) / (P.shape[-1] - 1) if scaled else np.float64(1.0)
+    A = np.ascontiguousarray(np.moveaxis(M + t[..., None, None] * P[..., :, None] * P[..., None, :], (-2, -1), (0, 1)))
+    return (np.prod(_ldl_pivots(A, what), axis=-1) / t) ** power
 
 
 @lru_cache(maxsize=None)
@@ -171,6 +175,8 @@ def _member_matrices(R, P: np.ndarray) -> np.ndarray:
 
 class CurvatureMetric(MetricField):
     """Metric g_R = k_R / D_R generated by a positive curvature tensor."""
+
+    even = True  # k_R(p) = R(p, ., p, .) is quadratic in p, for any R
 
     def __init__(self, R: CurvatureTensor):
         self.generator = R
@@ -285,7 +291,7 @@ def killing_from_metric(g: MetricField) -> KillingField:
 
     def batch(P):  # F of the same matrices: one ambient pass
         A = g.ambient_matrices(P)
-        return A / _volume_ratio(A, P, 2.0 / (g.n + 1), "metric")[:, None, None]
+        return A / _volume_ratio(A, P, 2.0 / (g.n + 1), "metric", scaled=True)[:, None, None]
 
     return KillingField(g.n, batch)
 

@@ -8,6 +8,8 @@ invariances (equality of areas, index/nullity counts, exact nullity of the
 rotation fields) rather than frozen numbers.
 """
 
+import copy
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -16,6 +18,7 @@ from equator_forge import analysis
 from equator_forge.analysis import (
     _BLOCK_NODES,
     _lower_inverse,
+    _pencil_eigenvalues,
     build_jacobi_galerkin,
     equator_area,
     equator_mesh,
@@ -327,16 +330,52 @@ def test_mesh_fields_do_not_depend_on_the_block_size(monkeypatch):
     rotations = []
     counts = []
     monkeypatch.setattr(analysis, "tmap", lambda fn, items: counts.append(len(items)) or [fn(x) for x in items])
-    for block in (128, 64, 43):  # 128 nodes in one, two and three blocks
+    for block in (64, 32, 22):  # the mesh's 64 evaluated nodes in one, two and three blocks, and all 128 rotations
         monkeypatch.setattr(analysis, "_NODE_BLOCK", block)
         meshes.append(equator_mesh(g, v, order=8))
         rotations.append(so4_jacobi_data(g, meshes[-1])[:2])
-    assert counts == [1, 1, 2, 2, 3, 3]
+    assert counts == [1, 2, 2, 4, 3, 6]
     for mesh, rot in zip(meshes[1:], rotations[1:]):
         for name in ("normal_ambient", "mean_curv", "potential", "induced", "induced_inv", "rho"):
             assert np.array_equal(getattr(mesh, name), getattr(meshes[0], name)), name
         for a, b in zip(rot, rotations[0]):
             assert np.array_equal(a, b)
+
+
+MESH_FIELDS = ("normal_ambient", "mean_curv", "potential", "induced", "induced_inv", "rho")
+
+
+def _node_counter(monkeypatch):
+    """The nodes each mesh or rotation pass evaluates, one entry a pass."""
+    evaluated = []
+    monkeypatch.setattr(analysis, "tmap", lambda fn, items: evaluated.append(sum(s.stop - s.start for s in items))
+                        or [fn(x) for x in items])
+    return evaluated
+
+
+@pytest.mark.parametrize("order", [8, 13])
+@pytest.mark.parametrize("v", [E0, np.array([0.3, -0.5, 0.2, 0.9])])
+def test_a_half_mesh_matches_an_evaluation_at_every_node(berger, monkeypatch, order, v):
+    # a copy of g that does not state g(-p) = g(p) is meshed at every node: the reference
+    evaluated = _node_counter(monkeypatch)
+    for g in (metric_from_curv(random_positive(3, seed=2)[0]), berger[0]):
+        whole = copy.copy(g)
+        whole.even = False
+        half, full = equator_mesh(g, v, order), equator_mesh(whole, v, order)
+        assert half.even and not full.even and np.array_equal(half.nodes, full.nodes)
+        for name in MESH_FIELDS:
+            a, b = getattr(half, name), getattr(full, name)
+            assert a.flags.c_contiguous and a.shape == b.shape
+            scale = 1.0 if name == "mean_curv" else np.max(np.abs(b))
+            assert np.max(np.abs(a - b)) <= 1e-13 * scale, name
+    assert evaluated == [order**2, 2 * order**2] * 2
+
+
+def test_a_bump_mesh_is_evaluated_at_every_node_and_solved_whole(monkeypatch):
+    evaluated = _node_counter(monkeypatch)
+    gal = build_jacobi_galerkin(BumpMetric(), np.array([0.0, 1.0, 1.0, 0.0]), 12)
+    assert not gal.mesh.even and evaluated == [gal.mesh.nodes.shape[0]]
+    assert np.array_equal(gal.eigenvalues(), _pencil_eigenvalues(gal.stiffness, gal.mass))
 
 
 def test_mesh_rejects_other_dimensions():
@@ -434,6 +473,17 @@ def test_galerkin_refuses_a_mesh_order_below_L_plus_1(monkeypatch):
 def random_pencils():
     g = metric_from_curv(random_positive(3, seed=7)[0])
     return {L: build_jacobi_galerkin(g, E0, L) for L in (4, 12, 16)}
+
+
+@pytest.mark.parametrize("L", [12, 16])
+def test_parity_split_eigenvalues_match_the_unsplit_solve(random_pencils, L):
+    # on an even mesh Y_l(-x) = (-1)^l Y_l(x) leaves the degrees of unequal parity coupled by rounding only
+    gal = random_pencils[L]
+    odd = gal.degrees % 2 == 1
+    for A in (gal.mass, gal.stiffness):
+        assert np.max(np.abs(A[np.ix_(odd, ~odd)])) <= 1e-13 * np.max(np.abs(A))
+    split, whole = gal.eigenvalues(), _pencil_eigenvalues(gal.stiffness, gal.mass)
+    assert gal.mesh.even and np.max(np.abs(split - whole)) <= 1e-13 * np.max(np.abs(whole))
 
 
 @pytest.mark.parametrize("L", [4, 12, 16])

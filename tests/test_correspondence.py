@@ -275,18 +275,12 @@ def test_the_roundtrip_residual_sees_a_field_outside_the_family():
 @settings(max_examples=20, deadline=None)
 @given(n=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
 def test_roundtrip_through_the_metric_is_exact(n, seed):
-    # The polarization multiplies the error of k = g / F at its points by at most 32/9.
-    # That error is rounding for n >= 3; on S^2, F = det(g + pp^T)^(2/3) loses digits when
-    # g is small, and tensors at random_positive's step cap carry up to ~1e-11 in k.
+    # The polarization multiplies the error of k = g / F at its points by at most 32/9, and that
+    # error is rounding: F = (det(g + t pp^T) / t)^(2/(n+1)), t = tr(g) / n, keeps the digits of a
+    # small g, as on S^2 at random_positive's step cap (max error 2.1e-14 over 600 n = 2 seeds).
     R, _, _ = random_positive(n, seed)
-    k = killing_from_metric(metric_from_curv(R))
-    I, (a, c) = np.eye(n + 1), np.triu_indices(n + 1, 1)
-    X = np.vstack([I, (I[a] + I[c]) / np.sqrt(2.0)])
-    k_error = np.max(np.abs(k.ambient_matrices(X) - killing_matrices(R, X)))
-    R2 = curv_from_killing(k, check_constancy=False)
-    assert np.max(np.abs(R2.coeffs - R.coeffs)) <= 1e-13 + 4.0 * k_error
-    if n >= 3:
-        assert np.max(np.abs(R2.coeffs - R.coeffs)) <= 1e-13
+    R2 = curv_from_killing(killing_from_metric(metric_from_curv(R)), check_constancy=False)
+    assert np.max(np.abs(R2.coeffs - R.coeffs)) <= 1e-13
 
 
 def test_F_values_round_and_fubini_study():
@@ -295,6 +289,29 @@ def test_F_values_round_and_fubini_study():
     rng = np.random.default_rng(8)
     p = random_unit(rng, 6)
     assert_allclose(g.F_values(p), [0.5], rtol=1e-10)
+
+
+def test_the_metric_volume_ratio_keeps_the_digits_of_a_small_metric():
+    # at random_positive's step cap on S^2 the tangent eigenvalues of g are about 1e-4: a unit p p^T term
+    # added to them swamps their digits, one scaled to g's trace does not
+    R = random_positive(2, 2930678936)[0]
+    g = CurvatureMetric(R)
+    P = np.random.default_rng(0).standard_normal((2000, 3))
+    P /= np.linalg.norm(P, axis=1, keepdims=True)
+    assert np.max(np.abs(g.F_values(P) * g.D_values(P) - 1.0)) <= 5e-14
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_the_killing_tensor_of_a_curvature_metric_is_k_R_to_a_few_ulps(n):
+    # F D = 1 in exact arithmetic, so k = g / F of g = k_R / D is k_R; the tensor at random_positive's
+    # step cap on S^2 has a small g, whose digits an unscaled normal term in F once lost (1,928 ulps)
+    P = np.random.default_rng(n).standard_normal((500, n + 1))
+    P /= np.linalg.norm(P, axis=1, keepdims=True)
+    for seed in (3, 2930678936) if n == 2 else (3,):
+        R = random_positive(n, seed)[0]
+        K = killing_matrices(R, P)
+        k = killing_from_metric(metric_from_curv(R, override=True)).ambient_matrices(P)
+        assert np.max(np.abs(k - K)) <= 16 * np.finfo(float).eps * np.max(np.abs(K))
 
 
 def test_volume_ratios_require_positivity():

@@ -23,6 +23,7 @@ from equator_forge.tensor_core import (
     DegenerateInputError,
     DimensionError,
     GroupElement,
+    PositivityError,
     complex_structure,
     constant_curvature,
     curv_dim,
@@ -373,6 +374,26 @@ def test_antipodal_map_is_isometry_of_members(random_metric):
     _, g = random_metric
     assert antipodal_residual(g, samples=30, seed=12) < 1e-12
     assert antipodal_residual(BumpMetric(), samples=40, seed=12) > 1e-12
+
+
+def _flat_plane_tensor(n):
+    """The round tensor less w (x) w for w = e_0 ^ e_1: curvature 0 on that plane, 1 on planes orthogonal to it."""
+    w = np.zeros((n + 1, n + 1))
+    w[0, 1], w[1, 0] = 1.0, -1.0
+    return CurvatureTensor(constant_curvature(n).coeffs - w[:, :, None, None] * w[None, None])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_the_antipodal_map_is_an_isometry_of_every_curvature_metric_bitwise(n):
+    # k_R(p) = R(p, ., p, .) is quadratic in p for any R, so g(-p) = g(p) is an identity of the construction,
+    # which the half Jacobi mesh relies on (CurvatureMetric.even), and not a test of membership
+    flat = _flat_plane_tensor(n)
+    assert not is_positive(flat).positive
+    with pytest.raises(PositivityError):
+        metric_from_curv(flat)
+    for g in (CurvatureMetric(random_positive(n, seed=n)[0]), metric_from_curv(flat, override=True)):
+        assert g.even and antipodal_residual(g) == 0.0
+    assert not BumpMetric(n).even
 
 
 # ---------------------------------------------------------------------------
