@@ -183,7 +183,7 @@ class EquatorMesh:
     normal_ambient: np.ndarray  # (m, 4) unit g-normal of the equator
     mean_curv: np.ndarray  # (m,) mean curvature diagnostics
     potential: np.ndarray  # (m,) Ric(N, N) + |A|^2
-    even: bool  # the metric's g(-p) = g(p), so half the nodes were evaluated and the fields are even
+    even: bool  # g(-p) = g(p): half the nodes were evaluated, the rest taken from their antipodes
 
     @property
     def area(self) -> float:

@@ -323,6 +323,9 @@ def test_member_mesh_matches_pointwise_height_data():
         assert_allclose(mesh.normal_ambient[i], hd.normal_ambient, atol=1e-12)
 
 
+MESH_FIELDS = ("normal_ambient", "mean_curv", "potential", "induced", "induced_inv", "rho")
+
+
 def test_mesh_fields_do_not_depend_on_the_block_size(monkeypatch):
     g = metric_from_curv(random_positive(3, seed=2)[0])
     v = np.array([0.3, -0.5, 0.2, 0.9])
@@ -336,13 +339,10 @@ def test_mesh_fields_do_not_depend_on_the_block_size(monkeypatch):
         rotations.append(so4_jacobi_data(g, meshes[-1])[:2])
     assert counts == [1, 2, 2, 4, 3, 6]
     for mesh, rot in zip(meshes[1:], rotations[1:]):
-        for name in ("normal_ambient", "mean_curv", "potential", "induced", "induced_inv", "rho"):
+        for name in MESH_FIELDS:
             assert np.array_equal(getattr(mesh, name), getattr(meshes[0], name)), name
         for a, b in zip(rot, rotations[0]):
             assert np.array_equal(a, b)
-
-
-MESH_FIELDS = ("normal_ambient", "mean_curv", "potential", "induced", "induced_inv", "rho")
 
 
 def _node_counter(monkeypatch):
