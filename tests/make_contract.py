@@ -1,4 +1,4 @@
-"""The CLI contract: twenty ``cli.main`` calls and the outputs they must keep.
+"""The CLI contract: twenty-four ``cli.main`` calls and the outputs they must keep.
 
 Run ``PYTHONPATH=src python tests/make_contract.py`` from the repository root to rerun the calls in a
 temporary directory and rewrite ``tests/contract.json``; ``tests/test_contract.py`` reruns them and
@@ -55,6 +55,12 @@ CALLS = (
         ["verify", "bump4.json"],
         # an equator through the default bump: its spectrum counts (2, 1), on the full mesh a bump takes
         ["spectrum", "bump.json", "--v", "0,1,1,0", "--L", "12", "--out", "spectrum_bump.csv"],
+        # the antipodal row maps: S^2's one circle, an even k on S^4, an odd order's self-mirrored theta row,
+        # and a bump's scan, which evaluates every node
+        ["area", "r2.json", "--out", "area2.csv"],
+        ["radon", "r4.json", "--f", "poly", "--out", "radon4.csv"],
+        ["spectrum", "r3.json", "--L", "12", "--order", "27", "--out", "spectrum27.csv"],
+        ["area", "bump.json", "--order", "16", "--out", "area_bump.csv"],
     ]
 )
 
