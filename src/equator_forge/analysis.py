@@ -26,7 +26,8 @@ import numpy as np
 from .correspondence import CurvatureMetric, MetricField, curv_from_killing
 from .harmonics import _harmonic_factors, basis_degrees, real_harmonic_basis
 from .parallel import tmap
-from .sphere_geom import Equator, _equator_nodes, _on_rows, _reference_grid, _tangent_bases, check_unit
+from .sphere_geom import (Equator, _canonical, _equator_nodes, _on_rows, _reference_grid, _tangent_bases,
+                          check_unit)
 from .tensor_core import (
     DegenerateInputError,
     DimensionError,
@@ -64,28 +65,57 @@ __all__ = [
 _BLOCK_NODES = 8192  # nodes per density call: the Killing matrices of one block take about 1 MB at n = 3
 
 
-def _as_equators(g: MetricField, v, stack: bool = False) -> list[Equator]:
-    """The equator of the normal v, or with ``stack`` one per row of an (E, n+1) stack, for g's sphere."""
+def _normal_array(g: MetricField, v, ndims=(1,)) -> np.ndarray:
+    """The normal v, or its stack, as a float array, if its last axis has g's n + 1 entries."""
     V = v.normal if isinstance(v, Equator) else np.asarray(v, dtype=float)
-    if V.ndim not in ((1, 2) if stack else (1,)) or V.shape[-1] != g.n + 1:
+    if V.ndim not in ndims or V.shape[-1] != g.n + 1:
         raise DimensionError(f"equator normals on S^{g.n} have {g.n + 1} entries, got shape {V.shape}")
-    return [v] if isinstance(v, Equator) else [Equator(row) for row in np.atleast_2d(V)]
+    return V
+
+
+def _as_equator(g: MetricField, v) -> Equator:
+    """The equator of the normal v, for g's sphere."""
+    V = _normal_array(g, v)
+    return v if isinstance(v, Equator) else Equator(V)
+
+
+def _stack_normals(g: MetricField, v) -> np.ndarray:
+    """Canonical unit normals (E, n+1) of v or of each row of a stack v (E, n+1), for g's sphere: bitwise
+    ``Equator(row).normal``, whose norm is the vecdot's, and the first bad row's ``Equator`` error."""
+    if isinstance(v, Equator):
+        return v.normal[None]
+    V = np.atleast_2d(_normal_array(g, v, (1, 2)))
+    norms = np.sqrt(np.vecdot(V, V))
+    bad = ~np.all(np.isfinite(V), axis=-1) | (norms < 1e-12)
+    if np.any(bad):
+        Equator(V[np.argmax(bad)])  # raises that row's error
+    return _canonical(V / norms[:, None])
 
 
 def _area_elements(g: MetricField, normals: np.ndarray, order: int):
     """Orthonormal bases U (E, n+1, n+1) (rows: the basis u of a normal's hyperplane, then the normal),
-    node coefficients c on u, round weights and g-area densities (E, m), in blocks of equators."""
+    node coefficients c on u, round weights and g-area densities (E, m), in blocks of equators.
+
+    The rule's nodes run by rows of 2k circle points, and node (r, j + k) is the antipode of node
+    (rows - 1 - r, j), up to the rounding of the Gauss nodes.  When g(-p) = g(p) (``g.even``) only the
+    columns j < k are evaluated and the rest of each equator's densities are those rows reversed.
+    """
     c, weights = _equator_nodes(g.n, order)
-    cc = (c.T[:, None] * c.T[None, :]).reshape(g.n**2, -1)  # points last, as the Cholesky gate takes them
+    k = round((len(weights) // 2) ** (1 / (g.n - 1)))  # m = 2 k^(n-1): rows of 2k circle points
+    half = c.reshape(-1, 2 * k, g.n)[:, :k].reshape(-1, g.n) if g.even else c
+    cc = (half.T[:, None] * half.T[None, :]).reshape(g.n**2, -1)  # points last, as the Cholesky gate takes them
     U = np.concatenate([_tangent_bases(normals)[:, 1:], normals[:, None]], axis=1)
-    step = max(_BLOCK_NODES // len(weights), 1)
-    return U, c, weights, np.concatenate([g._equator_density(U[i:i + step], c, cc) for i in range(0, len(U), step)])
+    step = max(_BLOCK_NODES // len(half), 1)
+    rho = np.concatenate([g._equator_density(U[i:i + step], half, cc) for i in range(0, len(U), step)])
+    if g.even:  # row r of the second half is row rows - 1 - r of the first
+        rho = rho.reshape(len(U), -1, k)
+        rho = np.concatenate([rho, rho[:, ::-1]], axis=-1).reshape(len(U), -1)
+    return U, c, weights, rho
 
 
 def _equator_integrals(g: MetricField, f, v, order: int):
     """weights @ (f(nodes) * rho) on the equator of v or of each row of a stack; f = None integrates 1."""
-    normals = np.array([eq.normal for eq in _as_equators(g, v, stack=True)])
-    U, c, weights, rho = _area_elements(g, normals, order)
+    U, c, weights, rho = _area_elements(g, _stack_normals(g, v), order)
     sums = []
     for Ue, rho_e in zip(U, rho):
         values = np.ones_like(weights) if f is None else np.asarray(f(c @ Ue[:-1]), dtype=float)
@@ -146,7 +176,7 @@ def _shape_operator(gmat, hess, norm):
 
 def second_fundamental_form(g: MetricField, v, p) -> SecondFundamentalForm:
     """Second fundamental form at p of the equator with normal v, under g."""
-    eq = _as_equators(g, v)[0]
+    eq = _as_equator(g, v)
     v = eq.normal
     p = check_unit(p)
     if abs(p @ v) > 1e-10:
@@ -217,7 +247,7 @@ def equator_mesh(g: MetricField, v, order: int = 32) -> EquatorMesh:
     """
     if g.n != 3:
         raise DimensionError("Jacobi meshes are implemented for S^3")
-    eq = _as_equators(g, v)[0]
+    eq = _as_equator(g, v)
     vn, basis = eq.normal, eq.basis()
     theta, phi, c, weights, f = _reference_grid(order)
     nodes, frames = _on_rows(c, basis), _on_rows(f, basis)
@@ -341,22 +371,34 @@ def _galerkin_order(L: int, order: int | None = None) -> int:
 
 def build_jacobi_galerkin(g: MetricField, v, L: int, *, order: int | None = None,
                           mesh: EquatorMesh | None = None) -> JacobiGalerkin:
-    """Assemble the harmonic-basis Galerkin matrices on the equator of v, meshed at an order of at least L + 1."""
+    """Assemble the harmonic-basis Galerkin matrices on the equator of v, meshed at an order of at least L + 1.
+
+    On an even mesh node (i, j + order) is the antipode of node (order - 1 - i, j), where the integrand of a
+    pair of degrees of equal parity takes the same value, so its theta rows i and order - 1 - i have equal
+    sums: the pairings run over the rows i < order / 2 at twice the weight, and a middle row (odd order) at
+    once.  Pairs of unequal parity integrate to zero, and are set to exact zeros.
+    """
     order = _galerkin_order(L, order if mesh is None else mesh.order)
     if mesh is None:
         mesh = equator_mesh(g, v, order)
-    cols = 2 * mesh.order  # the mesh is the product grid theta_i x phi_j, by rows
-    Pv, Pt, Pp, T, dT, index = _harmonic_factors(L, mesh.theta[::cols], mesh.phi[:cols])
-    w = (mesh.weights * mesh.rho).reshape(-1, cols)
-    Ginv = mesh.induced_inv.reshape(-1, cols, 2, 2)
+    cols, rows = 2 * mesh.order, (mesh.order + 1) // 2 if mesh.even else mesh.order  # a product grid, by rows
+    Pv, Pt, Pp, T, dT, index = _harmonic_factors(L, mesh.theta[::cols][:rows], mesh.phi[:cols])
+    w = (mesh.weights * mesh.rho).reshape(-1, cols)[:rows]
+    if mesh.even:
+        w = np.where(np.arange(rows) < mesh.order // 2, 2.0, 1.0)[:, None] * w
+    Ginv = mesh.induced_inv.reshape(-1, cols, 2, 2)[:rows]
     mass = _factor_gram([(Pv, T, w, Pv, T)], index)
     stiff = _factor_gram([
         (Pt, T, w * Ginv[..., 0, 0], Pt, T),
         (Pt, T, w * (Ginv[..., 0, 1] + Ginv[..., 1, 0]), Pp, dT),  # with its transpose, once symmetrised
         (Pp, dT, w * Ginv[..., 1, 1], Pp, dT),
-        (Pv, T, -w * mesh.potential.reshape(-1, cols), Pv, T),
+        (Pv, T, -w * mesh.potential.reshape(-1, cols)[:rows], Pv, T),
     ], index)
-    return JacobiGalerkin(mesh, L, basis_degrees(L), stiff, mass)
+    degrees = basis_degrees(L)
+    if mesh.even:
+        same = (degrees[:, None] - degrees) % 2 == 0
+        mass, stiff = np.where(same, mass, 0.0), np.where(same, stiff, 0.0)
+    return JacobiGalerkin(mesh, L, degrees, stiff, mass)
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,8 @@ from numpy.testing import assert_allclose
 from equator_forge import analysis
 from equator_forge.analysis import (
     _BLOCK_NODES,
+    _area_elements,
+    _factor_gram,
     _lower_inverse,
     _pencil_eigenvalues,
     build_jacobi_galerkin,
@@ -38,7 +40,7 @@ from equator_forge.correspondence import (
     metric_from_curv,
     round_metric,
 )
-from equator_forge.harmonics import real_harmonic_basis
+from equator_forge.harmonics import _harmonic_factors, real_harmonic_basis
 from equator_forge.sphere_geom import (Equator, _equator_nodes, _tangent_bases, equator_quadrature, random_unit,
                                       sphere_volume)
 from equator_forge.tensor_core import (
@@ -172,7 +174,8 @@ def test_funk_radon_of_one_is_the_area():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_stacked_scans_are_bitwise_the_loop(n):
-    # order 32 gives 2,048 nodes per equator for every n, so nine equators fill three density blocks
+    # order 32 gives 2,048 nodes per equator for every n (a member evaluates 1,024 of them), so nine
+    # equators fill two or three density blocks
     V = np.random.default_rng(60 + n).standard_normal((9, n + 1))
     assert _BLOCK_NODES < 9 * 2048
     f = lambda P: 1.0 + P[:, 0] * P[:, -1]
@@ -196,6 +199,89 @@ def test_a_degenerate_row_of_a_stack_is_refused(bad):
     for call in (lambda: equator_area(g, V, order=4), lambda: funk_radon(g, lambda P: P[:, 0], V, order=4)):
         with pytest.raises(DegenerateInputError):
             call()
+
+
+def test_stacked_normals_are_bitwise_the_equators():
+    # 1,000 rows over sixteen decades of scale, then the first bad row's own error
+    for n in (2, 3, 4, 5):
+        rng, g = np.random.default_rng(70 + n), round_metric(n)
+        V = rng.standard_normal((1000, n + 1)) * 10.0 ** rng.uniform(-8.0, 8.0, (1000, 1))
+        assert np.array_equal(analysis._stack_normals(g, V), [Equator(row).normal for row in V])
+        assert np.array_equal(analysis._stack_normals(g, V[7])[0], Equator(V[7]).normal)
+        for first, second, message in [("zero", "nan", "nonzero"), ("nan", "zero", "finite")]:
+            W = V[:6].copy()
+            W[2], W[4] = ({"zero": 0.0, "nan": np.nan}[bad] for bad in (first, second))
+            with pytest.raises(DegenerateInputError, match=message):
+                analysis._stack_normals(g, W)
+
+
+def _density_rows(monkeypatch):
+    """The nodes of each ``_equator_density`` call, one entry a call."""
+    rows, originals = [], {cls: cls._equator_density for cls in (MetricField, CurvatureMetric)}
+    for cls, original in originals.items():
+        monkeypatch.setattr(cls, "_equator_density",
+                            lambda self, U, c, cc, original=original: rows.append(len(c)) or original(self, U, c, cc))
+    return rows
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("order", [7, 8, 11])
+def test_a_half_node_scan_matches_an_evaluation_at_every_node(n, order, monkeypatch):
+    # k = order^2, order, floor(order^(2/3)) or floor(sqrt(order)): odd and even circle halves for each n
+    rows = _density_rows(monkeypatch)
+    rng, (c, _) = np.random.default_rng(80 + n), _equator_nodes(n, order)
+    normals = analysis._stack_normals(round_metric(n), np.vstack([rng.standard_normal((3, n + 1)), np.eye(n + 1)[0]]))
+    members = {name: g for name, g in _density_metrics(n).items() if g.even}
+    for name, g in members.items():
+        whole = copy.copy(g)
+        whole.even = False
+        half, full = _area_elements(g, normals, order)[3], _area_elements(whole, normals, order)[3]
+        assert half.shape == full.shape and np.max(np.abs(half - full) / full) <= 1e-13, name
+    assert rows == [len(c) // 2, len(c)] * len(members)
+
+
+def _full_row_galerkin(mesh, L, gram):
+    """Mass and stiffness paired by ``gram`` over every theta row of the mesh: the reference."""
+    cols = 2 * mesh.order
+    Pv, Pt, Pp, T, dT, index = _harmonic_factors(L, mesh.theta[::cols], mesh.phi[:cols])
+    w = (mesh.weights * mesh.rho).reshape(-1, cols)
+    Ginv = mesh.induced_inv.reshape(-1, cols, 2, 2)
+    mass = gram([(Pv, T, w, Pv, T)], index)
+    stiff = gram([
+        (Pt, T, w * Ginv[..., 0, 0], Pt, T),
+        (Pt, T, w * (Ginv[..., 0, 1] + Ginv[..., 1, 0]), Pp, dT),
+        (Pp, dT, w * Ginv[..., 1, 1], Pp, dT),
+        (Pv, T, -w * mesh.potential.reshape(-1, cols), Pv, T),
+    ], index)
+    return mass, stiff
+
+
+@pytest.mark.parametrize("L, order", [(3, 8), (3, 9), (12, 26), (12, 27)])
+def test_a_half_row_assembly_matches_the_full_grid_on_equal_parity_pairs(berger, monkeypatch, L, order):
+    rows, original = [], analysis._factor_gram
+    monkeypatch.setattr(analysis, "_factor_gram", lambda terms, index: rows.append(len(terms[0][0]))
+                        or original(terms, index))
+    v = np.array([0.3, -0.5, 0.2, 0.9])
+    for g in (berger[0], metric_from_curv(random_positive(3, seed=2)[0])):
+        gal = build_jacobi_galerkin(g, v, L, order=order)
+        same = (gal.degrees[:, None] - gal.degrees) % 2 == 0
+        for got, want in zip((gal.mass, gal.stiffness), _full_row_galerkin(gal.mesh, L, _full_grid_gram)):
+            assert np.max(np.abs(got - want)[same]) <= 1e-13 * np.max(np.abs(want))
+            assert np.all(got[~same] == 0.0) and np.array_equal(got, got.T)
+    assert rows == [(order + 1) // 2] * 4
+
+
+def test_a_bump_scan_and_assembly_are_the_full_paths_bitwise(monkeypatch):
+    rows = _density_rows(monkeypatch)
+    for n in (2, 3, 4, 5):
+        g, V = BumpMetric(n, amplitude=0.5, width=0.3), np.random.default_rng(n).standard_normal((3, n + 1))
+        U, c, _, rho = _area_elements(g, analysis._stack_normals(g, V), 11)
+        cc = (c.T[:, None] * c.T).reshape(n * n, -1)
+        assert rows.pop() == len(c) and np.array_equal(rho, g._equator_density(U, c, cc))
+    for L, order in [(3, 9), (12, None)]:
+        gal = build_jacobi_galerkin(BumpMetric(), np.array([0.0, 1.0, 1.0, 0.0]), L, order=order)
+        for got, want in zip((gal.mass, gal.stiffness), _full_row_galerkin(gal.mesh, L, _factor_gram)):
+            assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("entry", ["equator_area", "funk_radon", "equator_mesh", "build_jacobi_galerkin",
