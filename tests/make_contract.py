@@ -2,9 +2,9 @@
 
 Run ``PYTHONPATH=src python tests/make_contract.py`` from the repository root to rerun the calls in a
 temporary directory and rewrite ``tests/contract.json``; ``tests/test_contract.py`` reruns them and
-compares.  A change that moves an output on purpose regenerates the fixture and names each field that
-moved: before it writes, the script prints the path of every value or rule that differs from the
-committed fixture.
+compares by each node's rule.  A regeneration keeps every committed node that the new output still
+meets by that same comparison, so rounding moves nothing.  It replaces only the nodes that break their
+rule or change keys or length, adds or drops calls at the end, and prints a line for each of them.
 
 For each call the fixture holds the argv, the exit code, the stdout document and the file written to
 ``--out`` (a JSON document, or a CSV's header, row count and columns).  Every number is stored with its
@@ -32,6 +32,8 @@ import math
 import os
 import pathlib
 import tempfile
+
+import numpy as np
 
 from equator_forge.cli import main
 
@@ -67,6 +69,7 @@ CALLS = (
 RTOL = 1e-12  # floats that are not residuals
 ATOL = 1e-13  # the residuals of a metric outside the family, and area spreads
 FLOOR = 1e-13  # the least bound of a residual at rounding level
+RULES = [{"max"}, {"atol", "value"}, {"rtol", "value"}, {"rtol", "values"}]
 EXACT = {"tolerance", "positivity_margin"}
 ROUNDING = {"max_abs_mean_curvature"}  # zero in exact arithmetic on a member
 
@@ -121,25 +124,61 @@ def spec(node, key=None, member=True):
     return {"rtol": RTOL, "value": node}
 
 
-def moved(old, new, path: str = "") -> list[str]:
-    """The paths at which the fixture node ``new`` differs from ``old``: a value, a rule or a key set."""
-    if isinstance(old, dict) and isinstance(new, dict) and list(old) == list(new):
-        return [p for k in old for p in moved(old[k], new[k], f"{path}.{k}")]
-    if isinstance(old, list) and isinstance(new, list) and len(old) == len(new) and all(
-            isinstance(v, float) for v in old + new):
-        count = sum(o != n for o, n in zip(old, new))
-        return [f"{path} ({count} of {len(old)} entries)"] if count else []
-    if isinstance(old, list) and isinstance(new, list):  # a call added or removed at the end moves its index
-        return [p for i, (o, n) in enumerate(zip(old, new)) for p in moved(o, n, f"{path}[{i}]")] + [
-            f"{path}[{i}]" for i in range(min(len(old), len(new)), max(len(old), len(new)))]
-    return [] if (type(old), old) == (type(new), new) else [path]
+def _mismatches(want, got, path: str) -> list[str]:
+    """Where ``got`` breaks the fixture node ``want``, as ``path: reason`` lines."""
+    if isinstance(want, dict) and set(want) in RULES:
+        if "values" in want:
+            ref, val = np.asarray(want["values"]), np.asarray(got, dtype=float)
+            ok = ref.shape == val.shape and np.max(np.abs(val - ref)) <= want["rtol"] * np.max(np.abs(ref))
+        elif not isinstance(got, float):
+            ok = False
+        elif "max" in want:
+            ok = abs(got) <= want["max"]
+        else:
+            ok = abs(got - want["value"]) <= want.get("atol", want.get("rtol", 0.0) * abs(want["value"]))
+        return [] if ok else [f"{path}: {got!r} breaks {want}"]
+    if isinstance(want, dict):
+        if not isinstance(got, dict) or list(got) != list(want):
+            return [f"{path}: keys {list(got) if isinstance(got, dict) else got!r} != {list(want)}"]
+        return [m for k in want for m in _mismatches(want[k], got[k], f"{path}.{k}")]
+    if isinstance(want, list):
+        if not isinstance(got, list) or len(got) != len(want):
+            return [f"{path}: {got!r} != {want!r}"]
+        return [m for i, (w, g) in enumerate(zip(want, got)) for m in _mismatches(w, g, f"{path}[{i}]")]
+    return [] if (type(got), got) == (type(want), want) else [f"{path}: {got!r} != {want!r}"]
+
+
+def _merge(want, got, new, path: str):
+    """The fixture node ``want`` where ``got`` still meets it, else ``new`` (``got`` under its rules), walking
+    down while keys and lengths agree; and the ``_mismatches`` lines of the nodes replaced."""
+    if isinstance(want, dict) and set(want) not in RULES and isinstance(got, dict) and list(got) == list(want):
+        parts = [_merge(want[k], got[k], new[k], f"{path}.{k}") for k in want]
+    elif isinstance(want, list) and isinstance(got, list) and isinstance(new, list) and len(got) == len(want):
+        parts = [_merge(w, g, m, f"{path}[{i}]") for i, (w, g, m) in enumerate(zip(want, got, new))]
+    else:
+        lines = _mismatches(want, got, path)
+        return (new if lines else want), lines
+    nodes = [node for node, _ in parts]
+    return (dict(zip(want, nodes)) if isinstance(want, dict) else nodes), [m for _, lines in parts for m in lines]
+
+
+def regenerate(committed: list, outputs: list) -> tuple[list, list[str]]:
+    """The fixture for ``outputs``: each committed node that its output still meets, the output's rules where it
+    breaks, and calls added or dropped at the end; with a line for each node replaced and each call added or
+    dropped."""
+    common = min(len(committed), len(outputs))
+    fresh = [spec(call) for call in outputs]
+    kept, lines = _merge(committed[:common], outputs[:common], fresh[:common], "")
+    return kept + fresh[common:], lines + [
+        f"[{i}]: {'added' if i < len(outputs) else 'dropped'}" for i in range(common, max(len(committed), len(outputs)))]
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        fixture = [spec(call) for call in run_calls(tmp)]
+        outputs = run_calls(tmp)
     committed = json.loads(FIXTURE.read_text()) if FIXTURE.exists() else []
-    for path in moved(committed, fixture):
-        print(f"moved: {path}")
+    fixture, lines = regenerate(committed, outputs)
+    for line in lines:
+        print(f"replaced {line}")
     FIXTURE.write_text(json.dumps(fixture, indent=1) + "\n")
     print(f"wrote {FIXTURE} ({len(fixture)} calls)")
