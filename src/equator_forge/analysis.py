@@ -326,13 +326,9 @@ class JacobiGalerkin:
 
 
 def _pencil_eigenvalues(S, M) -> np.ndarray:
-    """Eigenvalues of the pencil (S, M), ascending: with M = C C^T, those of C^-1 S C^-T,
-    formed as W = C^-1 S and the lower triangle of W C^-T."""
-    Ci, h = _lower_inverse(np.linalg.cholesky(M)), len(M) // 2
-    W, A = np.empty_like(S), np.zeros_like(S)  # the products skip the zero block of Ci
-    W[:h], W[h:] = Ci[:h, :h] @ S[:h], Ci[h:] @ S
-    A[:, :h], A[h:, h:] = W[:, :h] @ Ci[:h, :h].T, W[h:] @ Ci[h:].T
-    return np.linalg.eigvalsh(A)  # reads the lower triangle only
+    """Eigenvalues of the pencil (S, M), ascending: with M = C C^T, those of C^-1 S C^-T."""
+    Ci = _lower_inverse(np.linalg.cholesky(M))
+    return np.linalg.eigvalsh(Ci @ S @ Ci.T)
 
 
 def _lower_inverse(C) -> np.ndarray:
