@@ -41,7 +41,6 @@ from .sphere_geom import (
     chart_at,
     dphi_T,
     phi_T,
-    random_unit,
     tangent_frame,
 )
 from .tensor_core import (
@@ -484,13 +483,11 @@ def _equator_draws(g: MetricField, equators: int, points: int, seed: int, extra_
 
 
 def _chart_draws(g: MetricField, samples: int, seed: int):
-    """The metric-equation sweep's chart centres and points: each sample draws centre, radius, direction in turn."""
+    """The metric-equation sweep's chart centres and points: all centres, then all radii, then all directions."""
     rng = np.random.default_rng(seed)
-    P, X = [], []
-    for _ in range(samples):
-        P.append(random_unit(rng, g.n + 1))
-        X.append(0.8 * rng.uniform(0.0, 1.0) ** (1.0 / g.n) * random_unit(rng, g.n))
-    return np.array(P), np.array(X)
+    P = _unit_rows(rng.standard_normal((samples, g.n + 1)))
+    radii = 0.8 * rng.uniform(size=(samples, 1)) ** (1 / g.n)
+    return P, radii * _unit_rows(rng.standard_normal((samples, g.n)))
 
 
 def mean_curvature_sweep(

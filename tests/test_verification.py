@@ -308,14 +308,12 @@ def test_metric_equation_fails_on_bump():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_metric_equation_sweep_is_the_max_of_pointwise_residuals(n):
-    # the batched sweep draws the same charts and points as one call per sample
+    # the batched sweep draws all 30 centres, then their radii, then their directions, as here one chart at a time
     for g in (CurvatureMetric(random_positive(n, seed=0)[0]), BumpMetric(n=n)):
         rng = np.random.default_rng(0)
-        residuals = []
-        for _ in range(30):
-            chart = chart_at(random_unit(rng, n + 1))
-            x = 0.8 * rng.uniform(0.0, 1.0) ** (1.0 / n) * random_unit(rng, n)
-            residuals.append(metric_equation_residual(g, chart, x))
+        P, radii, X = rng.standard_normal((30, n + 1)), 0.8 * rng.uniform(size=30) ** (1 / n), rng.standard_normal((30, n))
+        residuals = [metric_equation_residual(g, chart_at(p / np.linalg.norm(p)), r * (x / np.linalg.norm(x)))
+                     for p, r, x in zip(P, radii, X)]
         assert abs(metric_equation_sweep(g, samples=30, seed=0) - max(residuals)) <= 1e-15
 
 
