@@ -179,6 +179,6 @@ if __name__ == "__main__":
     committed = json.loads(FIXTURE.read_text()) if FIXTURE.exists() else []
     fixture, lines = regenerate(committed, outputs)
     for line in lines:
-        print(f"replaced {line}")
+        print(line)
     FIXTURE.write_text(json.dumps(fixture, indent=1) + "\n")
     print(f"wrote {FIXTURE} ({len(fixture)} calls)")
