@@ -318,6 +318,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for name in ("seed", "f_seed"):  # before any work: numpy refuses some negative seeds, naming no flag
+            if getattr(args, name, 0) < 0:
+                raise ValueError(f"--{name.replace('_', '-')} must be non-negative, got {getattr(args, name)}")
         with _one_blas_thread():  # small matrices: a second BLAS thread only spins
             return globals()[f"cmd_{args.command}"](args)
     except (ValueError, OSError, KeyError) as exc:

@@ -32,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .jets import MatrixJet, quadratic_matrix_jet
+from .jets import MatrixJet, _ldl_pivots, quadratic_matrix_jet
 from .sphere_geom import GnomonicChart, _unit_rows
 from .tensor_core import (
     AmbientField,
@@ -100,16 +100,6 @@ class MetricField(AmbientField):
         return np.sqrt(np.prod(_ldl_pivots(np.moveaxis(G, (-2, -1), (0, 1)), "metric")[..., :-1], axis=-1))
 
 
-def _ldl_pivots(M: np.ndarray, what: str) -> np.ndarray:
-    """LDL^T pivots (..., k) of the symmetric M (k, k, ...), factored in place, one pass per column: the positivity
-    gate, refusing M unless every pivot is > 0.  Each matrix of a stack is factored as it would be alone."""
-    for j in range(M.shape[0]):
-        if not np.all(M[j, j] > 0.0):
-            raise PositivityError(f"{what} is not positive definite at a queried point")
-        M[j + 1:, j + 1:] -= M[j + 1:, j, None] * (M[j, j + 1:] / M[j, j])
-    return np.diagonal(M, axis1=0, axis2=1)
-
-
 def _volume_ratio(M: np.ndarray, P: np.ndarray, power: float, what: str, scaled: bool = False) -> np.ndarray:
     """(det(M + t p p^T) / t)^power at the rows p of P: M's determinant in a tangent frame (leading axes
     broadcast), with t = 1, or with ``scaled`` t = tr(M) / n, so that a small M keeps its digits."""
@@ -138,9 +128,10 @@ def _chart_quadratic(R: np.ndarray, bases: np.ndarray):
     """Quadratic coefficients of Q_ij(x) = R(q, e_i, q, e_j) along q = center + x @ frame.
 
     ``bases`` (..., n+1, n+1) holds the rows (center, frame) of each chart.  R acts as a form R^ on
-    2-vectors, so only its part antisymmetric in each pair is read (``load_tensor`` accepts other
-    parts up to 1e-9).  P = W R^ W^T, for the 2-vectors W = b_a ^ b_b (a < b) of the rows; each
-    coefficient sums at most two signed entries of P, so a batch gives exactly the pointwise values.
+    2-vectors, so only its part antisymmetric in each pair is read: the reader projects, but a
+    ``CurvatureTensor`` holds residuals up to 1e-12 max|R|, which the half-differences read out.
+    P = W R^ W^T, for the 2-vectors W = b_a ^ b_b (a < b) of the rows; each coefficient sums at most
+    two signed entries of P, so a batch gives exactly the pointwise values.
     """
     m, lead = R.shape[0], bases.shape[:-2]
     a, b = np.triu_indices(m, 1)

@@ -26,6 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .tensor_core import PositivityError
+
 
 def _lift(a, axes: int):
     """``a`` with ``axes`` trailing unit axes, to broadcast against derivative arrays."""
@@ -35,6 +37,16 @@ def _lift(a, axes: int):
 def _opt(f, *hess):
     """``f(*hess)``, or None if a jet is a 1-jet."""
     return None if any(h is None for h in hess) else f(*hess)
+
+
+def _ldl_pivots(M: np.ndarray, what: str) -> np.ndarray:
+    """LDL^T pivots (..., k) of the symmetric M (k, k, ...), factored in place, one pass per column: the positivity
+    gate, refusing M unless every pivot is > 0.  Each matrix of a stack is factored as it would be alone."""
+    for j in range(M.shape[0]):
+        if not np.all(M[j, j] > 0.0):
+            raise PositivityError(f"{what} is not positive definite at a queried point")
+        M[j + 1:, j + 1:] -= M[j + 1:, j, None] * (M[j, j + 1:] / M[j, j])
+    return np.diagonal(M, axis1=0, axis2=1)
 
 
 @dataclass(frozen=True)
@@ -162,8 +174,10 @@ class MatrixJet:
         return MatrixJet(value, grad, hess, inv)
 
     def _logdet_parts(self):
-        """``(det M, grad log det M, hess log det M or None)``; requires ``M`` invertible."""
-        d, B = np.linalg.det(self.value), self.inverse
+        """``(det M, grad log det M, hess log det M or None)``; det M is the product of the LDL^T pivots, so
+        ``M`` must be positive definite."""
+        pivots = _ldl_pivots(np.moveaxis(self.value, (-2, -1), (0, 1)).copy(), "matrix")  # a points-last copy
+        d, B = np.prod(pivots, axis=-1), self.inverse
         # d log det = tr(B dM);  dd log det = tr(B ddM) - tr(B dM B dM), the last two as vec(X^T) . vec(Y)
         BdM = B[..., None, :, :] @ self.grad
         glog = np.einsum("...aii->...a", BdM)  # a matmul and a trace: the same sums at any batch size
@@ -175,7 +189,7 @@ class MatrixJet:
         return d, glog, hlog - BdM.reshape(BdMt.shape) @ np.swapaxes(BdMt, -1, -2)
 
     def det(self) -> ScalarJet:
-        """Jet of ``det M`` via Jacobi's formula; requires ``M`` invertible."""
+        """Jet of ``det M`` via Jacobi's formula; requires ``M`` positive definite."""
         d, glog, hlog = self._logdet_parts()
         if hlog is None:
             return ScalarJet(d, _lift(d, 1) * glog, None)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -78,23 +78,6 @@ class PositivityError(ValueError):
     """A tensor or field that must be positive is not certified positive."""
 
 
-@dataclass(frozen=True)
-class SymmetryReport:
-    """Max-norm residuals of the four curvature-tensor symmetries."""
-
-    first_pair: float
-    second_pair: float
-    pair_swap: float
-    bianchi: float
-
-    @property
-    def max(self) -> float:
-        return max(self.first_pair, self.second_pair, self.pair_swap, self.bianchi)
-
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-
 def _as_curv_array(coeffs) -> np.ndarray:
     T = np.asarray(coeffs, dtype=float)
     if T.ndim != 4 or len(set(T.shape)) != 1:
@@ -104,15 +87,20 @@ def _as_curv_array(coeffs) -> np.ndarray:
     return T
 
 
-def symmetry_residuals(coeffs) -> SymmetryReport:
-    """Residuals of the four defining symmetries, in max norm."""
+def symmetry_residuals(coeffs) -> float:
+    """Largest residual of the four defining symmetries (both pair antisymmetries, the pair swap and the
+    first Bianchi identity), in max norm."""
     T = _as_curv_array(coeffs)
-    r1 = np.max(np.abs(T + np.einsum("bacd->abcd", T)))
-    r2 = np.max(np.abs(T + np.einsum("abdc->abcd", T)))
-    r3 = np.max(np.abs(T - np.einsum("cdab->abcd", T)))
     bianchi = T + np.einsum("acdb->abcd", T) + np.einsum("adbc->abcd", T)
-    r4 = np.max(np.abs(bianchi))
-    return SymmetryReport(float(r1), float(r2), float(r3), float(r4))
+    parts = (T + np.einsum("bacd->abcd", T), T + np.einsum("abdc->abcd", T), T - np.einsum("cdab->abcd", T), bianchi)
+    return float(max(np.max(np.abs(r)) for r in parts))
+
+
+def _check_symmetric(T: np.ndarray, tol: float, what: str) -> None:
+    """Refuse ``T`` unless its symmetry residual is at most ``tol`` max|T|: the rule does not depend on T's scale."""
+    residual, scale = symmetry_residuals(T), float(np.max(np.abs(T)))
+    if residual > tol * scale:
+        raise TensorSymmetryError(f"{what}symmetry residual {residual:.3g} exceeds {tol:g} max|R| = {tol * scale:.3g}")
 
 
 def curvature_projection(coeffs) -> np.ndarray:
@@ -145,11 +133,7 @@ class CurvatureTensor:
         T = _as_curv_array(coeffs).copy()
         if not np.all(np.isfinite(T)):
             raise DegenerateInputError("curvature tensor has non-finite coefficients")
-        report = symmetry_residuals(T)
-        if report.max > tol:
-            raise TensorSymmetryError(
-                f"symmetry residuals {report.as_dict()} exceed tolerance {tol:g}"
-            )
+        _check_symmetric(T, tol, "")
         T.flags.writeable = False
         object.__setattr__(self, "coeffs", T)
         object.__setattr__(self, "n", T.shape[0] - 1)
@@ -179,7 +163,8 @@ class GroupElement:
             raise DimensionError(f"expected a square matrix, got shape {M.shape}")
         if not np.all(np.isfinite(M)):
             raise DegenerateInputError("matrix has non-finite entries")
-        if abs(np.linalg.det(M)) <= 1e-12:
+        scale = np.max(np.abs(M))  # |det M| <= 1e-12 max|M|^(n+1), a test that does not depend on M's scale
+        if not scale or abs(np.linalg.det(M / scale)) <= 1e-12:
             raise DegenerateInputError("matrix is numerically singular")
         object.__setattr__(self, "matrix", M)
 
@@ -312,7 +297,7 @@ def sectional(R: CurvatureTensor, x, y) -> float:
     x = np.asarray(x, float)
     y = np.asarray(y, float)
     area2 = (x @ x) * (y @ y) - (x @ y) ** 2
-    if area2 <= 1e-12:
+    if area2 <= 1e-12 * (x @ x) * (y @ y):  # relative to the lengths, so scaling x and y keeps the verdict
         raise DegenerateInputError("plane is numerically degenerate")
     return R.value(x, y, x, y) / area2
 
@@ -587,7 +572,7 @@ def act(R: CurvatureTensor, T: GroupElement) -> CurvatureTensor:
     S = weight * R.coeffs
     for _ in range(4):  # contract the leading slot with M; the new index goes last
         S = np.tensordot(S, M, axes=([0], [0]))
-    return CurvatureTensor(S, tol=1e-9 * max(1.0, float(np.max(np.abs(S)))))
+    return CurvatureTensor(S, tol=1e-9)  # the pullback can be ill-conditioned
 
 
 # ---------------------------------------------------------------------------
@@ -729,29 +714,25 @@ def _file_array(path: str, payload: dict, key: str, shape: tuple) -> np.ndarray:
     return a
 
 
-def load_tensor(path: str, *, tol: float = 1e-9) -> CurvatureTensor:
+def load_tensor(path: str) -> CurvatureTensor:
     """Read a ``curv-dense-v1`` tensor file.
 
-    Rejects files whose symmetry residual exceeds ``tol``; accepted arrays are
-    projected back onto the exact symmetry subspace so the usual construction
-    tolerance holds afterwards.
+    Rejects files whose symmetry residual exceeds 1e-9 max|R|; accepted arrays
+    are projected back onto the exact symmetry subspace, so the constructor's
+    1e-12 max|R| holds afterwards.
     """
     with open(path) as fh:
         payload = json.load(fh)
-    return _tensor_from_payload(path, payload, tol)
+    return _tensor_from_payload(path, payload)
 
 
-def _tensor_from_payload(path: str, payload, tol: float = 1e-9) -> CurvatureTensor:
+def _tensor_from_payload(path: str, payload) -> CurvatureTensor:
     """The tensor of a parsed ``curv-dense-v1`` file, checked as :func:`load_tensor` describes."""
     if not isinstance(payload, dict) or payload.get("format") != TENSOR_FORMAT:
         raise ValueError(f"{path}: not a {TENSOR_FORMAT} tensor file")
     m = _file_dimension(path, payload) + 1
     T = _file_array(path, payload, "coeffs", (m**4,)).reshape(m, m, m, m)
-    report = symmetry_residuals(T)
-    if report.max > tol:
-        raise TensorSymmetryError(
-            f"{path}: symmetry residual {report.max:.3g} exceeds reader tolerance {tol:g}"
-        )
+    _check_symmetric(T, 1e-9, f"{path}: ")
     return CurvatureTensor(curvature_projection(T))
 
 

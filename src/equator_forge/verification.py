@@ -616,7 +616,8 @@ def verify_tensor(
     it, so its residual, max(0, margin - lower), is 0 exactly when is_positive's would be.
     """
     report = VerificationReport("tensor", R.n, seed, tolerances)
-    report.add("symmetry", symmetry_residuals(R.coeffs).max, 0, seed)
+    residual = symmetry_residuals(R.coeffs)  # relative to max|R|; the zero tensor has residual 0
+    report.add("symmetry", residual / R.max_norm() if residual else 0.0, 0, seed)
     lower = _decide_positive(R, POSITIVITY_MARGIN).lower
     report.add("positivity", max(0.0, POSITIVITY_MARGIN - lower), 0, seed)
     if lower <= 0.0:

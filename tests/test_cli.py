@@ -654,6 +654,65 @@ def test_indefinite_killing_tensor_is_an_input_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
+def test_spectrum_refuses_an_indefinite_killing_tensor(tmp_path, capsys):
+    # on S^3 the Killing tensor of curvature -1 has three negative eigenvalues: the chart jets'
+    # determinant goes through the same LDL^T gate as the area densities
+    tensor, out = tmp_path / "neg.json", tmp_path / "out.csv"
+    save_tensor(constant_curvature(3, -1.0), tensor)
+    code, payload, err = run(capsys, "spectrum", str(tensor), "--L", "4", "--out", str(out))
+    assert code == 2 and payload is None
+    assert "error:" in err and "not positive definite" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("c", [1e-6, 1e4, 1e6])
+def test_every_command_reads_a_scaled_tensor(tmp_path, capsys, c):
+    # g_cR is a constant multiple of g_R, so no command may refuse cR as input
+    tensor, matrix, out = tmp_path / "r3.json", tmp_path / "cI.json", str(tmp_path / "out")
+    assert run(capsys, "gen", "random", "--n", "3", "--seed", "1", "--out", str(tensor))[0] == 0
+    payload = json.loads(tensor.read_text())
+    payload["coeffs"] = [c * v for v in payload["coeffs"]]
+    tensor.write_text(json.dumps(payload))
+    code, document, _ = run(capsys, "verify", str(tensor))
+    assert code in (0, 1) and document["report"]["checks"]["symmetry"]["pass"]
+    for argv in (["area", "--equators", "3", "--order", "8"], ["radon", "--equators", "3", "--order", "8"],
+                 ["spectrum", "--L", "4"]):
+        code, _, err = run(capsys, argv[0], str(tensor), *argv[1:], "--out", out)
+        assert code == 0, err
+    save_matrix(GroupElement(c * np.eye(4)), matrix)  # c I acts trivially
+    code, _, err = run(capsys, "act", str(tensor), str(matrix), "--out", out)
+    assert code == 0, err
+    want = load_tensor(tensor).coeffs
+    assert np.max(np.abs(load_tensor(out).coeffs - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_verify_reports_the_zero_tensors_symmetry_as_zero(tmp_path, capsys):
+    # the symmetry residual is read relative to max|R|, which is 0 here: the report must still encode
+    tensor = tmp_path / "zero.json"
+    save_tensor(constant_curvature(3, 0.0), tensor)
+    code, document, _ = run(capsys, "verify", str(tensor))
+    assert code == 1
+    assert document["report"]["checks"]["symmetry"] == {"residual": 0.0, "tolerance": 1e-12, "samples": 0,
+                                                        "seed": 0, "pass": True}
+    assert not document["report"]["checks"]["positivity"]["pass"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("gen", "random", "--seed", "-1"),
+    ("verify", "TENSOR", "--seed", "-1"),
+    ("area", "TENSOR", "--seed", "-1"),
+    ("radon", "TENSOR", "--seed", "-1"),
+    ("radon", "TENSOR", "--f-seed", "-2"),
+])
+def test_a_negative_seed_is_refused_before_any_io(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    argv = [str(tmp_path / "missing.json") if a == "TENSOR" else a for a in argv]  # never read
+    code, payload, err = run(capsys, *argv, "--out", str(out))
+    assert code == 2 and payload is None
+    assert f"error: {argv[-2]} must be non-negative" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, option", [
     ("area", "--equators"), ("radon", "--equators"), ("verify", "--equators"), ("verify", "--points"),
 ])

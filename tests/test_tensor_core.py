@@ -1,6 +1,7 @@
 """Algebraic curvature tensors: symmetries, bases, curvature bounds, group action."""
 
 import json
+from functools import cache
 
 import numpy as np
 import pytest
@@ -73,7 +74,7 @@ def test_basis_count_and_orthonormality(n):
     flat = np.array([B.coeffs.reshape(-1) for B in basis])
     assert_allclose(flat @ flat.T, np.eye(len(basis)), atol=1e-10)
     for B in basis[:3]:
-        assert symmetry_residuals(B.coeffs).max < 1e-10
+        assert symmetry_residuals(B.coeffs) < 1e-10
 
 
 def test_basis_roundtrip():
@@ -150,7 +151,7 @@ def test_curvature_projection_is_identity_on_tensors(n, seed):
     assert_allclose(curvature_projection(R.coeffs), R.coeffs, atol=1e-14)
     # and projects arbitrary input to something admissible, which it then keeps: P is idempotent
     P = curvature_projection(np.random.default_rng(seed).standard_normal((n + 1,) * 4))
-    assert symmetry_residuals(P).max < 1e-12
+    assert symmetry_residuals(P) < 1e-12
     assert_allclose(curvature_projection(P), P, atol=1e-15)
 
 
@@ -342,6 +343,7 @@ def test_act_identity_and_scaling_are_trivial():
     # scalar multiples of the identity act trivially thanks to the det weight
     assert_allclose(act(R, GroupElement(2.5 * np.eye(4))).coeffs, R.coeffs, atol=1e-12)
     assert_allclose(act(R, GroupElement(-np.eye(4))).coeffs, R.coeffs, atol=1e-14)
+    assert_allclose(act(R, GroupElement(1e-4 * np.eye(4))).coeffs, R.coeffs, atol=1e-14)
 
 
 def _group_element(rng, m: int) -> GroupElement:
@@ -390,6 +392,10 @@ def test_group_element_rejects_singular_matrices():
     M[1, 1] = 0.0
     with pytest.raises(DegenerateInputError):
         GroupElement(M)
+    M = np.diag([1.0, 1e-13, 1.0, 1.0])  # |det M| = 1e-13 max|M|^4 at every scale
+    for scale in (1e-6, 1.0, 1e6):
+        with pytest.raises(DegenerateInputError):
+            GroupElement(scale * M)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -471,6 +477,32 @@ def test_load_tensor_rejects_wrong_format(tmp_path):
     path.write_text('{"format": "something-else", "n": 3, "coeffs": []}')
     with pytest.raises(ValueError):
         load_tensor(path)
+
+
+# ---------------------------------------------------------------------------
+# scale: g_cR is a constant multiple of g_R, so no gate may depend on c
+
+
+@cache
+def _scale_subjects() -> list:
+    """The tensors of ``gen random --n k --seed 1`` for k = 2..5, and the complex projective one on S^5."""
+    return [random_positive(n, seed=1)[0] for n in range(2, 6)] + [fubini_study(2)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(0, 4), u=st.floats(-6.0, 6.0), seed=st.integers(0, 2**32 - 1))
+def test_every_tensor_gate_is_independent_of_scale(tmp_path_factory, k, u, seed):
+    R, c = _scale_subjects()[k], 10.0**u
+    scaled = CurvatureTensor(c * R.coeffs)  # the constructor accepts cR
+    path = tmp_path_factory.getbasetemp() / "scaled.json"
+    save_tensor(scaled, path)
+    assert np.max(np.abs(load_tensor(path).coeffs - c * R.coeffs)) <= 1e-14 * c * R.max_norm()
+    rng = np.random.default_rng(seed)
+    T = _group_element(rng, R.n + 1)
+    want = act(R, T).coeffs
+    assert np.max(np.abs(act(R, GroupElement(c * T.matrix)).coeffs - want)) <= 1e-12 * np.max(np.abs(want))
+    x, y = rng.standard_normal((2, R.n + 1))
+    assert_allclose(sectional(R, c * x, c * y), sectional(R, x, y), rtol=1e-12)
 
 
 def test_constant_curvature_requires_valid_dimension():
