@@ -88,8 +88,9 @@ def test_basis_roundtrip():
 def test_symmetry_validation_rejects_asymmetric_arrays():
     T = np.zeros((4, 4, 4, 4))
     T[0, 1, 0, 1] = 1.0  # missing the antisymmetric partners
-    with pytest.raises(TensorSymmetryError):
-        CurvatureTensor(T)
+    for scale in (1e-20, 1.0, 1e20):  # the residual is judged against max|T|
+        with pytest.raises(TensorSymmetryError):
+            CurvatureTensor(scale * T)
 
 
 def _basis_by_full_gram_schmidt(n):
@@ -470,6 +471,21 @@ def test_matrix_save_load_roundtrip(tmp_path):
     save_matrix(T, path)
     T2 = load_matrix(path)
     assert_allclose(T2.matrix, T.matrix, atol=0)
+
+
+@pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
+def test_load_tensor_refuses_a_residual_above_1e_9_max_R_at_every_scale(tmp_path, c):
+    R = constant_curvature(3).coeffs
+    path = tmp_path / "tensor.json"
+    for bump, accepted in ((1e-10, True), (1e-8, False)):
+        T = c * R.copy()
+        T[0, 1, 0, 1] += bump * c  # breaks the pair antisymmetry by bump max|T|
+        path.write_text(json.dumps({"format": "curv-dense-v1", "n": 3, "coeffs": T.reshape(-1).tolist()}))
+        if accepted:
+            assert_allclose(load_tensor(path).coeffs, c * R, rtol=0, atol=1e-10 * c)
+        else:
+            with pytest.raises(TensorSymmetryError, match="tensor.json"):
+                load_tensor(path)
 
 
 def test_load_tensor_rejects_wrong_format(tmp_path):
