@@ -198,7 +198,7 @@ class CurvatureMetric(MetricField):
         Q = (_chart_linear(R, bases, x) if first_order
              else quadratic_matrix_jet(*_chart_quadratic(R, bases), x))
         Q = MatrixJet(Q.value, Q.grad, Q.hess, np.linalg.inv(Q.value))  # det and g^-1 = Q^-1 / s read it
-        return Q.scaled(Q.det().power(-2.0 / (self.n - 1.0)))
+        return Q.scaled(Q.det("Killing tensor").power(-2.0 / (self.n - 1.0)))
 
 
 def round_metric(n: int) -> CurvatureMetric:
@@ -232,7 +232,7 @@ def killing_from_curv(
     """
     if not override:
         _require_positive(R)
-    return KillingField(R.n, lambda P: killing_matrices(R, P))
+    return KillingField(R.n, lambda P: killing_matrices(R, P), even=True)  # k_R is quadratic in p
 
 
 def killing_constancy_residual(
@@ -242,7 +242,9 @@ def killing_constancy_residual(
     samples: int = 100,
     seed: int = 0,
 ) -> float:
-    """Largest variation of k(gamma', gamma') along seeded random great circles."""
+    """Largest variation of k(gamma', gamma') along seeded random great circles of ``samples`` equally spaced points.
+
+    An even field (``k.even``) with ``samples`` even is evaluated at t < pi only: the second half repeats the first."""
     dim = k.n + 1
     if circles <= 0:
         return 0.0
@@ -250,12 +252,13 @@ def killing_constancy_residual(
     p = _unit_rows(X[:, :1])
     u = _unit_rows(X[:, 1:] - np.vecdot(X[:, 1:], p)[..., None] * p)
     t = 2.0 * np.pi * np.arange(samples) / samples
+    t = t[:samples // 2] if k.even and samples % 2 == 0 else t  # gamma(t + pi) = -gamma(t): k(-p)(-v, -v) = k(p)(v, v)
     c, s = np.cos(t)[:, None], np.sin(t)[:, None]
     pts, vel = (c * p + s * u).reshape(-1, dim), (-s * p + c * u).reshape(-1, dim)
     # 1024 points a call: killing_matrices holds (n+1)^3 numbers per point, 8.6 MB for 5000 at n = 5
     vals = np.concatenate([np.einsum("nij,ni,nj->n", k.ambient_matrices(pts[b]), vel[b], vel[b])
                            for b in (slice(i, i + 1024) for i in range(0, pts.shape[0], 1024))])
-    return float(np.max(np.ptp(vals.reshape(circles, samples), axis=1)))
+    return float(np.max(np.ptp(vals.reshape(circles, t.size), axis=1)))
 
 
 def metric_from_curv(
@@ -284,7 +287,7 @@ def killing_from_metric(g: MetricField) -> KillingField:
         A = g.ambient_matrices(P)
         return A / _volume_ratio(A, P, 2.0 / (g.n + 1), "metric", scaled=True)[:, None, None]
 
-    return KillingField(g.n, batch)
+    return KillingField(g.n, batch, even=g.even)
 
 
 def curv_from_killing(

@@ -173,10 +173,10 @@ class MatrixJet:
         hess += np.swapaxes(cross, -4, -3)
         return MatrixJet(value, grad, hess, inv)
 
-    def _logdet_parts(self):
+    def _logdet_parts(self, what: str = "matrix"):
         """``(det M, grad log det M, hess log det M or None)``; det M is the product of the LDL^T pivots, so
-        ``M`` must be positive definite."""
-        pivots = _ldl_pivots(np.moveaxis(self.value, (-2, -1), (0, 1)).copy(), "matrix")  # a points-last copy
+        ``M`` must be positive definite (``what`` names M in the refusal)."""
+        pivots = _ldl_pivots(np.moveaxis(self.value, (-2, -1), (0, 1)).copy(), what)  # a points-last copy
         d, B = np.prod(pivots, axis=-1), self.inverse
         # d log det = tr(B dM);  dd log det = tr(B ddM) - tr(B dM B dM), the last two as vec(X^T) . vec(Y)
         BdM = B[..., None, :, :] @ self.grad
@@ -188,9 +188,9 @@ class MatrixJet:
         hlog = (self.hess.reshape(*self.hess.shape[:-2], m * m) @ Bt)[..., 0]
         return d, glog, hlog - BdM.reshape(BdMt.shape) @ np.swapaxes(BdMt, -1, -2)
 
-    def det(self) -> ScalarJet:
-        """Jet of ``det M`` via Jacobi's formula; requires ``M`` positive definite."""
-        d, glog, hlog = self._logdet_parts()
+    def det(self, what: str = "matrix") -> ScalarJet:
+        """Jet of ``det M`` via Jacobi's formula; requires ``M`` positive definite, named ``what`` if it is not."""
+        d, glog, hlog = self._logdet_parts(what)
         if hlog is None:
             return ScalarJet(d, _lift(d, 1) * glog, None)
         outer = glog[..., :, None] * glog[..., None, :]

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -156,6 +156,7 @@ class GroupElement:
     """Invertible (n+1) x (n+1) matrix acting on tensors and on the sphere."""
 
     matrix: np.ndarray
+    det: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         M = np.asarray(self.matrix, dtype=float)
@@ -163,18 +164,15 @@ class GroupElement:
             raise DimensionError(f"expected a square matrix, got shape {M.shape}")
         if not np.all(np.isfinite(M)):
             raise DegenerateInputError("matrix has non-finite entries")
-        scale = np.max(np.abs(M))  # |det M| <= 1e-12 max|M|^(n+1), a test that does not depend on M's scale
-        if not scale or abs(np.linalg.det(M / scale)) <= 1e-12:
+        scale, (sign, logdet) = np.max(np.abs(M)), np.linalg.slogdet(M)  # np.linalg.det(M) is sign exp(logdet)
+        if not scale or logdet - len(M) * np.log(scale) <= np.log(1e-12):  # |det M| <= 1e-12 max|M|^(n+1), in logs
             raise DegenerateInputError("matrix is numerically singular")
         object.__setattr__(self, "matrix", M)
+        object.__setattr__(self, "det", float(sign * np.exp(logdet)))
 
     @property
     def n(self) -> int:
         return self.matrix.shape[0] - 1
-
-    @property
-    def det(self) -> float:
-        return float(np.linalg.det(self.matrix))
 
 
 @dataclass(frozen=True)
@@ -599,11 +597,11 @@ class AmbientField:
 
 
 class KillingField(AmbientField):
-    """Field of a batched function of points, such as k_p(v, w) = R(p, v, p, w)."""
+    """Field of a batched function of points, such as k_p(v, w) = R(p, v, p, w).  ``even`` states that
+    k(-p) = k(p)."""
 
-    def __init__(self, n: int, batch_fn):
-        self.n = n
-        self._batch_fn = batch_fn
+    def __init__(self, n: int, batch_fn, even: bool = False):
+        self.n, self._batch_fn, self.even = n, batch_fn, even
 
     def ambient_matrices(self, points) -> np.ndarray:
         P = np.atleast_2d(np.asarray(points, dtype=float))

@@ -656,13 +656,17 @@ def test_indefinite_killing_tensor_is_an_input_error(tmp_path, capsys, command):
 
 def test_spectrum_refuses_an_indefinite_killing_tensor(tmp_path, capsys):
     # on S^3 the Killing tensor of curvature -1 has three negative eigenvalues: the chart jets'
-    # determinant goes through the same LDL^T gate as the area densities
+    # determinant goes through the same LDL^T gate as the area densities, and names the same tensor
     tensor, out = tmp_path / "neg.json", tmp_path / "out.csv"
     save_tensor(constant_curvature(3, -1.0), tensor)
     code, payload, err = run(capsys, "spectrum", str(tensor), "--L", "4", "--out", str(out))
     assert code == 2 and payload is None
     assert "error:" in err and "not positive definite" in err and "Traceback" not in err
     assert not out.exists()
+    area = run(capsys, "area", str(tensor), "--equators", "3", "--order", "8", "--out", str(out))
+    assert area[0] == 2 and not out.exists()
+    assert err.strip().splitlines()[-1] == area[2].strip().splitlines()[-1] == (
+        "error: Killing tensor is not positive definite at a queried point")
 
 
 @pytest.mark.parametrize("c", [1e-6, 1e4, 1e6])

@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 from equator_forge.sphere_geom import (
     CHART_RADIUS,
     _tangent_bases,
+    _unit_rows,
     chart_at,
     great_circle,
     random_unit,
@@ -93,9 +94,12 @@ def test_volume_ratio_is_frame_independent(random_tensor):
 
 
 def _circle_loop_residual(k, circles, samples, seed):
-    """One great circle at a time: the reference for the batched residual."""
+    """One great circle at a time: the reference for the batched residual.  An even field with ``samples`` even
+    walks t < pi only, as the residual does: the point at t + pi is the antipode, with the velocity negated."""
     rng = np.random.default_rng(seed)
     t = 2.0 * np.pi * np.arange(samples) / samples
+    if k.even and samples % 2 == 0:
+        t = t[:samples // 2]
     worst = 0.0
     for _ in range(circles):
         p = random_unit(rng, k.n + 1)
@@ -121,6 +125,31 @@ def test_constancy_residual_equals_circle_loop(n):
             expected = _circle_loop_residual(k, circles, samples, seed=n + 11)
             assert killing_constancy_residual(k, circles=circles, samples=samples, seed=n + 11) == expected
     assert killing_constancy_residual(bent, circles=5, samples=20) > 0.1
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_half_circle_constancy_matches_the_full_circle(n):
+    # a member's field is even, so t < pi is evaluated: its values are a subset of the full circle's, and the
+    # residual falls by rounding only.  The same field marked not even walks the full circle.
+    bent = KillingField(n, lambda P: P[:, :1, None] * (np.eye(n + 1) - P[:, :, None] * P[:, None, :]))
+    bump = killing_from_metric(BumpMetric(n, amplitude=0.3, width=0.2))
+    P = _unit_rows(np.random.default_rng(n).standard_normal((500, n + 1)))
+    for seed in range(5):
+        R, _, _ = random_positive(n, seed=seed)
+        for k in (killing_from_curv(R), killing_from_metric(metric_from_curv(R))):
+            full = KillingField(n, k.ambient_matrices)
+            tol = 16 * np.finfo(float).eps * np.max(np.abs(k.ambient_matrices(P)))
+            for circles, samples in [(50, 60), (20, 60)]:
+                half = killing_constancy_residual(k, circles=circles, samples=samples, seed=seed)
+                whole = killing_constancy_residual(full, circles=circles, samples=samples, seed=seed)
+                assert half <= whole <= half + tol
+            # an odd count has no antipodal pairs: the full circle, bit for bit
+            odd = killing_constancy_residual(k, circles=20, samples=61, seed=seed)
+            assert odd == killing_constancy_residual(full, circles=20, samples=61, seed=seed)
+    for k in (bent, bump):  # not even: the full circle, as before
+        assert not k.even
+        resid = killing_constancy_residual(k, circles=20, samples=60, seed=n)
+        assert resid == _circle_loop_residual(k, 20, 60, seed=n) > 1e-3
 
 
 def test_ambient_matrices_are_killing_matrices_over_D(random_tensor):

@@ -385,6 +385,16 @@ def test_act_matches_five_operand_einsum(n):
     assert np.max(np.abs(act(R, T).coeffs - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+def test_group_element_det_is_numpys_determinant():
+    # the determinant comes from the singularity test's one factorisation, not from a second np.linalg.det
+    rng = np.random.default_rng(11)
+    for scale in (1e-6, 1.0, 1e6):
+        for m in range(2, 7):
+            for _ in range(20):
+                M = scale * _group_element(rng, m).matrix
+                assert abs(GroupElement(M).det - np.linalg.det(M)) <= 1e-15 * abs(np.linalg.det(M))
+
+
 def test_group_element_rejects_singular_matrices():
     M = np.eye(4)
     M[0, 0] = 0.0
