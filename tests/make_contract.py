@@ -1,4 +1,4 @@
-"""The CLI contract: twenty-four ``cli.main`` calls and the outputs they must keep.
+"""The CLI contract: twenty-five ``cli.main`` calls and the outputs they must keep.
 
 Run ``PYTHONPATH=src python tests/make_contract.py`` from the repository root to rerun the calls in a
 temporary directory and rewrite ``tests/contract.json``; ``tests/test_contract.py`` reruns them and
@@ -63,6 +63,8 @@ CALLS = (
         ["radon", "r4.json", "--f", "poly", "--out", "radon4.csv"],
         ["spectrum", "r3.json", "--L", "12", "--order", "27", "--out", "spectrum27.csv"],
         ["area", "bump.json", "--order", "16", "--out", "area_bump.csv"],
+        # a tilted member equator, where the mesh has no axis symmetry, and L = 0, whose odd-degree block is empty
+        ["spectrum", "r3.json", "--v", "0.3,-0.5,0.2,0.9", "--L", "0", "--L", "16", "--out", "spectrum_tilted.csv"],
     ]
 )
 

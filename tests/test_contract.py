@@ -32,8 +32,9 @@ def test_regeneration_replaces_only_the_broken_node(outputs):
     # a value pushed past its rtol is the one node replaced; a call added at the end is appended under its rules
     pushed = copy.deepcopy(outputs)
     pushed[13]["stdout"]["mean_area"] *= 1 + 1e-9
-    want = copy.deepcopy(CONTRACT[:-1]) + [spec(pushed[23])]
+    last = len(CONTRACT) - 1
+    want = copy.deepcopy(CONTRACT[:-1]) + [spec(pushed[last])]
     want[13]["stdout"]["mean_area"] = {"rtol": 1e-12, "value": pushed[13]["stdout"]["mean_area"]}
     fixture, lines = regenerate(CONTRACT[:-1], pushed)
-    assert [line.split(":")[0] for line in lines] == ["[13].stdout.mean_area", "[23]"]
+    assert [line.split(":")[0] for line in lines] == ["[13].stdout.mean_area", f"[{last}]"]
     assert fixture == want
