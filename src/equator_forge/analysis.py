@@ -312,13 +312,8 @@ class JacobiGalerkin:
         return self.basis[0] @ self._mass_solve(-self.stiffness @ c)
 
     def eigenvalues(self) -> np.ndarray:
-        """Eigenvalues of minus the Jacobi operator, ascending.
-
-        On an even mesh Y_l(-x) = (-1)^l Y_l(x) couples only degrees of equal parity, so the even- and
-        odd-degree blocks are solved apart; on any other mesh, a bump's, the one block is every degree.
-        """
-        parity = self.degrees % 2 if self.mesh.even else np.zeros_like(self.degrees)
-        blocks = [np.ix_(b, b) for b in (np.flatnonzero(parity == r) for r in (0, 1)) if b.size]
+        """Eigenvalues of minus the Jacobi operator, ascending: one solve on each of the :func:`_degree_groups`."""
+        blocks = [np.ix_(c, c) for c in _degree_groups(self.degrees, self.mesh.even)]
         return np.sort(np.concatenate([_pencil_eigenvalues(self.stiffness[b], self.mass[b]) for b in blocks]))
 
     def _mass_solve(self, rhs) -> np.ndarray:
@@ -343,18 +338,27 @@ def _lower_inverse(C) -> np.ndarray:
     return out
 
 
-def _factor_gram(terms, index) -> np.ndarray:
-    """Symmetrised sum over terms (U, X, field, V, Y) of the grid pairings
-    S[(l, a), (k, b)] = sum_ij field[i, j] U[i, l, a] X[j, a] V[i, k, b] Y[j, b],
-    summed over phi j first, then theta i, for the basis columns (k, b) of ``index``, then its rows."""
-    S = 0.0
-    for U, X, field, V, Y in terms:  # phi sum, times V at the basis columns, whose trig index is index % 2L+1
-        # np.take gives a C-ordered array to scale in place, where a fancy index and a product copy twice
-        VF = np.take((X.T[:, None, :] * field) @ Y, index % Y.shape[1], axis=2)
-        VF *= V.reshape(V.shape[0], -1)[:, index]
-        S = S + U.transpose(2, 1, 0) @ VF  # (a, l, basis)
-    S = S.transpose(1, 0, 2).reshape(-1, S.shape[-1])[index]
-    return 0.5 * (S + S.T)
+def _degree_groups(degrees, even: bool) -> list[np.ndarray]:
+    """Basis columns that pair: even then odd degrees on an even mesh, where Y_l(-x) = (-1)^l Y_l(x), else all."""
+    return [np.flatnonzero(degrees % 2 == p) for p in (0, 1)] if even else [np.arange(degrees.size)]
+
+
+def _factor_gram(terms, index, groups) -> list[np.ndarray]:
+    """Symmetrised sums over terms (U, X, field, V, Y) of the grid pairings S[(l, a), (k, b)] = sum_ij field[i, j]
+    U[i, l, a] X[j, a] V[i, k, b] Y[j, b], summed over phi j first, then theta i: one block for each group p
+    of s of the basis columns (k, b) of ``index``, on the same rows.  Its degrees are p mod s: U[:, p::s] only."""
+    nT, s, blocks = terms[0][1].shape[1], len(groups), []
+    sums = [(X.T[:, None, :] * field) @ Y for _, X, field, _, Y in terms]  # one phi sum per term, for every group
+    for p, c in enumerate(groups):
+        S = 0.0
+        for (U, _, _, V, _), A in zip(terms, sums):  # times V at the columns, whose trig index is index % nT
+            # np.take gives a C-ordered array to scale in place, where a fancy index and a product copy twice
+            VF = np.take(A, index[c] % nT, axis=2)
+            VF *= V.reshape(V.shape[0], -1)[:, index[c]]
+            S = S + U[:, p::s].transpose(2, 1, 0) @ VF  # (a, l // s, basis)
+        S = S[index[c] % nT, index[c] // nT // s]
+        blocks.append(0.5 * (S + S.T))
+    return blocks
 
 
 def _galerkin_order(L: int, order: int | None = None) -> int:
@@ -372,7 +376,7 @@ def build_jacobi_galerkin(g: MetricField, v, L: int, *, order: int | None = None
     On an even mesh node (i, j + order) is the antipode of node (order - 1 - i, j), where the integrand of a
     pair of degrees of equal parity takes the same value, so its theta rows i and order - 1 - i have equal
     sums: the pairings run over the rows i < order / 2 at twice the weight, and a middle row (odd order) at
-    once.  Pairs of unequal parity integrate to zero, and are set to exact zeros.
+    once.  Pairs of unequal parity integrate to zero: they are not formed, and the matrices hold exact zeros.
     """
     order = _galerkin_order(L, order if mesh is None else mesh.order)
     if mesh is None:
@@ -383,18 +387,19 @@ def build_jacobi_galerkin(g: MetricField, v, L: int, *, order: int | None = None
     if mesh.even:
         w = np.where(np.arange(rows) < mesh.order // 2, 2.0, 1.0)[:, None] * w
     Ginv = mesh.induced_inv.reshape(-1, cols, 2, 2)[:rows]
-    mass = _factor_gram([(Pv, T, w, Pv, T)], index)
+    degrees = basis_degrees(L)
+    groups = _degree_groups(degrees, mesh.even)
+    mass = _factor_gram([(Pv, T, w, Pv, T)], index, groups)
     stiff = _factor_gram([
         (Pt, T, w * Ginv[..., 0, 0], Pt, T),
         (Pt, T, w * (Ginv[..., 0, 1] + Ginv[..., 1, 0]), Pp, dT),  # with its transpose, once symmetrised
         (Pp, dT, w * Ginv[..., 1, 1], Pp, dT),
         (Pv, T, -w * mesh.potential.reshape(-1, cols)[:rows], Pv, T),
-    ], index)
-    degrees = basis_degrees(L)
-    if mesh.even:
-        same = (degrees[:, None] - degrees) % 2 == 0
-        mass, stiff = np.where(same, mass, 0.0), np.where(same, stiff, 0.0)
-    return JacobiGalerkin(mesh, L, degrees, stiff, mass)
+    ], index, groups)
+    full = np.zeros((2, degrees.size, degrees.size))
+    for c, pair in zip(groups, zip(mass, stiff)):
+        full[:, c[:, None], c] = pair
+    return JacobiGalerkin(mesh, L, degrees, full[1], full[0])
 
 
 @dataclass(frozen=True)

@@ -558,15 +558,15 @@ def fubini_study(m: int) -> CurvatureTensor:
 def act(R: CurvatureTensor, T: GroupElement) -> CurvatureTensor:
     """Right action of GL(n+1): pull back by ``T`` and rescale by |det T|^(-4/(n+1)).
 
-    The determinant weight makes constant multiples of the identity act
-    trivially, so the action descends to projective transformations.  The
-    absolute value keeps orientation-reversing elements inside the action
-    (they preserve positivity of the sectional curvatures).
+    The determinant weight makes constant multiples of the identity act trivially, so the action descends
+    to projective transformations.  T is first scaled by a power of two, exactly, to max|T| in [1/2, 1), so
+    that |det| stays in range for c I at any c > 0.  The absolute value keeps orientation-reversing elements
+    inside the action (they preserve positivity of the sectional curvatures).
     """
     if T.n != R.n:
         raise DimensionError(f"matrix is for n={T.n}, tensor for n={R.n}")
-    M = T.matrix
-    weight = abs(T.det) ** (-4.0 / (R.n + 1))
+    M = np.ldexp(T.matrix, -np.frexp(np.max(np.abs(T.matrix)))[1])
+    weight = abs(np.linalg.det(M)) ** (-4.0 / (R.n + 1))
     S = weight * R.coeffs
     for _ in range(4):  # contract the leading slot with M; the new index goes last
         S = np.tensordot(S, M, axes=([0], [0]))

@@ -259,8 +259,8 @@ def _full_row_galerkin(mesh, L, gram):
 @pytest.mark.parametrize("L, order", [(3, 8), (3, 9), (12, 26), (12, 27)])
 def test_a_half_row_assembly_matches_the_full_grid_on_equal_parity_pairs(berger, monkeypatch, L, order):
     rows, original = [], analysis._factor_gram
-    monkeypatch.setattr(analysis, "_factor_gram", lambda terms, index: rows.append(len(terms[0][0]))
-                        or original(terms, index))
+    monkeypatch.setattr(analysis, "_factor_gram", lambda terms, index, groups: rows.append(len(terms[0][0]))
+                        or original(terms, index, groups))
     v = np.array([0.3, -0.5, 0.2, 0.9])
     for g in (berger[0], metric_from_curv(random_positive(3, seed=2)[0])):
         gal = build_jacobi_galerkin(g, v, L, order=order)
@@ -282,7 +282,8 @@ def test_a_bump_scan_and_assembly_are_the_full_paths_bitwise(monkeypatch):
         rows.clear()
     for L, order in [(3, 9), (12, None)]:
         gal = build_jacobi_galerkin(BumpMetric(), np.array([0.0, 1.0, 1.0, 0.0]), L, order=order)
-        for got, want in zip((gal.mass, gal.stiffness), _full_row_galerkin(gal.mesh, L, _factor_gram)):
+        one_group = lambda terms, index: _factor_gram(terms, index, [np.arange(index.size)])[0]  # noqa: E731
+        for got, want in zip((gal.mass, gal.stiffness), _full_row_galerkin(gal.mesh, L, one_group)):
             assert np.array_equal(got, want)
 
 
@@ -733,10 +734,11 @@ def test_galerkin_pairs_only_the_basis_columns(berger, monkeypatch, L):
 
     errors, original = [], analysis._factor_gram
 
-    def checked(terms, index):
-        got, want = original(terms, index), _full_grid_gram(terms, index)
-        errors.append(np.max(np.abs(got - want)) / np.max(np.abs(want)))
-        return got
+    def checked(terms, index, groups):  # each block against the reference's pairings of its columns
+        blocks, full = original(terms, index, groups), _full_grid_gram(terms, index)
+        pairs = [(got, full[np.ix_(c, c)]) for got, c in zip(blocks, groups) if c.size]
+        errors.append(max(np.max(np.abs(got - want)) / np.max(np.abs(want)) for got, want in pairs))
+        return blocks
 
     monkeypatch.setattr(analysis, "_factor_gram", checked)
     build_jacobi_galerkin(berger[0], np.array([0.3, -0.5, 0.2, 0.9]), L)
@@ -757,10 +759,64 @@ def _fancy_index_gram(terms, index):
 def test_taken_basis_columns_give_the_fancy_index_pairing_bitwise(berger, monkeypatch, L):
     pairs, original = [], analysis._factor_gram
 
-    def checked(terms, index):
-        pairs.append((original(terms, index), _fancy_index_gram(terms, index)))
-        return pairs[-1][0]
+    def checked(terms, index, groups):  # the blocks, raveled and joined, against the reference's at their columns
+        blocks, full = original(terms, index, groups), _fancy_index_gram(terms, index)
+        pairs.append(tuple(np.concatenate([A.ravel() for A in parts]) for parts in
+                           (blocks, [full[np.ix_(c, c)] for c in groups])))
+        return blocks
 
     monkeypatch.setattr(analysis, "_factor_gram", checked)
     build_jacobi_galerkin(berger[0], np.array([0.3, -0.5, 0.2, 0.9]), L)
     assert len(pairs) == 2 and all(np.array_equal(got, want) for got, want in pairs)
+
+
+@pytest.fixture(scope="module")
+def block_metrics(berger):
+    return {"berger": berger[0], "member": metric_from_curv(random_positive(3, seed=2)[0])}
+
+
+@pytest.mark.parametrize("L", [0, 3, 12, 16])
+@pytest.mark.parametrize("order", [None, 27])
+@pytest.mark.parametrize("v", [E0, np.array([0.3, -0.5, 0.2, 0.9])], ids=["E0", "tilted"])
+def test_an_even_mesh_pairs_parity_blocks_bitwise_as_one_group(block_metrics, monkeypatch, L, order, v):
+    # the blocks are the equal-parity pairings of a one-group assembly of the same half rows, bit for bit
+    calls, original = [], analysis._factor_gram
+
+    def checked(terms, index, groups):
+        calls.append((groups, original(terms, index, groups), original(terms, index, [np.arange(index.size)])[0]))
+        return calls[-1][1]
+
+    monkeypatch.setattr(analysis, "_factor_gram", checked)
+    for g in block_metrics.values():
+        calls.clear()
+        gal = build_jacobi_galerkin(g, v, L, order=order)
+        odd = gal.degrees % 2
+        n_odd = int(np.sum(odd))
+        masked = []
+        for groups, blocks, one in calls:
+            assert np.array_equal(np.sort(np.concatenate(groups)), np.arange(gal.degrees.size))
+            assert all(np.unique(odd[c]).size <= 1 for c in groups)
+            assert sum(c.size**2 for c in groups) == (gal.degrees.size - n_odd) ** 2 + n_odd**2
+            assert all(np.array_equal(B, one[np.ix_(c, c)]) for B, c in zip(blocks, groups))
+            masked.append(np.where(odd[:, None] == odd, one, 0.0))
+        mass, stiff = masked
+        assert gal.mesh.even and np.array_equal(gal.mass, mass) and np.array_equal(gal.stiffness, stiff)
+        parity = [np.ix_(c, c) for c in (np.flatnonzero(odd == r) for r in (0, 1)) if c.size]
+        want = np.sort(np.concatenate([_pencil_eigenvalues(stiff[b], mass[b]) for b in parity]))
+        assert np.array_equal(gal.eigenvalues(), want)
+
+
+@pytest.mark.parametrize("L", [0, 3, 12])
+def test_a_bump_pairs_one_group_of_every_column_bitwise_as_before(monkeypatch, L):
+    calls, original = [], analysis._factor_gram
+
+    def checked(terms, index, groups):
+        calls.append((groups, original(terms, index, groups), _fancy_index_gram(terms, index)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(analysis, "_factor_gram", checked)
+    gal = build_jacobi_galerkin(BumpMetric(), np.array([0.0, 1.0, 1.0, 0.0]), L)
+    assert not gal.mesh.even and len(calls) == 2
+    for (groups, blocks, before), got in zip(calls, (gal.mass, gal.stiffness)):
+        assert len(groups) == 1 and np.array_equal(groups[0], np.arange(gal.degrees.size))
+        assert np.array_equal(blocks[0], before) and np.array_equal(got, before)

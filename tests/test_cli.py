@@ -19,6 +19,7 @@ from equator_forge.tensor_core import (
     DimensionError,
     GroupElement,
     PositivityError,
+    act,
     constant_curvature,
     _require_memory,
     curv_dim,
@@ -688,6 +689,22 @@ def test_every_command_reads_a_scaled_tensor(tmp_path, capsys, c):
     assert code == 0, err
     want = load_tensor(tensor).coeffs
     assert np.max(np.abs(load_tensor(out).coeffs - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_act_is_projective_at_any_scale_of_the_matrix(tmp_path, capsys):
+    # act scales the matrix to a largest entry in [1/2, 1): c I acts as I and c M as M, however far c is from 1
+    tensor, matrix, out = tmp_path / "r3.json", tmp_path / "cM.json", tmp_path / "out.json"
+    assert run(capsys, "gen", "random", "--n", "3", "--seed", "1", "--out", str(tensor))[0] == 0
+    R = load_tensor(tensor).coeffs
+    M = np.eye(4) + 0.4 * np.random.default_rng(5).standard_normal((4, 4))
+    RM = act(load_tensor(tensor), GroupElement(M)).coeffs
+    for c in (1e-300, 1e-100, 1e100, 1e300):
+        for T, want, tol in ((np.eye(4), R, 1e-14), (M, RM, 1e-12)):
+            with np.errstate(over="ignore"):  # GroupElement's det overflows at c = 1e100; act does not read it
+                save_matrix(GroupElement(c * T), matrix)
+                code, _, err = run(capsys, "act", str(tensor), str(matrix), "--out", str(out))
+            assert code == 0, err
+            assert np.max(np.abs(load_tensor(out).coeffs - want)) <= tol * np.max(np.abs(want))
 
 
 def test_verify_reports_the_zero_tensors_symmetry_as_zero(tmp_path, capsys):
