@@ -271,6 +271,11 @@ def test_a_half_row_assembly_matches_the_full_grid_on_equal_parity_pairs(berger,
     assert rows == [(order + 1) // 2] * 4
 
 
+def _one_group_gram(terms, index):
+    """The pairing of one group of every basis column: the whole matrix."""
+    return _factor_gram(terms, index, [np.arange(index.size)])[0]
+
+
 def test_a_bump_scan_and_assembly_are_the_full_paths_bitwise(monkeypatch):
     rows = _density_rows(monkeypatch)
     for n in (2, 3, 4, 5):
@@ -282,8 +287,7 @@ def test_a_bump_scan_and_assembly_are_the_full_paths_bitwise(monkeypatch):
         rows.clear()
     for L, order in [(3, 9), (12, None)]:
         gal = build_jacobi_galerkin(BumpMetric(), np.array([0.0, 1.0, 1.0, 0.0]), L, order=order)
-        one_group = lambda terms, index: _factor_gram(terms, index, [np.arange(index.size)])[0]  # noqa: E731
-        for got, want in zip((gal.mass, gal.stiffness), _full_row_galerkin(gal.mesh, L, one_group)):
+        for got, want in zip((gal.mass, gal.stiffness), _full_row_galerkin(gal.mesh, L, _one_group_gram)):
             assert np.array_equal(got, want)
 
 
